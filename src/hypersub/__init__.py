@@ -47,12 +47,10 @@ from .solver import (
     RunTrace,
     SolveConfig,
     Termination,
-    ZeroSubgradient,
     complexity_bound_report,
     load_trace,
     min_gap_series,
     run,
-    sm_step,
     write_trace_csv,
     write_trace_json,
 )

@@ -2,8 +2,7 @@
 reproduce the disk example.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
-violation, 5 reproduction assertion failure. HS_THREADS caps the verify
-suites' worker threads.
+violation, 5 reproduction assertion failure.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from .solver import (
     NUMERICAL_FAILURE,
     RunTrace,
     SolveConfig,
+    atomic_write,
     run,
     solve_config_from_specs,
     write_trace_csv,
@@ -139,9 +139,7 @@ def build_solve_config(entries: dict[str, str]) -> tuple[str, Path, SolveConfig]
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
-    from .solver import _atomic_write
-
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace) -> dict:
@@ -185,10 +183,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    workers = verify_mod.max_workers()
-    reports = verify_mod.run_suite(
-        args.suite, n=args.n, seed=args.seed, tol=args.tol, workers=workers
-    )
+    least = verify_mod.MIN_N.get(args.suite, 1)
+    if args.n is not None and args.n < least:
+        print(
+            f"config error: --n must be >= {least} for {args.suite}, got {args.n}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
+    if args.tol is not None and not args.tol >= 0.0:
+        print(f"config error: --tol must be >= 0, got {args.tol}", file=sys.stderr)
+        return EXIT_CONFIG
+    reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed, tol=args.tol)
     for r in reports:
         print(
             f"{r.check}: n={r.n} violations={r.violations} "
@@ -274,9 +279,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     else:
         lines.append("all checks passed")
     report = "\n".join(lines) + "\n"
-    from .solver import _atomic_write
-
-    _atomic_write(out_dir / "disk_example.report.txt", report)
+    atomic_write(out_dir / "disk_example.report.txt", report)
     print(report, end="")
     return EXIT_REPRODUCTION if failures else EXIT_OK
 

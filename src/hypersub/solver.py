@@ -23,10 +23,6 @@ from .oracles import SubgradientOracle, format_complex, make_oracle, parse_compl
 from .schedules import StepSchedule, parse_schedule
 
 
-class ZeroSubgradient(Exception):
-    """Signals the STOP branch: the subgradient at the query point is zero."""
-
-
 class MissingFStar(ValueError):
     """The oracle does not declare its minimum value."""
 
@@ -89,29 +85,6 @@ class RunTrace:
     records: list[IterationRecord]
     termination: Termination
     summary: dict
-
-
-def sm_step(
-    m: Manifold,
-    oracle: SubgradientOracle,
-    x: DiskPoint,
-    lam: float,
-    stop_grad_tol: float = 1e-12,
-) -> tuple[DiskPoint, float, float, bool]:
-    """One subgradient step of length ``lam`` from ``x``.
-
-    Returns (next point, f(x), |g|, drift flag). Raises ZeroSubgradient when
-    |g| <= stop_grad_tol, which is the STOP branch of the method.
-    """
-    if not lam > 0.0:
-        raise ValueError("step size must be positive")
-    f, g = oracle.evaluate(m, x)
-    gn = m.norm(g)
-    if gn <= stop_grad_tol:
-        raise ZeroSubgradient(f"|g| = {gn} at {x}")
-    s = g.scaled(-1.0 / gn)
-    nxt, drift = m.exp_with_drift(x, s.scaled(lam))
-    return nxt, f, gn, drift
 
 
 def _finite(*values: float) -> bool:
@@ -234,15 +207,11 @@ def run(cfg: SolveConfig) -> RunTrace:
 
 
 def min_gap_series(trace: RunTrace) -> list[tuple[int, float]]:
-    """Running minimum of f(x^k) - f* over the recorded iterates."""
+    """Running minimum of f(x^k) - f* over the recorded iterates, as
+    computed by build_summary."""
     if trace.f_star is None:
         raise MissingFStar("the oracle did not declare its minimum value")
-    running = math.inf
-    out = []
-    for r in trace.records:
-        running = min(running, r.f_value - trace.f_star)
-        out.append((r.k, running))
-    return out
+    return [(k, gap) for k, gap in trace.summary["min_gap_series"] or []]
 
 
 @dataclass(frozen=True)
@@ -364,12 +333,17 @@ def trace_to_dict(trace: RunTrace) -> dict:
     }
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename, with
+    the permissions an ordinary open() would give (0o666 less the umask)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        mask = os.umask(0)  # os.umask is the only portable way to read it
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -378,7 +352,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_trace_json(trace: RunTrace, path: str | Path) -> None:
-    _atomic_write(Path(path), json.dumps(trace_to_dict(trace), indent=2) + "\n")
+    atomic_write(Path(path), json.dumps(trace_to_dict(trace), indent=2) + "\n")
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
@@ -398,7 +372,7 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
                 int(r.drift),
             ]
         )
-    _atomic_write(Path(path), buf.getvalue())
+    atomic_write(Path(path), buf.getvalue())
 
 
 def load_trace(path: str | Path) -> RunTrace:

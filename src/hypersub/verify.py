@@ -2,15 +2,12 @@
 
 Margins are always reported as RHS - LHS, so a nonnegative margin certifies
 the inequality for that sample. Checks are deterministic given a seed; sample
-streams are chunked with per-chunk seeds so reports do not depend on how many
-worker threads evaluate them.
+streams are chunked with per-chunk seeds.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,17 +36,6 @@ class DegenerateTriangle(ValueError):
 
 class HypothesisUnverified(Exception):
     """A key-theorem configuration failed its hypothesis check."""
-
-
-def max_workers() -> int:
-    """Worker cap for fuzz evaluation, from the HS_THREADS environment
-    variable (default 1)."""
-    raw = os.environ.get("HS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"HS_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -400,41 +386,20 @@ class InequalityReport:
         }
 
 
-def fuzz(
-    sample_margin: Callable[[np.random.Generator], float],
-    n: int,
-    seed: int,
+def report_margins(
+    margins: Sequence[float],
     tolerance: float,
     check: str,
+    seed: int,
     two_sided: bool = False,
     hypothesis_mode: str | None = None,
-    workers: int | None = None,
 ) -> InequalityReport:
-    """Evaluate a margin sampler n times and aggregate into a report.
+    """Aggregate margins into a report.
 
     A one-sided check counts margin < -tolerance as a violation and reports
     the smallest margin; a two-sided check counts |margin| > tolerance and
-    reports the largest magnitude. Chunk c of the stream draws from
-    default_rng((seed, c)), so the report is identical for any worker count.
+    reports the largest magnitude.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if workers is None:
-        workers = max_workers()
-    chunks = [(c, min(CHUNK, n - c * CHUNK)) for c in range((n + CHUNK - 1) // CHUNK)]
-
-    def eval_chunk(spec: tuple[int, int]) -> list[float]:
-        index, size = spec
-        rng = np.random.default_rng((seed, index))
-        return [sample_margin(rng) for _ in range(size)]
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(eval_chunk, chunks))
-    else:
-        parts = [eval_chunk(c) for c in chunks]
-    margins = [m for part in parts for m in part]
-
     if two_sided:
         violations = sum(1 for m in margins if abs(m) > tolerance)
         worst = max(abs(m) for m in margins)
@@ -443,7 +408,7 @@ def fuzz(
         worst = min(margins)
     return InequalityReport(
         check=check,
-        n=n,
+        n=len(margins),
         violations=violations,
         worst_margin=worst,
         tolerance=tolerance,
@@ -451,6 +416,28 @@ def fuzz(
         hypothesis_mode=hypothesis_mode,
         histogram=_histogram(margins),
     )
+
+
+def fuzz(
+    sample_margin: Callable[[np.random.Generator], float],
+    n: int,
+    seed: int,
+    tolerance: float,
+    check: str,
+    two_sided: bool = False,
+    hypothesis_mode: str | None = None,
+) -> InequalityReport:
+    """Evaluate a margin sampler n times and aggregate with report_margins.
+
+    Chunk c of the stream (CHUNK samples) draws from default_rng((seed, c)).
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    margins: list[float] = []
+    for c in range((n + CHUNK - 1) // CHUNK):
+        rng = np.random.default_rng((seed, c))
+        margins.extend(sample_margin(rng) for _ in range(min(CHUNK, n - c * CHUNK)))
+    return report_margins(margins, tolerance, check, seed, two_sided, hypothesis_mode)
 
 
 # -- bundled suites --------------------------------------------------------------------
@@ -461,7 +448,6 @@ def suite_law_of_cosines(
     seed: int = 0,
     tol: float = 1e-9,
     cap: float = DEFAULT_RADIUS_CAP,
-    workers: int | None = None,
 ) -> list[InequalityReport]:
     """Equality at the true curvature (kappa = 1) and the lower-bound
     direction at kappa = 2 on the same triangle distribution."""
@@ -472,7 +458,6 @@ def suite_law_of_cosines(
         tol,
         "law-of-cosines-equality-k1",
         two_sided=True,
-        workers=workers,
     )
     lb = fuzz(
         lambda rng: law_of_cosines_margin(2.0, sample_triangle(rng, cap)),
@@ -480,7 +465,6 @@ def suite_law_of_cosines(
         seed + 1,
         1e-12,
         "law-of-cosines-lower-bound-k2",
-        workers=workers,
     )
     return [eq, lb]
 
@@ -536,7 +520,6 @@ def suite_key_theorem(
     n: int = 10_000,
     seed: int = 0,
     tol: float = 1e-10,
-    workers: int | None = None,
 ) -> list[InequalityReport]:
     """Contraction-inequality margins over verified configurations of the
     anchored-distance and two-Busemann objectives, plus a smaller net-checked
@@ -552,7 +535,6 @@ def suite_key_theorem(
             tol,
             "key-theorem-distance",
             hypothesis_mode="analytic",
-            workers=workers,
         ),
         fuzz(
             _two_busemann_key_margin,
@@ -561,7 +543,6 @@ def suite_key_theorem(
             tol,
             "key-theorem-two-busemann",
             hypothesis_mode="analytic",
-            workers=workers,
         ),
         fuzz(
             _two_busemann_key_margin_net,
@@ -570,7 +551,6 @@ def suite_key_theorem(
             tol,
             "key-theorem-two-busemann-net",
             hypothesis_mode="net-checked",
-            workers=workers,
         ),
     ]
 
@@ -589,29 +569,13 @@ def suite_per_step(
         m1s.append(m1)
         m2s.append(m2)
         consistency.append(m2 - m1 / math.sinh(s.lam))
-
-    def report(name: str, margins: list[float], two_sided: bool, tolerance: float, mode: str):
-        if two_sided:
-            violations = sum(1 for v in margins if abs(v) > tolerance)
-            worst = max(abs(v) for v in margins)
-        else:
-            violations = sum(1 for v in margins if v < -tolerance)
-            worst = min(margins)
-        return InequalityReport(
-            check=name,
-            n=len(margins),
-            violations=violations,
-            worst_margin=worst,
-            tolerance=tolerance,
-            seed=seed,
-            hypothesis_mode=mode,
-            histogram=_histogram(margins),
-        )
-
     return [
-        report("per-step-cdelta", m1s, False, tol, "analytic"),
-        report("per-step-cdelta-divided", m2s, False, tol, "analytic"),
-        report("per-step-consistency", consistency, True, 1e-10, "analytic"),
+        report_margins(m1s, tol, "per-step-cdelta", seed, hypothesis_mode="analytic"),
+        report_margins(m2s, tol, "per-step-cdelta-divided", seed, hypothesis_mode="analytic"),
+        report_margins(
+            consistency, 1e-10, "per-step-consistency", seed, two_sided=True,
+            hypothesis_mode="analytic",
+        ),
     ]
 
 
@@ -651,7 +615,6 @@ def suite_gradcheck(
     seed: int = 0,
     tol_norm: float = 1e-10,
     tol_fd: float = 1e-4,
-    workers: int | None = None,
 ) -> list[InequalityReport]:
     """Unit gradient norm and geodesic finite-difference agreement for
     Busemann functions."""
@@ -663,7 +626,6 @@ def suite_gradcheck(
             tol_norm,
             "busemann-unit-gradient-norm",
             two_sided=True,
-            workers=workers,
         ),
         fuzz(
             _gradcheck_fd_margin,
@@ -672,26 +634,32 @@ def suite_gradcheck(
             tol_fd,
             "busemann-finite-difference",
             two_sided=True,
-            workers=workers,
         ),
     ]
 
 
-SUITES: dict[str, Callable[..., list[InequalityReport]]] = {
-    "law-of-cosines": lambda n, seed, tol, workers: suite_law_of_cosines(
-        n=n or 100_000, seed=seed, tol=tol or 1e-9, workers=workers
+def _given(value, default):
+    return default if value is None else value
+
+
+# Each suite takes (n, seed, tol); None picks the suite's own default.
+SUITES: dict[str, Callable[[int | None, int, float | None], list[InequalityReport]]] = {
+    "law-of-cosines": lambda n, seed, tol: suite_law_of_cosines(
+        n=_given(n, 100_000), seed=seed, tol=_given(tol, 1e-9)
     ),
-    "key-theorem": lambda n, seed, tol, workers: suite_key_theorem(
-        n=n or 10_000, seed=seed, tol=tol or 1e-10, workers=workers
+    "key-theorem": lambda n, seed, tol: suite_key_theorem(
+        n=_given(n, 10_000), seed=seed, tol=_given(tol, 1e-10)
     ),
-    "per-step": lambda n, seed, tol, workers: suite_per_step(
-        steps=n or 2000, seed=seed, tol=tol or 1e-10
+    "per-step": lambda n, seed, tol: suite_per_step(
+        steps=_given(n, 2000), seed=seed, tol=_given(tol, 1e-10)
     ),
-    "sublevel": lambda n, seed, tol, workers: suite_sublevel(seed=seed, n_rays=n or 64),
-    "gradcheck": lambda n, seed, tol, workers: suite_gradcheck(
-        n=n or 1000, seed=seed, workers=workers
-    ),
+    "sublevel": lambda n, seed, tol: suite_sublevel(seed=seed, n_rays=_given(n, 64)),
+    "gradcheck": lambda n, seed, tol: suite_gradcheck(n=_given(n, 1000), seed=seed),
 }
+
+# The smallest n each suite accepts (default 1): key-theorem splits n between
+# its distance and two-Busemann checks.
+MIN_N = {"key-theorem": 2, "all": 2}
 
 
 def run_suite(
@@ -699,14 +667,10 @@ def run_suite(
     n: int | None = None,
     seed: int = 0,
     tol: float | None = None,
-    workers: int | None = None,
 ) -> list[InequalityReport]:
     """Run one named suite, or all of them."""
     if name == "all":
-        reports: list[InequalityReport] = []
-        for key in ("law-of-cosines", "key-theorem", "per-step", "sublevel", "gradcheck"):
-            reports.extend(SUITES[key](n, seed, tol, workers))
-        return reports
+        return [r for key in SUITES for r in SUITES[key](n, seed, tol)]
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](n, seed, tol, workers)
+    return SUITES[name](n, seed, tol)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,16 @@ class TestSolve:
         assert summary["termination"] == "subgradient-zero"
         assert summary["termination_step"] == 8
         assert summary["final_dist_to_s"] == 0.0
+
+    def test_artifacts_respect_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            code = main(["solve", str(CONFIGS / "ball_hinge.cfg"), "--out-dir", str(tmp_path)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        mode = stat.S_IMODE((tmp_path / "ball_hinge.summary.json").stat().st_mode)
+        assert mode == 0o644
 
     def test_trace_reloads(self, tmp_path):
         main(["solve", str(CONFIGS / "ball_hinge.cfg"), "--out-dir", str(tmp_path)])
@@ -150,11 +162,35 @@ class TestVerify:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("suite,n", [("sublevel", "0"), ("per-step", "-5")])
+    def test_nonpositive_n_is_rejected(self, tmp_path, capsys, suite, n):
+        code = main(["verify", suite, "--n", n, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "--n must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_key_theorem_needs_two_samples(self, tmp_path, capsys):
+        code = main(["verify", "key-theorem", "--n", "1", "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "--n must be >= 2" in capsys.readouterr().err
+
+    def test_negative_tol_is_rejected(self, tmp_path, capsys):
+        code = main(["verify", "gradcheck", "--tol=-1e-9", "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_zero_tol_runs_at_zero(self, tmp_path):
+        report = tmp_path / "r.json"
+        code = main(["verify", "per-step", "--n", "300", "--tol", "0", "--report", str(report)])
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert [r["tolerance"] for r in payload["reports"][:2]] == [0.0, 0.0]
+
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         import hypersub.cli as cli_mod
         from hypersub.verify import InequalityReport
 
-        def fake_suite(name, n=None, seed=0, tol=None, workers=None):
+        def fake_suite(name, n=None, seed=0, tol=None):
             return [
                 InequalityReport("forced", 1, 1, -1.0, 1e-9, 0, None, {"edges": [], "counts": []})
             ]

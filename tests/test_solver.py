@@ -21,14 +21,14 @@ from hypersub.schedules import harmonic, partial_sums, sqrt_harmonic, table
 from hypersub.solver import (
     MissingFStar,
     MissingSolutionPoint,
+    SUBGRADIENT_ZERO,
     SolveConfig,
-    ZeroSubgradient,
+    Termination,
     build_summary,
     complexity_bound_report,
     load_trace,
     min_gap_series,
     run,
-    sm_step,
     write_trace_csv,
     write_trace_json,
 )
@@ -49,19 +49,25 @@ def constant_oracle(c=1.0, solution_set=None):
     )
 
 
+def one_step(m, oracle, x, lam):
+    """A run with a one-step budget: records k = 0 at x and k = 1 after it."""
+    return run(SolveConfig(m, oracle, table([lam]), x, 1))
+
+
 class TestSmStep:
     def test_flat_unit_step_toward_anchor(self):
         anchor = DiskPoint.plane(0.0, 0.0)
         x = DiskPoint.plane(2.0, 0.0)
-        nxt, f, gn, drift = sm_step(EUCLIDEAN_PLANE, distance_oracle(anchor), x, 0.5)
-        assert (nxt.x, nxt.y) == (1.5, 0.0)
-        assert f == 2.0 and gn == 1.0 and not drift
+        first, nxt = one_step(EUCLIDEAN_PLANE, distance_oracle(anchor), x, 0.5).records
+        assert (nxt.point.x, nxt.point.y) == (1.5, 0.0)
+        assert first.f_value == 2.0 and first.grad_norm == 1.0 and not nxt.drift
 
     def test_stays_on_y_axis(self):
         oracle = two_busemann_oracle()
         x = DiskPoint(0.0, 0.35)
-        nxt, _, _, _ = sm_step(M, oracle, x, 0.2)
-        assert abs(nxt.x) < 1e-12
+        nxt = one_step(M, oracle, x, 0.2).records[-1]
+        assert nxt.k == 1
+        assert abs(nxt.point.x) < 1e-12
 
     def test_step_length_equals_lambda(self):
         rng = np.random.default_rng(40)
@@ -75,21 +81,21 @@ class TestSmStep:
             x = sample_point(rng, 2.5)
             oracle = oracles[checked % len(oracles)]
             lam = rng.uniform(1e-3, 1.0)
-            try:
-                nxt, _, _, _ = sm_step(M, oracle, x, lam)
-            except ZeroSubgradient:
+            trace = one_step(M, oracle, x, lam)
+            if trace.termination.kind == SUBGRADIENT_ZERO:
                 continue
-            assert abs(M.distance(x, nxt) - lam) < 1e-10
+            assert abs(M.distance(x, trace.records[-1].point) - lam) < 1e-10
             checked += 1
 
-    def test_zero_subgradient_raises(self):
+    def test_zero_subgradient_stops_at_k0(self):
         oracle = ball_hinge_oracle(ORIGIN, 0.5)
-        with pytest.raises(ZeroSubgradient):
-            sm_step(M, oracle, DiskPoint(0.1, 0.0), 0.5)
+        trace = one_step(M, oracle, DiskPoint(0.1, 0.0), 0.5)
+        assert trace.termination == Termination(SUBGRADIENT_ZERO, 0)
+        assert [r.k for r in trace.records] == [0]
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            sm_step(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), 0.0)
+            one_step(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), 0.0)
 
 
 class TestRun:
@@ -215,6 +221,15 @@ class TestMinGapSeries:
         )
         with pytest.raises(MissingFStar):
             min_gap_series(run(cfg))
+
+    def test_failure_at_k0_gives_empty_series(self):
+        def fn(m, p):
+            return math.nan, Tangent(p, 1.0, 0.0)
+
+        oracle = SubgradientOracle("nan", fn, known_min=0.0)
+        trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.2, 0.0), 5))
+        assert trace.records == [] and trace.summary["min_gap_series"] is None
+        assert min_gap_series(trace) == []
 
     def test_constant_oracle_gives_all_zeros(self):
         cfg = SolveConfig(M, constant_oracle(2.5), harmonic(1.0), DiskPoint(0.2, 0.0), 10)

@@ -18,6 +18,7 @@ from hypersub.oracles import (
     two_busemann_oracle,
 )
 from hypersub.verify import (
+    CHUNK,
     DegenerateTriangle,
     HypothesisUnverified,
     KeyConfig,
@@ -26,8 +27,8 @@ from hypersub.verify import (
     harvest_two_busemann_steps,
     key_theorem_margin,
     law_of_cosines_margin,
-    max_workers,
     per_step_margins,
+    report_margins,
     sample_point,
     sample_triangle,
     sublevel_boundedness_check,
@@ -306,13 +307,15 @@ class TestFuzz:
         r2 = fuzz(margin, 5000, seed=7, tolerance=10.0, check="x")
         assert r1 == r2
 
-    def test_worker_count_does_not_change_report(self):
-        def margin(rng):
-            return rng.normal()
-
-        r1 = fuzz(margin, 5000, seed=7, tolerance=10.0, check="x", workers=1)
-        r4 = fuzz(margin, 5000, seed=7, tolerance=10.0, check="x", workers=4)
-        assert r1 == r4
+    def test_chunks_draw_from_per_chunk_seeds(self):
+        n = 2 * CHUNK + 5
+        by_hand = []
+        for c in range(3):
+            rng = np.random.default_rng((7, c))
+            by_hand += [rng.normal() for _ in range(min(CHUNK, n - c * CHUNK))]
+        report = fuzz(lambda rng: rng.normal(), n, seed=7, tolerance=1.0, check="x")
+        assert report == report_margins(by_hand, 1.0, "x", 7)
+        assert report.n == n and report.violations > 0
 
     def test_violation_counting(self):
         values = iter([1.0, -1.0, 0.5, -2.0])
@@ -340,15 +343,6 @@ class TestFuzz:
         for key in ("check", "n", "violations", "worst_margin", "tolerance", "seed",
                     "hypothesis_mode", "histogram"):
             assert key in payload
-
-    def test_max_workers_env(self, monkeypatch):
-        monkeypatch.setenv("HS_THREADS", "3")
-        assert max_workers() == 3
-        monkeypatch.setenv("HS_THREADS", "zzz")
-        with pytest.raises(ValueError):
-            max_workers()
-        monkeypatch.delenv("HS_THREADS")
-        assert max_workers() == 1
 
 
 class TestSuites:
