@@ -190,6 +190,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
+    if args.tol is not None and args.suite not in verify_mod.TOL_GOVERNS:
+        print(f"config error: --tol is not accepted by {args.suite}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.tol is not None and not args.tol >= 0.0:
         print(f"config error: --tol must be >= 0, got {args.tol}", file=sys.stderr)
         return EXIT_CONFIG
@@ -304,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n", type=int, default=None, help="sample count override")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=None, help="tolerance override")
+    governs = "; ".join(f"{suite}: {check}" for suite, check in verify_mod.TOL_GOVERNS.items())
+    p_verify.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help=f"tolerance override ({governs}); sublevel and all reject it",
+    )
     p_verify.add_argument("--report", default=None, help="report JSON path")
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
+import numpy as np
+
 # exp() clamps radially to BOUNDARY_CLAMP when the result lands within
 # DRIFT_EPS of the unit circle; the caller sees a drift flag.
 DRIFT_EPS = 1e-15
@@ -273,6 +275,70 @@ EUCLIDEAN_PLANE = Manifold("euclidean-plane", 0.0)
 
 def scaled_disk(kappa: float) -> Manifold:
     return Manifold("scaled-disk", kappa)
+
+
+# -- array forms -----------------------------------------------------------------
+#
+# Elementwise twins of the Poincaré-disk (kappa = 1) operations above, on complex
+# arrays: points are z = x + iy and tangents their Euclidean components v. They
+# use the scalar formulas, which stay the reference they are tested against.
+
+
+def abs2_array(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as x*x + y*y, the rounding of ``DiskPoint.abs2``."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def distance_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.distance``: 2 atanh(|q-p| / |1 - conj(p) q|)."""
+    rho = np.abs(q - p) / np.abs(1.0 - np.conj(p) * q)
+    return 2.0 * np.arctanh(np.minimum(rho, np.nextafter(1.0, 0.0)))
+
+
+def inner_array(p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.inner`` for tangents u, v at p."""
+    lam = 2.0 / (1.0 - abs2_array(p))
+    return (u.real * v.real + u.imag * v.imag) * lam**2
+
+
+def norm_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.norm`` for a tangent v at p."""
+    return 2.0 * np.abs(v) / (1.0 - abs2_array(p))
+
+
+def angle_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``Manifold.angle``: the Euclidean angle in [0, pi]."""
+    nu = np.abs(u)
+    nv = np.abs(v)
+    if not (np.all(nu > 0.0) and np.all(nv > 0.0)):
+        raise ZeroVector("angle of a zero tangent is undefined")
+    c = (u.real * v.real + u.imag * v.imag) / (nu * nv)
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def exp_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.exp``, with the same radial clamp to
+    ``BOUNDARY_CLAMP`` within ``DRIFT_EPS`` of the unit circle."""
+    p, v = np.broadcast_arrays(p, v)
+    a = np.abs(v)
+    moving = a > 0.0
+    t = 2.0 * a / (1.0 - abs2_array(p))
+    ur = np.divide(v, a, out=np.zeros_like(v), where=moving) * np.tanh(0.5 * t)
+    w = (ur + p) / (1.0 + np.conj(p) * ur)
+    if not np.all(np.isfinite(w)):
+        raise ResultOutsideDisk("exp produced a non-finite point")
+    aw = np.abs(w)
+    w = np.where(aw >= 1.0 - DRIFT_EPS, w * (BOUNDARY_CLAMP / aw), w)
+    return np.where(moving, w, p)
+
+
+def log_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.log``: the tangent components at p toward q."""
+    w0 = (q - p) / (1.0 - np.conj(p) * q)
+    rho = np.abs(w0)
+    d = 2.0 * np.arctanh(np.minimum(rho, np.nextafter(1.0, 0.0)))
+    scale = np.divide(d * (1.0 - abs2_array(p)), 2.0 * rho, out=np.zeros_like(rho), where=rho > 0.0)
+    return w0 * scale
 
 
 @dataclass(frozen=True)

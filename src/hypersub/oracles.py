@@ -15,12 +15,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .geometry import (
     ORIGIN,
     POINCARE_DISK,
     DiskPoint,
     Manifold,
     Tangent,
+    abs2_array,
 )
 
 
@@ -125,6 +128,28 @@ def busemann_gradient(eta: complex, p: DiskPoint) -> Tangent:
     e = _unit(eta)
     g = 0.5 * (1.0 - p.abs2()) * (p.z - e) / (1.0 - e * p.z.conjugate())
     return Tangent.from_complex(p, g)
+
+
+def _unit_array(eta: np.ndarray) -> np.ndarray:
+    a = np.abs(eta)
+    if not np.all(np.isfinite(a) & (a > 0.0)):
+        raise ValueError("boundary directions must be nonzero complex numbers")
+    if np.any(np.abs(a - 1.0) > 1e-9):
+        raise ValueError("boundary directions must be unit")
+    return eta / a
+
+
+def busemann_value_array(eta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise twin of ``busemann_value`` on complex arrays of boundary
+    directions and points."""
+    e = _unit_array(eta)
+    return np.log(np.abs(x - e) ** 2) - np.log1p(-abs2_array(x))
+
+
+def busemann_gradient_array(eta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Elementwise twin of ``busemann_gradient``, as tangent components."""
+    e = _unit_array(eta)
+    return 0.5 * (1.0 - abs2_array(p)) * (p - e) / (1.0 - e * np.conj(p))
 
 
 def _require_disk(m: Manifold, what: str) -> None:

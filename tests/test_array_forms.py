@@ -1,0 +1,189 @@
+"""The array forms used by the verify suites against their scalar twins, on
+the same seeded points."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hypersub.geometry import (
+    BOUNDARY_CLAMP,
+    ORIGIN,
+    POINCARE_DISK,
+    DiskPoint,
+    Tangent,
+    ZeroVector,
+    angle_array,
+    distance_array,
+    exp_array,
+    inner_array,
+    log_array,
+    norm_array,
+)
+from hypersub.oracles import (
+    busemann_gradient,
+    busemann_gradient_array,
+    busemann_value,
+    busemann_value_array,
+    distance_oracle,
+    two_busemann_oracle,
+)
+from hypersub.verify import (
+    KeyConfig,
+    TriangleSample,
+    _ball_net,
+    _key_margins,
+    _law_of_cosines_margins,
+    _triangles,
+    key_theorem_margin,
+    law_of_cosines_margin,
+    sample_point,
+)
+
+M = POINCARE_DISK
+N = 2000
+REL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def points():
+    rng = np.random.default_rng(60)
+    p = [sample_point(rng) for _ in range(N)]
+    q = [sample_point(rng) for _ in range(N)]
+    phi = rng.uniform(0.0, 2.0 * math.pi, N)
+    eta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, N))
+    return p, q, np.exp(1j * phi), eta
+
+
+def z(points):
+    return np.array([pt.z for pt in points])
+
+
+def assert_rel(got, want):
+    got = np.asarray(got)
+    want = np.asarray(want)
+    assert np.all(np.abs(got - want) <= REL * np.abs(want))
+
+
+def test_distance(points):
+    p, q, _, _ = points
+    assert_rel(distance_array(z(p), z(q)), [M.distance(a, b) for a, b in zip(p, q)])
+    assert np.all(distance_array(z(p), z(p)) == 0.0)
+
+
+def test_log(points):
+    p, q, _, _ = points
+    assert_rel(log_array(z(p), z(q)), [M.log(a, b).v for a, b in zip(p, q)])
+    assert np.all(log_array(z(p), z(p)) == 0.0)
+
+
+@pytest.mark.parametrize("length", [1e-6, 0.5, 3.0, 40.0])
+def test_exp(points, length):
+    # at length 40 the endpoints round to within a few ulps of the unit
+    # circle, and most of them are clamped to BOUNDARY_CLAMP
+    p, _, u, _ = points
+    v = u * (0.5 * length * (1.0 - np.abs(z(p)) ** 2))
+    got = exp_array(z(p), v)
+    assert_rel(got, [M.exp(a, Tangent.from_complex(a, b)).z for a, b in zip(p, v)])
+    assert np.all(np.abs(got) < 1.0)
+    clamped = np.mean(np.abs(np.abs(got) - BOUNDARY_CLAMP) <= 2e-16)
+    assert clamped > 0.9 if length == 40.0 else clamped == 0.0
+
+
+def test_exp_of_zero_tangent_is_the_base(points):
+    p, _, _, _ = points
+    assert np.array_equal(exp_array(z(p), np.zeros(N, dtype=complex)), z(p))
+
+
+def test_norm_and_inner(points):
+    p, q, u, _ = points
+    v = log_array(z(p), z(q))
+    tv = [Tangent.from_complex(a, b) for a, b in zip(p, v)]
+    tu = [Tangent.from_complex(a, b) for a, b in zip(p, u)]
+    assert_rel(norm_array(z(p), v), [M.norm(t) for t in tv])
+    got = inner_array(z(p), u, v)
+    want = np.array([M.inner(a, b) for a, b in zip(tu, tv)])
+    # the inner product cancels between components; compare on the scale of
+    # the norms it is bounded by
+    scale = norm_array(z(p), u) * norm_array(z(p), v)
+    assert np.all(np.abs(got - want) <= REL * scale)
+
+
+def test_cos_angle(points):
+    # cos(alpha), not alpha: arccos is ill-conditioned near 0 and pi
+    p, q, u, _ = points
+    v = log_array(z(p), z(q))
+    want = [
+        math.cos(M.angle(Tangent.from_complex(a, b), Tangent.from_complex(a, c)))
+        for a, b, c in zip(p, u, v)
+    ]
+    assert np.all(np.abs(np.cos(angle_array(u, v)) - want) <= 1e-12)
+    with pytest.raises(ZeroVector):
+        angle_array(u, np.zeros(N, dtype=complex))
+
+
+def test_busemann_value_and_gradient(points):
+    p, _, _, eta = points
+    got = busemann_value_array(eta, z(p))
+    want = np.array([busemann_value(e, a) for e, a in zip(eta, p)])
+    # the value is a difference of two logs; compare on their scale
+    scale = np.abs(np.log(np.abs(z(p) - eta) ** 2)) + np.abs(np.log1p(-np.abs(z(p)) ** 2))
+    assert np.all(np.abs(got - want) <= REL * scale)
+    want = [busemann_gradient(e, a).v for e, a in zip(eta, p)]
+    assert_rel(busemann_gradient_array(eta, z(p)), want)
+    with pytest.raises(ValueError):
+        busemann_value_array(2.0 * eta, z(p))
+
+
+def test_law_of_cosines_chunk_matches_the_scalar_margin():
+    for kappa in (1.0, 2.0):
+        margins, rejected = _law_of_cosines_margins(kappa, np.random.default_rng(61), 500)
+        # the chunk sampler draws the same triangles as this replay
+        (p, q, r, _, _, _), again = _triangles(np.random.default_rng(61), 500)
+        assert again == rejected
+        for i in range(500):
+            tri = TriangleSample.from_points(
+                M, *(DiskPoint.from_complex(v[i]) for v in (p, q, r))
+            )
+            want = law_of_cosines_margin(kappa, tri)
+            scale = math.cosh(kappa * tri.b) * math.cosh(kappa * tri.c)
+            assert abs(margins[i] - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["distance", "two-busemann"])
+def test_key_margins_match_the_scalar_margin(kind):
+    # f(x) and its subgradient come from the scalar oracle, so this checks the
+    # array margin alone
+    rng = np.random.default_rng(62)
+    rows, want = [], []
+    while len(want) < 300:
+        anchor = sample_point(rng, 2.0)
+        x = sample_point(rng, 2.5)
+        if kind == "distance":
+            oracle, xbar = distance_oracle(anchor), anchor
+        else:
+            oracle, xbar = two_busemann_oracle(), ORIGIN
+        d = M.distance(x, xbar)
+        delta = 0.25 * d
+        sup = delta if kind == "distance" else math.log1p(math.sinh(delta) ** 2)
+        fx, g = oracle.evaluate(M, x)
+        if d < 0.2 or not sup < fx:
+            continue
+        lam = 10.0 ** rng.uniform(-3.0, 0.0)
+        want.append(key_theorem_margin(KeyConfig(M, oracle, x, xbar, delta, lam), sup))
+        rows.append((x.z, xbar.z, fx, g.v, delta, lam, sup))
+    cols = [np.array(col) for col in zip(*rows)]
+    got = _key_margins(*cols)
+    scale = np.cosh(distance_array(cols[0], cols[1])) * np.cosh(cols[5])
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_ball_net_stays_in_its_balls():
+    centers = np.array([0j, 0.3 + 0.4j, -0.7j])
+    radii = np.array([0.5, 1.0, 2.0])
+    net = _ball_net(M, centers, radii, 300, np.random.default_rng(63))
+    assert net.shape == (3, 300)
+    assert np.array_equal(net[:, 0], centers)
+    d = distance_array(centers[:, None], net)
+    assert np.all(d <= radii[:, None] * (1.0 + 1e-12))
+    assert np.all(d[:, 1:].max(axis=1) > 0.9 * radii)

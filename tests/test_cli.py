@@ -186,6 +186,31 @@ class TestVerify:
         payload = json.loads(report.read_text())
         assert [r["tolerance"] for r in payload["reports"][:2]] == [0.0, 0.0]
 
+    def test_gradcheck_tol_sets_the_unit_norm_tolerance(self, tmp_path):
+        report = tmp_path / "r.json"
+        code = main(["verify", "gradcheck", "--n", "200", "--tol", "1e-3", "--report", str(report)])
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert [r["tolerance"] for r in payload["reports"]] == [1e-3, 1e-4]
+
+    @pytest.mark.parametrize("suite", ["sublevel", "all"])
+    def test_tol_rejected_where_no_check_takes_it(self, tmp_path, capsys, suite):
+        code = main(["verify", suite, "--n", "8", "--tol", "1e-3",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "--tol is not accepted by" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_help_names_the_check_tol_governs(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for phrase in ("kappa=2 lower bound keeps 1e-12", "finite difference keeps 1e-4",
+                       "consistency check keeps 1e-10", "sublevel and all reject it"):
+            assert phrase in text
+
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         import hypersub.cli as cli_mod
         from hypersub.verify import InequalityReport

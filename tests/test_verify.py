@@ -23,6 +23,7 @@ from hypersub.verify import (
     HypothesisUnverified,
     KeyConfig,
     TriangleSample,
+    _accepted,
     fuzz,
     harvest_two_busemann_steps,
     key_theorem_margin,
@@ -39,8 +40,15 @@ from hypersub.verify import (
     suite_sublevel,
     run_suite,
 )
+from hypersub.schedules import harmonic
+from hypersub.solver import SolveConfig, run
 
 M = POINCARE_DISK
+
+
+def scalar_chunks(margin):
+    """A chunk sampler drawing one scalar margin at a time."""
+    return lambda rng, k: ([margin(rng) for _ in range(k)], 0)
 
 
 class TestTriangleSample:
@@ -76,7 +84,7 @@ class TestLawOfCosines:
 
     def test_equality_at_true_curvature(self):
         report = fuzz(
-            lambda rng: law_of_cosines_margin(1.0, sample_triangle(rng)),
+            scalar_chunks(lambda rng: law_of_cosines_margin(1.0, sample_triangle(rng))),
             20_000,
             seed=1,
             tolerance=1e-9,
@@ -88,7 +96,7 @@ class TestLawOfCosines:
 
     def test_lower_bound_direction_at_kappa_two(self):
         report = fuzz(
-            lambda rng: law_of_cosines_margin(2.0, sample_triangle(rng)),
+            scalar_chunks(lambda rng: law_of_cosines_margin(2.0, sample_triangle(rng))),
             20_000,
             seed=2,
             tolerance=1e-12,
@@ -297,14 +305,14 @@ class TestSublevel:
 class TestFuzz:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
-            fuzz(lambda rng: 0.0, 0, 0, 1e-9, "empty")
+            fuzz(scalar_chunks(lambda rng: 0.0), 0, 0, 1e-9, "empty")
 
     def test_same_seed_identical_report(self):
         def margin(rng):
             return rng.normal()
 
-        r1 = fuzz(margin, 5000, seed=7, tolerance=10.0, check="x")
-        r2 = fuzz(margin, 5000, seed=7, tolerance=10.0, check="x")
+        r1 = fuzz(scalar_chunks(margin), 5000, seed=7, tolerance=10.0, check="x")
+        r2 = fuzz(scalar_chunks(margin), 5000, seed=7, tolerance=10.0, check="x")
         assert r1 == r2
 
     def test_chunks_draw_from_per_chunk_seeds(self):
@@ -313,7 +321,7 @@ class TestFuzz:
         for c in range(3):
             rng = np.random.default_rng((7, c))
             by_hand += [rng.normal() for _ in range(min(CHUNK, n - c * CHUNK))]
-        report = fuzz(lambda rng: rng.normal(), n, seed=7, tolerance=1.0, check="x")
+        report = fuzz(scalar_chunks(lambda rng: rng.normal()), n, seed=7, tolerance=1.0, check="x")
         assert report == report_margins(by_hand, 1.0, "x", 7)
         assert report.n == n and report.violations > 0
 
@@ -323,7 +331,7 @@ class TestFuzz:
         def margin(rng):
             return next(values)
 
-        report = fuzz(margin, 4, seed=0, tolerance=0.75, check="count")
+        report = fuzz(scalar_chunks(margin), 4, seed=0, tolerance=0.75, check="count")
         assert report.violations == 2
         assert report.worst_margin == -2.0
 
@@ -333,16 +341,63 @@ class TestFuzz:
         def margin(rng):
             return next(values)
 
-        report = fuzz(margin, 4, seed=0, tolerance=0.75, check="count", two_sided=True)
+        report = fuzz(
+            scalar_chunks(margin), 4, seed=0, tolerance=0.75, check="count", two_sided=True
+        )
         assert report.violations == 3
         assert report.worst_margin == 2.0
 
     def test_report_json_schema(self):
-        report = fuzz(lambda rng: 1.0, 10, seed=3, tolerance=1e-9, check="schema")
+        report = fuzz(scalar_chunks(lambda rng: 1.0), 10, seed=3, tolerance=1e-9, check="schema")
         payload = report.to_json()
-        for key in ("check", "n", "violations", "worst_margin", "tolerance", "seed",
+        for key in ("check", "n", "rejected", "violations", "worst_margin", "tolerance", "seed",
                     "hypothesis_mode", "histogram"):
             assert key in payload
+
+    def test_chunk_of_wrong_size_rejected(self):
+        with pytest.raises(ValueError):
+            fuzz(lambda rng, k: (np.zeros(k + 1), 0), 10, 0, 1e-9, "size")
+
+    def test_rejected_draws_are_counted(self):
+        # after its first draw the sampler rejects every other draw, so a
+        # chunk of k margins rejects k - 1 draws
+        def sample(rng, k):
+            kept, rejected = [], 0
+            while len(kept) < k:
+                x = rng.normal()
+                if rejected < len(kept):
+                    rejected += 1
+                    continue
+                kept.append(x)
+            return kept, rejected
+
+        n = 2 * CHUNK + 5
+        report = fuzz(sample, n, seed=1, tolerance=10.0, check="rejects")
+        assert report.rejected == n - 3  # k - 1 per chunk
+        assert report.to_json()["rejected"] == n - 3
+        assert report == fuzz(sample, n, seed=1, tolerance=10.0, check="rejects")
+
+    def test_mask_and_top_up_counts_rejections(self):
+        # every odd candidate is rejected: 5 candidates keep 3, then 2 keep 1,
+        # then 1 keeps 1
+        calls = []
+
+        def draw(m):
+            calls.append(m)
+            idx = np.arange(m)
+            return idx % 2 == 0, (idx,)
+
+        (kept,), rejected = _accepted(draw, 5)
+        assert calls == [5, 2, 1]
+        assert rejected == 3
+        assert kept.tolist() == [0, 2, 4, 0, 0]
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_worst_margin_is_a_python_float(self, two_sided):
+        report = report_margins(np.array([0.5, -0.25]), 1.0, "type", 0, two_sided=two_sided)
+        assert type(report.worst_margin) is float
+        assert type(report.violations) is int
+        assert report.worst_margin == (0.5 if two_sided else -0.25)
 
 
 class TestSuites:
@@ -360,6 +415,23 @@ class TestSuites:
     def test_per_step_suite(self):
         for report in suite_per_step(steps=800):
             assert report.violations == 0
+
+    def test_per_step_rejects_the_skipped_steps(self):
+        samples = harvest_two_busemann_steps(steps=2000)
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 2000))
+        skipped = len(trace.records) - 1 - len(samples)
+        assert skipped > 0
+        assert [r.rejected for r in suite_per_step(steps=2000)] == [skipped] * 3
+
+    def test_sublevel_rejects_nothing(self):
+        assert [r.rejected for r in suite_sublevel(n_rays=8)] == [0, 0]
+
+    @pytest.mark.parametrize("name,n", [("law-of-cosines", 3000), ("key-theorem", 3000),
+                                        ("gradcheck", 3000)])
+    def test_same_seed_identical_suite_report(self, name, n):
+        first = run_suite(name, n=n, seed=4)
+        assert first == run_suite(name, n=n, seed=4)
+        assert first != run_suite(name, n=n, seed=5)
 
     def test_sublevel_suite(self):
         for report in suite_sublevel(n_rays=16):
