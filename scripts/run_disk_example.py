@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from hypersub.cli import main as cli_main
+from hypersub.cli import EXIT_CONFIG, main as cli_main
 from hypersub.solver import load_trace
 
 
@@ -25,6 +25,8 @@ def run(argv=None):
         ["reproduce-example", "--steps", str(args.steps), "--x0", args.x0,
          "--out-dir", args.out_dir]
     )
+    if code == EXIT_CONFIG:  # nothing was run, so there is no trace to show
+        return code
     trace = load_trace(Path(args.out_dir) / "disk_example.trace.json")
     print()
     print("   k        d(x_k, 0)      lambda_k")

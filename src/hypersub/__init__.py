@@ -41,6 +41,7 @@ from .schedules import (
 )
 from .solver import (
     ComplexityReport,
+    ConfigError,
     IterationRecord,
     MissingFStar,
     MissingSolutionPoint,

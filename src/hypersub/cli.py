@@ -1,8 +1,9 @@
 """Command-line front end: solve experiments, run verification suites, and
 reproduce the disk example.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
-violation, 5 reproduction assertion failure.
+Exit codes: 0 ok, 2 config error (a rejected key or flag, or a file that
+cannot be read or written), 3 numerical failure, 4 verification violation,
+5 reproduction assertion failure.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ import sys
 from pathlib import Path
 
 from .geometry import EUCLIDEAN_PLANE, ORIGIN, POINCARE_DISK, DiskPoint, Manifold, scaled_disk
-from .oracles import make_oracle, parse_complex
-from .schedules import parse_schedule, partial_sums
+from .oracles import make_oracle, parse_complex, parse_spec, two_busemann_oracle
+from .schedules import harmonic, parse_schedule, partial_sums
 from .solver import (
     NUMERICAL_FAILURE,
+    ConfigError,
     RunTrace,
     SolveConfig,
     atomic_write,
     run,
-    solve_config_from_specs,
     write_trace_csv,
     write_trace_json,
 )
@@ -34,108 +35,65 @@ EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
 EXIT_REPRODUCTION = 5
 
-CONFIG_KEYS = {
-    "name",
-    "manifold",
-    "oracle",
-    "schedule",
-    "x0",
-    "max_iters",
-    "record_every",
-    "seed",
-    "stop_grad_tol",
-    "out_dir",
+
+def parse_manifold(spec: str) -> Manifold:
+    name, params = parse_spec(
+        spec, "manifold", {"poincare": {}, "euclidean": {}, "scaled": {"kappa": None}}
+    )
+    if name == "scaled":
+        return scaled_disk(float(params["kappa"]))
+    return POINCARE_DISK if name == "poincare" else EUCLIDEAN_PLANE
+
+
+# The SolveConfig field each config key sets, with the parser of its text;
+# SolveConfig itself checks the parsed values against each other.
+FIELD_PARSERS = {
+    "manifold": parse_manifold,
+    "oracle": make_oracle,
+    "schedule": parse_schedule,
+    "x0": lambda text: DiskPoint.from_complex(parse_complex(text), check=False),
+    "max_iters": int,
+    "stop_grad_tol": float,
+    "record_every": int,
 }
+CONFIG_KEYS = {"name", "out_dir", *FIELD_PARSERS}
 REQUIRED_KEYS = ("name", "manifold", "oracle", "schedule", "x0", "max_iters")
-
-
-class ConfigError(Exception):
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key {key!r}: {message}")
-        self.key = key
 
 
 def read_config(path: Path) -> dict[str, str]:
     """Flat key = value text; '#' starts a comment, unknown keys rejected."""
-    if not path.exists():
-        raise ConfigError("<file>", f"cannot read {path}")
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError("<line>", f"line {lineno} is not 'key = value': {raw!r}")
+            raise ConfigError(f"line {lineno}", f"is not 'key = value': {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise ConfigError(key, "unknown key")
+            raise ConfigError(key, "is not a config key")
         if key in entries:
-            raise ConfigError(key, "duplicate key")
+            raise ConfigError(key, "is set twice")
         entries[key] = value.strip()
     for key in REQUIRED_KEYS:
         if key not in entries:
-            raise ConfigError(key, "missing required key")
+            raise ConfigError(key, "is required but missing")
     return entries
 
 
-def parse_manifold(spec: str) -> Manifold:
-    name, _, body = spec.partition(":")
-    name = name.strip()
-    if name == "poincare":
-        if body:
-            raise ValueError("the Poincaré disk takes no parameters")
-        return POINCARE_DISK
-    if name == "euclidean":
-        if body:
-            raise ValueError("the Euclidean plane takes no parameters")
-        return EUCLIDEAN_PLANE
-    if name == "scaled":
-        key, _, value = body.partition("=")
-        if key.strip() != "kappa":
-            raise ValueError(f"scaled disk needs kappa=<value>, got {spec!r}")
-        return scaled_disk(float(value))
-    raise ValueError(f"unknown manifold {name!r}")
-
-
 def build_solve_config(entries: dict[str, str]) -> tuple[str, Path, SolveConfig]:
-    def parse(key: str, fn):
+    def parse(key: str):
         try:
-            return fn(entries[key])
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(key, str(exc)) from None
+            return FIELD_PARSERS[key](entries[key])
+        except ValueError as exc:
+            raise ConfigError(key, f"{entries[key]!r} is rejected: {exc}") from None
 
     name = entries["name"]
-    manifold = parse("manifold", parse_manifold)
-    x0 = parse("x0", lambda s: DiskPoint.from_complex(parse_complex(s), check=not manifold.flat))
-    oracle = parse("oracle", make_oracle)
-    schedule = parse("schedule", parse_schedule)
-    max_iters = parse("max_iters", int)
-    record_every = parse("record_every", int) if "record_every" in entries else 1
-    seed = parse("seed", int) if "seed" in entries else 0
-    tol = parse("stop_grad_tol", float) if "stop_grad_tol" in entries else 1e-12
-    out_dir = Path(entries.get("out_dir", "."))
-    try:
-        cfg = SolveConfig(
-            manifold=manifold,
-            oracle=oracle,
-            schedule=schedule,
-            x0=x0,
-            max_iters=max_iters,
-            stop_grad_tol=tol,
-            record_every=record_every,
-            seed=seed,
-        )
-    except ValueError as exc:
-        msg = str(exc)
-        key = next(
-            (k for k in ("max_iters", "record_every", "stop_grad_tol", "x0") if k in msg),
-            "<config>",
-        )
-        raise ConfigError(key, msg) from None
-    return name, out_dir, cfg
+    if not name or Path(name).name != name:
+        raise ConfigError("name", f"must be a plain file name, got {name!r}")
+    cfg = SolveConfig(**{key: parse(key) for key in FIELD_PARSERS if key in entries})
+    return name, Path(entries.get("out_dir", ".")), cfg
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
@@ -162,16 +120,10 @@ def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        entries = read_config(Path(args.config))
-        name, out_dir, cfg = build_solve_config(entries)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    name, out_dir, cfg = build_solve_config(read_config(Path(args.config)))
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
     trace = run(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_json(trace, out_dir / f"{name}.trace.json")
     write_trace_csv(trace, out_dir / f"{name}.trace.csv")
     _atomic_json(out_dir / f"{name}.summary.json", solve_summary(name, cfg, trace))
@@ -183,19 +135,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    least = verify_mod.MIN_N.get(args.suite, 1)
-    if args.n is not None and args.n < least:
-        print(
-            f"config error: --n must be >= {least} for {args.suite}, got {args.n}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if args.tol is not None and args.suite not in verify_mod.TOL_GOVERNS:
-        print(f"config error: --tol is not accepted by {args.suite}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.tol is not None and not args.tol >= 0.0:
-        print(f"config error: --tol must be >= 0, got {args.tol}", file=sys.stderr)
-        return EXIT_CONFIG
     reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed, tol=args.tol)
     for r in reports:
         print(
@@ -244,27 +183,22 @@ def reproduce_assertions(trace: RunTrace) -> list[str]:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     try:
-        x0 = DiskPoint.from_complex(parse_complex(args.x0))
+        x0 = FIELD_PARSERS["x0"](args.x0)
     except ValueError as exc:
-        print(f"config error: x0: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = solve_config_from_specs(
-        manifold=POINCARE_DISK,
-        oracle_spec="two-busemann",
-        schedule_spec="harmonic:c=1.0",
-        x0=x0,
-        max_iters=args.steps,
-    )
+        raise ConfigError("--x0", f"{args.x0!r} is rejected: {exc}") from None
+    try:
+        cfg = SolveConfig(POINCARE_DISK, two_busemann_oracle(), harmonic(1.0), x0, args.steps)
+    except ConfigError as exc:
+        raise ConfigError({"x0": "--x0", "max_iters": "--steps"}[exc.key], exc.reason) from None
     trace = run(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_json(trace, out_dir / "disk_example.trace.json")
     write_trace_csv(trace, out_dir / "disk_example.trace.csv")
     failures = reproduce_assertions(trace)
     lines = [
         "disk example reproduction",
         "=========================",
-        f"x0 = {args.x0}, schedule = harmonic:c=1.0, budget = {args.steps} steps",
+        f"x0 = {args.x0}, schedule = {cfg.schedule.spec}, budget = {args.steps} steps",
         f"termination: {trace.termination.kind} at k = {trace.termination.step}",
         f"iterates recorded: {len(trace.records)}",
         f"max |Re x_k|: {max(abs(r.point.x) for r in trace.records):.3e}",
@@ -300,19 +234,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out-dir", default=None, help="override the output directory")
     p_solve.set_defaults(fn=cmd_solve)
 
+    suites = verify_mod.SUITES
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=["law-of-cosines", "key-theorem", "per-step", "sublevel", "gradcheck", "all"],
-    )
-    p_verify.add_argument("--n", type=int, default=None, help="sample count override")
+    p_verify.add_argument("suite", choices=[*suites, "all"])
+    counts = "; ".join(f"{name}: {s.counts}, default {s.n}" for name, s in suites.items())
+    p_verify.add_argument("--n", type=int, default=None, help=f"sample count ({counts})")
     p_verify.add_argument("--seed", type=int, default=0)
-    governs = "; ".join(f"{suite}: {check}" for suite, check in verify_mod.TOL_GOVERNS.items())
+    governs = "; ".join(f"{name}: {s.governs}" for name, s in suites.items() if s.tol is not None)
+    rejecting = " and ".join([name for name, s in suites.items() if s.tol is None] + ["all"])
     p_verify.add_argument(
         "--tol",
         type=float,
         default=None,
-        help=f"tolerance override ({governs}); sublevel and all reject it",
+        help=f"tolerance override ({governs}); {rejecting} reject it",
     )
     p_verify.add_argument("--report", default=None, help="report JSON path")
     p_verify.set_defaults(fn=cmd_verify)
@@ -328,9 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ConfigError, OSError) as exc:  # a rejected input, or a path that cannot be used
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def console_main() -> None:

@@ -147,9 +147,6 @@ class Manifold:
     def flat(self) -> bool:
         return self.model == "euclidean-plane"
 
-    def point(self, x: float, y: float) -> DiskPoint:
-        return DiskPoint(x, y, check=not self.flat)
-
     def contains(self, p: DiskPoint) -> bool:
         return self.flat or p.abs2() < 1.0
 
@@ -174,12 +171,6 @@ class Manifold:
         if self.flat:
             return e
         return 2.0 * e / ((1.0 - v.base.abs2()) * self.kappa)
-
-    def unit(self, v: Tangent) -> Tangent:
-        n = self.norm(v)
-        if n == 0.0:
-            raise ZeroVector("cannot normalize the zero tangent")
-        return v.scaled(1.0 / n)
 
     def angle(self, u: Tangent, v: Tangent) -> float:
         """Angle in [0, pi]; all three models are conformal to the plane, so

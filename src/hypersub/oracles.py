@@ -94,6 +94,7 @@ class SubgradientOracle:
     fn: Callable[[Manifold, DiskPoint], tuple[float, Tangent]]
     known_min: float | None = None
     solution_set: SolutionSet = field(default_factory=SolutionSet.unknown)
+    disk_only: bool = False  # Busemann-based: undefined on the flat plane
 
     def evaluate(self, m: Manifold, p: DiskPoint) -> tuple[float, Tangent]:
         return self.fn(m, p)
@@ -171,7 +172,7 @@ def busemann_oracle(eta: complex) -> SubgradientOracle:
         g = busemann_gradient(e, p)
         return busemann_value(e, p), g.scaled(_disk_gradient_scale(m))
 
-    return SubgradientOracle(f"busemann:eta={format_complex(e)}", fn)
+    return SubgradientOracle(f"busemann:eta={format_complex(e)}", fn, disk_only=True)
 
 
 def two_busemann_value_polar(p: DiskPoint) -> float:
@@ -199,7 +200,9 @@ def two_busemann_oracle() -> SubgradientOracle:
         scale = _disk_gradient_scale(m)
         return value, Tangent.from_complex(p, g * scale)
 
-    return SubgradientOracle("two-busemann", fn, known_min=0.0, solution_set=SolutionSet.x_axis())
+    return SubgradientOracle(
+        "two-busemann", fn, known_min=0.0, solution_set=SolutionSet.x_axis(), disk_only=True
+    )
 
 
 # -- distance-based oracles -----------------------------------------------------
@@ -276,6 +279,7 @@ def weighted_sum(
         fn,
         known_min=known_min,
         solution_set=solution_set if solution_set is not None else SolutionSet.unknown(),
+        disk_only=any(o.disk_only for o in oracles),
     )
 
 
@@ -298,50 +302,59 @@ def format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _parse_params(body: str, spec: str) -> dict[str, str]:
+def parse_spec(
+    spec: str, what: str, signatures: dict[str, dict[str, str | None]]
+) -> tuple[str, dict[str, str]]:
+    """Split a ``name:key=value,...`` spec into its name and parameters.
+
+    ``signatures`` maps each accepted name to its parameters and their
+    default text (None marks a required parameter); the returned parameters
+    include the defaults. Every error is a ValueError quoting ``spec``.
+    """
+    name, _, body = spec.partition(":")
+    name = name.strip()
+    if name not in signatures:
+        raise ValueError(f"unknown {what} {name!r} in {spec!r}")
+    signature = signatures[name]
     params: dict[str, str] = {}
-    if not body:
-        return params
-    for item in body.split(","):
-        if "=" not in item:
-            raise ValueError(f"malformed oracle parameter {item!r} in {spec!r}")
-        key, value = item.split("=", 1)
-        params[key.strip()] = value.strip()
-    return params
+    for item in body.split(",") if body else []:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"malformed {what} parameter {item!r} in {spec!r}")
+        if key not in signature or key in params:
+            raise ValueError(f"unexpected or repeated {what} parameter {key!r} in {spec!r}")
+        params[key] = value.strip()
+    for key, default in signature.items():
+        if key not in params:
+            if default is None:
+                raise ValueError(f"{what} {name!r} needs parameter {key!r} in {spec!r}")
+            params[key] = default
+    return name, params
 
 
 def make_oracle(spec: str) -> SubgradientOracle:
     """Build a bundled oracle from its config string.
 
     Known names: ``two-busemann``, ``ball-hinge:center=...,r=...``,
-    ``distance:anchor=...``, ``busemann:eta=...``.
+    ``distance:anchor=...``, ``busemann:eta=...``. Points are not checked
+    against the disk here; ``SolveConfig`` checks them against its manifold.
     """
-    name, _, body = spec.partition(":")
-    name = name.strip()
-    params = _parse_params(body, spec)
-
-    def take(key: str) -> str:
-        if key not in params:
-            raise ValueError(f"oracle {name!r} needs parameter {key!r}")
-        return params.pop(key)
-
-    try:
-        if name == "two-busemann":
-            oracle = two_busemann_oracle()
-        elif name == "ball-hinge":
-            center = DiskPoint.from_complex(parse_complex(take("center")))
-            oracle = ball_hinge_oracle(center, float(take("r")))
-        elif name == "distance":
-            oracle = distance_oracle(DiskPoint.from_complex(parse_complex(take("anchor")), check=False))
-        elif name == "busemann":
-            oracle = busemann_oracle(parse_complex(take("eta")))
-        else:
-            raise ValueError(f"unknown oracle {name!r}")
-    except ValueError:
-        raise
-    if params:
-        raise ValueError(f"unexpected oracle parameters {sorted(params)} in {spec!r}")
-    return oracle
-
-
-ORACLE_NAMES = ("two-busemann", "ball-hinge", "distance", "busemann")
+    name, params = parse_spec(
+        spec,
+        "oracle",
+        {
+            "two-busemann": {},
+            "ball-hinge": {"center": None, "r": None},
+            "distance": {"anchor": None},
+            "busemann": {"eta": None},
+        },
+    )
+    if name == "two-busemann":
+        return two_busemann_oracle()
+    if name == "ball-hinge":
+        center = DiskPoint.from_complex(parse_complex(params["center"]), check=False)
+        return ball_hinge_oracle(center, float(params["r"]))
+    if name == "distance":
+        return distance_oracle(DiskPoint.from_complex(parse_complex(params["anchor"]), check=False))
+    return busemann_oracle(parse_complex(params["eta"]))

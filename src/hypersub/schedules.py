@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .oracles import parse_spec
+
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -92,35 +94,28 @@ def parse_schedule(spec: str) -> StepSchedule:
     Syntax: ``harmonic:c=1.0``, ``powerlaw:c=1.0,alpha=0.75``, ``sqrt:c=0.5``,
     ``loginv:c=1.0``, ``table:0.5,0.4,0.3``.
     """
-    name, _, body = spec.partition(":")
-    name = name.strip()
-    if name == "table":
+    head, _, body = spec.partition(":")
+    if head.strip() == "table":  # positional entries, not key=value parameters
         try:
             return table([float(v) for v in body.split(",") if v.strip()])
         except ValueError as exc:
             raise ValueError(f"bad step table {spec!r}: {exc}") from None
-    params: dict[str, float] = {}
-    if body:
-        for item in body.split(","):
-            if "=" not in item:
-                raise ValueError(f"malformed schedule parameter {item!r} in {spec!r}")
-            key, value = item.split("=", 1)
-            try:
-                params[key.strip()] = float(value)
-            except ValueError:
-                raise ValueError(f"bad schedule parameter {item!r} in {spec!r}") from None
-    builders: dict[str, Callable[[], StepSchedule]] = {
-        "harmonic": lambda: harmonic(params.pop("c", 1.0)),
-        "powerlaw": lambda: power_law(params.pop("c", 1.0), params.pop("alpha", 0.75)),
-        "sqrt": lambda: sqrt_harmonic(params.pop("c", 1.0)),
-        "loginv": lambda: log_inverse(params.pop("c", 1.0)),
-    }
-    if name not in builders:
-        raise ValueError(f"unknown schedule family {name!r}")
-    schedule = builders[name]()
-    if params:
-        raise ValueError(f"unexpected schedule parameters {sorted(params)} in {spec!r}")
-    return schedule
+    name, params = parse_spec(
+        spec,
+        "schedule",
+        {
+            "harmonic": {"c": "1.0"},
+            "powerlaw": {"c": "1.0", "alpha": "0.75"},
+            "sqrt": {"c": "1.0"},
+            "loginv": {"c": "1.0"},
+        },
+    )
+    try:
+        values = {key: float(text) for key, text in params.items()}
+    except ValueError:
+        raise ValueError(f"bad schedule parameter in {spec!r}") from None
+    family = {"harmonic": harmonic, "powerlaw": power_law, "sqrt": sqrt_harmonic, "loginv": log_inverse}
+    return family[name](**values)
 
 
 def partial_sums(s: StepSchedule, n: int) -> tuple[float, float]:

@@ -19,8 +19,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import DiskPoint, Manifold
-from .oracles import SubgradientOracle, format_complex, make_oracle, parse_complex
+from .oracles import SubgradientOracle, format_complex, parse_complex
 from .schedules import StepSchedule, parse_schedule
+
+
+class ConfigError(ValueError):
+    """A rejected input; ``key`` names the config key, field or CLI flag at
+    fault and ``reason`` says what is wrong with it."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key} {reason}")
+        self.key = key
+        self.reason = reason
 
 
 class MissingFStar(ValueError):
@@ -45,17 +55,23 @@ class SolveConfig:
     max_iters: int
     stop_grad_tol: float = 1e-12
     record_every: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters", f"must be >= 1, got {self.max_iters}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.stop_grad_tol < 0.0:
-            raise ValueError("stop_grad_tol must be >= 0")
+            raise ConfigError("record_every", f"must be >= 1, got {self.record_every}")
+        if not self.stop_grad_tol >= 0.0:
+            raise ConfigError("stop_grad_tol", f"must be >= 0, got {self.stop_grad_tol}")
         if not self.manifold.contains(self.x0):
-            raise ValueError("x0 lies outside the manifold carrier")
+            raise ConfigError("x0", f"= {format_complex(self.x0.z)} lies outside the manifold carrier")
+        point = self.oracle.solution_set.point
+        if point is not None and not self.manifold.contains(point):
+            raise ConfigError(
+                "oracle", f"solution point {format_complex(point.z)} lies outside the manifold carrier"
+            )
+        if self.oracle.disk_only and self.manifold.flat:
+            raise ConfigError("oracle", f"{self.oracle.name} is defined on disk models only")
 
 
 @dataclass(frozen=True)
@@ -92,8 +108,8 @@ def _finite(*values: float) -> bool:
 
 
 def build_summary(records: list[IterationRecord], f_star: float | None) -> dict:
-    """Summary statistics over the recorded iterates (shared by run() and by
-    trace reloading, so the two stay bit-identical)."""
+    """Summary statistics over the recorded iterates, stored in the trace
+    (``load_trace`` reads them back rather than recomputing them)."""
     if not records:
         return {
             "best_value": None,
@@ -127,7 +143,6 @@ def config_echo(cfg: SolveConfig) -> dict:
         "max_iters": cfg.max_iters,
         "stop_grad_tol": cfg.stop_grad_tol,
         "record_every": cfg.record_every,
-        "seed": cfg.seed,
     }
 
 
@@ -406,25 +421,3 @@ def load_trace(path: str | Path) -> RunTrace:
         summary=raw["summary"],
     )
 
-
-def solve_config_from_specs(
-    manifold: Manifold,
-    oracle_spec: str,
-    schedule_spec: str,
-    x0: DiskPoint,
-    max_iters: int,
-    stop_grad_tol: float = 1e-12,
-    record_every: int = 1,
-    seed: int = 0,
-) -> SolveConfig:
-    """Convenience constructor from registry strings (the CLI path)."""
-    return SolveConfig(
-        manifold=manifold,
-        oracle=make_oracle(oracle_spec),
-        schedule=parse_schedule(schedule_spec),
-        x0=x0,
-        max_iters=max_iters,
-        stop_grad_tol=stop_grad_tol,
-        record_every=record_every,
-        seed=seed,
-    )

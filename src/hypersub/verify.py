@@ -41,7 +41,7 @@ from .oracles import (
     two_busemann_oracle,
 )
 from .schedules import harmonic
-from .solver import SolveConfig, run
+from .solver import ConfigError, SolveConfig, run
 
 DEFAULT_RADIUS_CAP = 3.0
 MIN_SIDE = 1e-3
@@ -721,7 +721,7 @@ def suite_per_step(
     ]
 
 
-def suite_sublevel(seed: int = 0, n_rays: int = 64) -> list[InequalityReport]:
+def suite_sublevel(n_rays: int = 64, seed: int = 0) -> list[InequalityReport]:
     """Witness radii for the coercive bundled oracles (compact solution
     sets); both must certify on every ray."""
     m = POINCARE_DISK
@@ -776,39 +776,43 @@ def suite_gradcheck(
     ]
 
 
-def _given(value, default):
-    return default if value is None else value
+@dataclass(frozen=True)
+class Suite:
+    """A bundled suite and the rules for its flags.
+
+    ``fn(n, seed, tol)`` runs it (``fn(n, seed)`` when ``tol`` is None, and
+    ``--tol`` is then rejected); ``n`` is the default of ``--n`` and
+    ``counts`` what ``--n`` counts; ``governs`` names the check ``--tol``
+    sets, whose default is ``tol``.
+    """
+
+    fn: Callable[..., list[InequalityReport]]
+    n: int
+    counts: str
+    min_n: int
+    tol: float | None
+    governs: str = ""
 
 
-# Each suite takes (n, seed, tol); None picks the suite's own default.
-SUITES: dict[str, Callable[[int | None, int, float | None], list[InequalityReport]]] = {
-    "law-of-cosines": lambda n, seed, tol: suite_law_of_cosines(
-        n=_given(n, 100_000), seed=seed, tol=_given(tol, 1e-9)
+SUITES = {
+    "law-of-cosines": Suite(
+        suite_law_of_cosines, 100_000, "triangles per check", 1, 1e-9,
+        "the kappa=1 equality (the kappa=2 lower bound keeps 1e-12)",
     ),
-    "key-theorem": lambda n, seed, tol: suite_key_theorem(
-        n=_given(n, 10_000), seed=seed, tol=_given(tol, 1e-10)
+    "key-theorem": Suite(
+        suite_key_theorem, 10_000, "configurations, split over the distance and two-Busemann checks",
+        2, 1e-10, "all three contraction checks",
     ),
-    "per-step": lambda n, seed, tol: suite_per_step(
-        steps=_given(n, 2000), seed=seed, tol=_given(tol, 1e-10)
+    "per-step": Suite(
+        suite_per_step, 2000, "steps of the harvest run", 1, 1e-10,
+        "both per-step margins (the consistency check keeps 1e-10)",
     ),
-    "sublevel": lambda n, seed, tol: suite_sublevel(seed=seed, n_rays=_given(n, 64)),
-    "gradcheck": lambda n, seed, tol: suite_gradcheck(
-        n=_given(n, 1000), seed=seed, tol_norm=_given(tol, 1e-10)
+    "sublevel": Suite(suite_sublevel, 64, "rays per oracle", 1, None),
+    "gradcheck": Suite(
+        suite_gradcheck, 1000, "samples per check", 1, 1e-10,
+        "the unit gradient norm (the finite difference keeps 1e-4)",
     ),
 }
-
-# The check that a tolerance override governs in each suite; the other checks
-# keep their own. A suite missing here (and "all") takes no override.
-TOL_GOVERNS = {
-    "law-of-cosines": "the kappa=1 equality (the kappa=2 lower bound keeps 1e-12)",
-    "key-theorem": "all three contraction checks",
-    "per-step": "both per-step margins (the consistency check keeps 1e-10)",
-    "gradcheck": "the unit gradient norm (the finite difference keeps 1e-4)",
-}
-
-# The smallest n each suite accepts (default 1): key-theorem splits n between
-# its distance and two-Busemann checks.
-MIN_N = {"key-theorem": 2, "all": 2}
 
 
 def run_suite(
@@ -817,9 +821,26 @@ def run_suite(
     seed: int = 0,
     tol: float | None = None,
 ) -> list[InequalityReport]:
-    """Run one named suite, or all of them."""
-    if name == "all":
-        return [r for key in SUITES for r in SUITES[key](n, seed, tol)]
-    if name not in SUITES:
+    """Run one named suite, or all of them; None picks each suite's default.
+
+    ``n`` and ``tol`` are checked against the table first (ConfigError keyed
+    by the flag): ``all`` needs the largest of the suites' smallest ``n`` and
+    rejects ``tol`` because sublevel does.
+    """
+    if name != "all" and name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](n, seed, tol)
+    suites = list(SUITES.values()) if name == "all" else [SUITES[name]]
+    least = max(suite.min_n for suite in suites)
+    if n is not None and n < least:
+        raise ConfigError("--n", f"must be >= {least} for {name}, got {n}")
+    if tol is not None and any(suite.tol is None for suite in suites):
+        raise ConfigError("--tol", f"is not accepted by {name}")
+    if tol is not None and not tol >= 0.0:
+        raise ConfigError("--tol", f"must be >= 0, got {tol}")
+    reports: list[InequalityReport] = []
+    for suite in suites:
+        args = (suite.n if n is None else n, seed)
+        if suite.tol is not None:
+            args += (suite.tol if tol is None else tol,)
+        reports += suite.fn(*args)
+    return reports

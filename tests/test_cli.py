@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import stat
@@ -7,6 +8,7 @@ import pytest
 
 from hypersub.cli import main
 from hypersub.solver import Termination, load_trace
+from hypersub.verify import SUITES
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "scripts" / "configs"
@@ -16,6 +18,12 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+GOOD = (
+    "name = good\nmanifold = poincare\noracle = two-busemann\n"
+    "schedule = harmonic:c=1\nx0 = 0.0+0.5i\nmax_iters = 10\n"
+)
 
 
 class TestSolve:
@@ -99,6 +107,49 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "no/such/file.cfg"]) == 2
+
+    @pytest.mark.parametrize(
+        "key,old,new",
+        [
+            ("stop_grad_tol", "max_iters = 10", "max_iters = 10\nstop_grad_tol = nan"),
+            ("seed", "max_iters = 10", "max_iters = 10\nseed = 0"),
+            ("oracle", "two-busemann", "distance:anchor=2.0+0.0i"),
+            ("schedule", "harmonic:c=1", "harmonic:c=1,c=2"),
+            ("manifold", "poincare", "scaled:kappa=2,z=1"),
+        ],
+    )
+    def test_bad_value_is_named(self, tmp_path, capsys, key, old, new):
+        text = GOOD.replace(old, new)
+        code = main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("oracle", ["two-busemann", "busemann:eta=1.0+0.0i"])
+    def test_disk_only_oracle_on_the_plane_is_named(self, tmp_path, capsys, oracle):
+        text = GOOD.replace("poincare", "euclidean").replace("two-busemann", oracle)
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 2
+        assert "config error: oracle " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../../escape", "", "sub/x"])
+    def test_name_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        out = tmp_path / "o" / "a" / "b"
+        text = GOOD.replace("name = good", f"name = {name}")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(out)]) == 2
+        assert "config error: name " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_dir_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["solve", str(CONFIGS / "ball_hinge.cfg"), "--out-dir", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_config_out_dir_is_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        text = GOOD + f"out_dir = {tmp_path / 'file'}\n"
+        assert main(["solve", write_cfg(tmp_path, text)]) == 2
+        assert str(tmp_path / "file") in capsys.readouterr().err
 
     def test_euclidean_plane_config(self, tmp_path):
         cfg = write_cfg(
@@ -210,6 +261,19 @@ class TestVerify:
         for phrase in ("kappa=2 lower bound keeps 1e-12", "finite difference keeps 1e-4",
                        "consistency check keeps 1e-10", "sublevel and all reject it"):
             assert phrase in text
+        for name, suite in SUITES.items():  # what --n counts, from the suite table
+            assert f"{name}: {suite.counts}, default {suite.n}" in text
+
+    def test_readme_table_matches_the_suites(self):
+        readme = (REPO / "README.md").read_text()
+        for name, suite in SUITES.items():
+            assert f"| `{name}` | {suite.counts} | {suite.n} | {suite.min_n} |" in readme
+
+    def test_report_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        report = tmp_path / "file" / "r.json"
+        assert main(["verify", "gradcheck", "--n", "10", "--report", str(report)]) == 2
+        assert str(tmp_path / "file") in capsys.readouterr().err
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         import hypersub.cli as cli_mod
@@ -257,3 +321,33 @@ class TestReproduce:
     def test_bad_x0_is_config_error(self, capsys):
         assert main(["reproduce-example", "--x0", "2.0+0.0i"]) == 2
         assert "x0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_steps_is_config_error(self, tmp_path, capsys, steps):
+        code = main(["reproduce-example", "--steps", steps, "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: --steps must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_dir_is_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["reproduce-example", "--steps", "5", "--out-dir", str(tmp_path / "file")])
+        assert code == 2
+        assert str(tmp_path / "file") in capsys.readouterr().err
+
+
+def load_example_script():
+    spec = importlib.util.spec_from_file_location("run_disk_example", REPO / "scripts" / "run_disk_example.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExampleScript:
+    def test_prints_the_table(self, tmp_path, capsys):
+        assert load_example_script().run(["--steps", "300", "--out-dir", str(tmp_path)]) == 0
+        assert "d(x_k, 0)" in capsys.readouterr().out
+
+    def test_config_error_exits_2(self, tmp_path, capsys):
+        assert load_example_script().run(["--steps", "0", "--out-dir", str(tmp_path)]) == 2
+        assert "--steps" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypersub.oracles import (
     format_complex,
     make_oracle,
     parse_complex,
+    parse_spec,
     two_busemann_oracle,
     two_busemann_value_polar,
     weighted_sum,
@@ -292,6 +294,26 @@ class TestRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
             make_oracle("two-busemann:x=1")
+
+    @pytest.mark.parametrize(
+        "spec", ["ball-hinge:center=0.0+0.0i", "distance:anchor=0.5+0.0i,anchor=0.1+0.0i"]
+    )
+    def test_missing_or_repeated_parameter(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            make_oracle(spec)
+
+    def test_spec_grammar(self):
+        signatures = {"a": {"x": None, "y": "2"}, "b": {}}
+        assert parse_spec(" a : x = 1 ", "thing", signatures) == ("a", {"x": "1", "y": "2"})
+        assert parse_spec("b", "thing", signatures) == ("b", {})
+        for bad in ("c", "a", "a:y=1", "a:x=1,z=2", "a:x=1,x=2", "a:x", "b:x=1"):
+            with pytest.raises(ValueError, match="thing"):
+                parse_spec(bad, "thing", signatures)
+
+    def test_busemann_oracles_are_disk_only(self):
+        assert two_busemann_oracle().disk_only and busemann_oracle(1.0).disk_only
+        assert not distance_oracle(ORIGIN).disk_only
+        assert weighted_sum([distance_oracle(ORIGIN), busemann_oracle(1.0)], [1.0, 1.0]).disk_only
 
     @given(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95))
     def test_complex_format_round_trip(self, a, b):

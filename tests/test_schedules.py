@@ -169,3 +169,8 @@ class TestParse:
     def test_rejects_bad_table(self):
         with pytest.raises(ValueError):
             parse_schedule("table:0.5,abc")
+
+    @pytest.mark.parametrize("spec", ["harmonic:c=1,c=2", "powerlaw:c", "sqrt:c=x"])
+    def test_rejects_repeated_malformed_or_bad_parameters(self, spec):
+        with pytest.raises(ValueError, match=spec):
+            parse_schedule(spec)

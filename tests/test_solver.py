@@ -16,9 +16,11 @@ from hypersub.oracles import (
     ball_hinge_oracle,
     distance_oracle,
     two_busemann_oracle,
+    weighted_sum,
 )
 from hypersub.schedules import harmonic, partial_sums, sqrt_harmonic, table
 from hypersub.solver import (
+    ConfigError,
     MissingFStar,
     MissingSolutionPoint,
     SUBGRADIENT_ZERO,
@@ -204,6 +206,40 @@ class TestRun:
             SolveConfig(
                 M, two_busemann_oracle(), harmonic(1.0), DiskPoint.plane(2.0, 0.0), 10
             )
+
+    @pytest.mark.parametrize(
+        "key,changes",
+        [
+            ("max_iters", {"max_iters": 0}),
+            ("record_every", {"record_every": 0}),
+            ("stop_grad_tol", {"stop_grad_tol": -1e-9}),
+            ("stop_grad_tol", {"stop_grad_tol": math.nan}),
+            ("x0", {"x0": DiskPoint.plane(0.0, 1.5)}),
+            ("oracle", {"oracle": distance_oracle(DiskPoint.plane(2.0, 0.0))}),
+            ("oracle", {"oracle": ball_hinge_oracle(DiskPoint.plane(0.0, -1.0), 0.3)}),
+            ("oracle", {"manifold": EUCLIDEAN_PLANE}),
+            ("oracle", {"manifold": EUCLIDEAN_PLANE,
+                        "oracle": weighted_sum([two_busemann_oracle()], [1.0])}),
+        ],
+    )
+    def test_rejections_name_the_field(self, key, changes):
+        fields = dict(manifold=M, oracle=two_busemann_oracle(), schedule=harmonic(1.0),
+                      x0=DiskPoint(0.0, 0.5), max_iters=10)
+        fields.update(changes)
+        with pytest.raises(ConfigError) as exc:
+            SolveConfig(**fields)
+        assert exc.value.key == key
+        assert str(exc.value).startswith(key)
+
+    def test_flat_plane_takes_points_off_the_disk(self):
+        anchor = DiskPoint.plane(2.0, 0.0)
+        cfg = SolveConfig(EUCLIDEAN_PLANE, distance_oracle(anchor), table([0.5]),
+                          DiskPoint.plane(3.0, 0.0), 10)
+        assert run(cfg).termination.kind == SUBGRADIENT_ZERO
+
+    def test_trace_config_has_no_seed(self):
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.5), 3))
+        assert "seed" not in trace.config
 
     def test_dist_to_s_omitted_for_unknown_sets(self):
         cfg = SolveConfig(M, constant_oracle(), harmonic(1.0), DiskPoint(0.3, 0.0), 10)

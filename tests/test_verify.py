@@ -39,9 +39,10 @@ from hypersub.verify import (
     suite_per_step,
     suite_sublevel,
     run_suite,
+    SUITES,
 )
 from hypersub.schedules import harmonic
-from hypersub.solver import SolveConfig, run
+from hypersub.solver import ConfigError, SolveConfig, run
 
 M = POINCARE_DISK
 
@@ -444,6 +445,28 @@ class TestSuites:
     def test_unknown_suite_name(self):
         with pytest.raises(KeyError):
             run_suite("nonsense")
+
+    @pytest.mark.parametrize(
+        "name,kwargs,key",
+        [
+            ("sublevel", {"n": 0}, "--n"),
+            ("key-theorem", {"n": 1}, "--n"),
+            ("all", {"n": 1}, "--n"),
+            ("sublevel", {"tol": 1e-3}, "--tol"),
+            ("all", {"tol": 1e-3}, "--tol"),
+            ("gradcheck", {"tol": -1e-9}, "--tol"),
+            ("gradcheck", {"tol": math.nan}, "--tol"),
+        ],
+    )
+    def test_library_calls_get_the_flag_checks(self, name, kwargs, key):
+        with pytest.raises(ConfigError) as exc:
+            run_suite(name, **kwargs)
+        assert exc.value.key == key
+
+    def test_defaults_come_from_the_table(self):
+        (report,) = run_suite("per-step")[:1]
+        assert report.tolerance == SUITES["per-step"].tol
+        assert [r.n for r in run_suite("sublevel")] == [SUITES["sublevel"].n] * 2
 
     def test_all_runs_every_suite(self):
         reports = run_suite("all", n=200, seed=5)
