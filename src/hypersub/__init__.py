@@ -11,7 +11,6 @@ from .geometry import (
     ResultOutsideDisk,
     Tangent,
     ZeroVector,
-    mobius_to_origin,
     scaled_disk,
 )
 from .oracles import (

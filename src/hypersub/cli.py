@@ -135,6 +135,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # An unusable report path fails here, before the suite runs.
+    report_path = Path(args.report) if args.report else Path(f"verify-{args.suite}.report.json")
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed, tol=args.tol)
     for r in reports:
         print(
@@ -142,7 +145,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"worst_margin={r.worst_margin:.3e} tol={r.tolerance:.1e}"
         )
     payload = [r.to_json() for r in reports]
-    report_path = Path(args.report) if args.report else Path(f"verify-{args.suite}.report.json")
     _atomic_json(report_path, {"suite": args.suite, "reports": payload})
     failing = [r.check for r in reports if not r.ok]
     if failing:

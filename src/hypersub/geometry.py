@@ -383,12 +383,6 @@ class MobiusIsometry:
         return Tangent.from_complex(DiskPoint.from_complex(z), t.v / self._derivative(z))
 
 
-def mobius_to_origin(p: DiskPoint) -> MobiusIsometry:
-    """Canonical isometry exchanging ``p`` and the origin: ``apply`` maps
-    0 -> p and ``apply_inverse`` maps p -> 0."""
-    return MobiusIsometry.origin_to(p)
-
-
 def geodesic_from_origin(eta: complex, t: float) -> DiskPoint:
     """Point at arclength ``t`` on the unit-speed ray from 0 toward the
     boundary direction ``eta`` (Poincaré metric)."""

@@ -138,8 +138,9 @@ def partial_sums(s: StepSchedule, n: int) -> tuple[float, float]:
     return s1, s2
 
 
-def infer_flags(s: StepSchedule, n: int = 10**6, probe: int = 10**4) -> dict[str, bool]:
-    """Advisory empirical classification from finite partial sums.
+def infer_flags(s: StepSchedule) -> dict[str, bool]:
+    """Advisory empirical classification from the partial sums of n = 10^6
+    terms and of a probe = 10^4-term head.
 
     Non-summability is undecidable from finitely many terms; the heuristics
     below are scale-aware (relative to lambda_0) and separate the built-in
@@ -151,8 +152,7 @@ def infer_flags(s: StepSchedule, n: int = 10**6, probe: int = 10**4) -> dict[str
     * square-summable: the tail of the squares over (probe, n] is below
       lambda_0^2.
     """
-    if n <= probe:
-        raise ValueError("need n > probe")
+    n, probe = 10**6, 10**4
     lam0 = s.step(0)
     head1, head2 = partial_sums(s, probe)
     full1, full2 = partial_sums(s, n)

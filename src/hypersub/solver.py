@@ -161,14 +161,14 @@ def run(cfg: SolveConfig) -> RunTrace:
 
     records: list[IterationRecord] = []
 
-    def record(k: int, x: DiskPoint, f: float, gn: float, drift: bool) -> None:
+    def record(k: int, x: DiskPoint, f: float, gn: float, lam: float, drift: bool) -> None:
         records.append(
             IterationRecord(
                 k=k,
                 point=x,
                 f_value=f,
                 grad_norm=gn,
-                lambda_k=cfg.schedule.step(k),
+                lambda_k=lam,
                 dist_to_s=sset.distance_to(m, x) if have_set else None,
                 drift=drift,
             )
@@ -186,27 +186,27 @@ def run(cfg: SolveConfig) -> RunTrace:
             # is not serialized (it would put non-finite floats in the JSON).
             termination = Termination(NUMERICAL_FAILURE, k, "non-finite value or subgradient")
             break
+        lam = cfg.schedule.step(k)
         recorded = k % cfg.record_every == 0
         if recorded:
-            record(k, x, f, gn, drift_in)
+            record(k, x, f, gn, lam, drift_in)
         if gn <= cfg.stop_grad_tol:
             if not recorded:
-                record(k, x, f, gn, drift_in)
+                record(k, x, f, gn, lam, drift_in)
             termination = Termination(SUBGRADIENT_ZERO, k)
             break
         if k == cfg.max_iters:
             if not recorded:
-                record(k, x, f, gn, drift_in)
+                record(k, x, f, gn, lam, drift_in)
             termination = Termination(MAX_ITERS, cfg.max_iters)
             break
-        lam = cfg.schedule.step(k)
         s = g.scaled(-1.0 / gn)
         try:
             x, drift_in = m.exp_with_drift(x, s.scaled(lam))
         except (ValueError, ArithmeticError) as exc:
             termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
             if not recorded:
-                record(k, x, f, gn, drift_in)
+                record(k, x, f, gn, lam, drift_in)
             break
         k += 1
 
@@ -250,14 +250,13 @@ def complexity_bound_report(
     trace: RunTrace,
     a: float = 1.0,
     b: float = 1.0,
-    schedule: StepSchedule | None = None,
-    grid: list[float] | None = None,
 ) -> ComplexityReport:
     """Tabulate the rate bound along a trace and grid-fit empirical constants.
 
     The bound's constants are existential, so the caller supplies (a, b) to
-    tabulate and a grid is searched for the smallest pair (by a+b, then a)
-    satisfying every recorded N.
+    tabulate and the grid 10^-3 .. 10^4 is searched for the smallest pair (by
+    a+b, then a) satisfying every recorded N. The steps are those of the
+    schedule rebuilt from the trace's config echo.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError("constants must be positive")
@@ -265,8 +264,7 @@ def complexity_bound_report(
         raise MissingFStar("the oracle did not declare its minimum value")
     if trace.dist_x0_to_solution is None:
         raise MissingSolutionPoint("the oracle did not declare a solution point")
-    if schedule is None:
-        schedule = parse_schedule(trace.config["schedule"])
+    schedule = parse_schedule(trace.config["schedule"])
     kappa = trace.config["manifold"]["kappa"]
     d0sq = trace.dist_x0_to_solution ** 2
 
@@ -297,8 +295,7 @@ def complexity_bound_report(
         ok_all = ok_all and ok
         rows.append((r.k, lhs, val, ok))
 
-    if grid is None:
-        grid = [10.0 ** e for e in range(-3, 5)]
+    grid = [10.0 ** e for e in range(-3, 5)]
     fit: tuple[float, float] | None = None
     for ca in grid:
         for cb in grid:

@@ -43,8 +43,16 @@ from .oracles import (
 from .schedules import harmonic
 from .solver import ConfigError, SolveConfig, run
 
+# The radius cap bounds cosh(b)cosh(c) and with it the floating-point noise
+# floor of the law-of-cosines margin; 3.0 keeps that floor around 1e-11,
+# comfortably inside the 1e-9 certification tolerance.
 DEFAULT_RADIUS_CAP = 3.0
 MIN_SIDE = 1e-3
+# Sublevel rays are walked out to RAY_CAP in RAY_STEP increments, and each
+# witness radius is bisected to RAY_REFINE_TOL.
+RAY_CAP = 50.0
+RAY_STEP = 0.25
+RAY_REFINE_TOL = 1e-6
 CHUNK = 2048
 NET_BLOCK = 32
 
@@ -124,37 +132,25 @@ class TriangleSample:
         return cls(p, q, r, a, b, c, alpha)
 
 
-def sample_triangle(
-    rng: np.random.Generator,
-    cap: float = DEFAULT_RADIUS_CAP,
-    min_side: float = MIN_SIDE,
-) -> TriangleSample:
-    """Nondegenerate Poincaré-disk triangle with all sides >= min_side.
-
-    The radius cap bounds cosh(b)cosh(c) and with it the floating-point noise
-    floor of the margin evaluation; the default keeps that floor around 1e-11,
-    comfortably inside the 1e-9 certification tolerance.
-    """
+def sample_triangle(rng: np.random.Generator) -> TriangleSample:
+    """Nondegenerate Poincaré-disk triangle with vertices within
+    DEFAULT_RADIUS_CAP of the origin and all sides >= MIN_SIDE."""
     while True:
-        p = sample_point(rng, cap)
-        q = sample_point(rng, cap)
-        r = sample_point(rng, cap)
+        p, q, r = sample_point(rng), sample_point(rng), sample_point(rng)
         try:
             tri = TriangleSample.from_points(POINCARE_DISK, p, q, r)
         except DegenerateTriangle:
             continue
-        if min(tri.a, tri.b, tri.c) >= min_side:
+        if min(tri.a, tri.b, tri.c) >= MIN_SIDE:
             return tri
 
 
-def _triangles(
-    rng: np.random.Generator, k: int, cap: float = DEFAULT_RADIUS_CAP
-) -> tuple[tuple[np.ndarray, ...], int]:
+def _triangles(rng: np.random.Generator, k: int) -> tuple[tuple[np.ndarray, ...], int]:
     """k triangles as sample_triangle draws them: vertices p, q, r and sides
     a, b, c, plus the number of draws rejected for a side below MIN_SIDE."""
 
     def draw(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        p, q, r = (_sample_points(rng, m, cap) for _ in range(3))
+        p, q, r = (_sample_points(rng, m) for _ in range(3))
         a, b, c = distance_array(q, r), distance_array(p, r), distance_array(p, q)
         return np.minimum(np.minimum(a, b), c) >= MIN_SIDE, (p, q, r, a, b, c)
 
@@ -182,10 +178,10 @@ def law_of_cosines_margin(kappa: float, tri: TriangleSample) -> float:
 
 
 def _law_of_cosines_margins(
-    kappa: float, rng: np.random.Generator, k: int, cap: float = DEFAULT_RADIUS_CAP
+    kappa: float, rng: np.random.Generator, k: int
 ) -> tuple[np.ndarray, int]:
     # Chunk twin of law_of_cosines_margin over k sampled triangles.
-    (p, q, r, a, b, c), rejected = _triangles(rng, k, cap)
+    (p, q, r, a, b, c), rejected = _triangles(rng, k)
     alpha = angle_array(log_array(p, q), log_array(p, r))
     kb = kappa * b
     kc = kappa * c
@@ -334,45 +330,23 @@ class PerStepSample:
     delta: float
 
 
-def harvest_two_busemann_steps(
-    steps: int = 2000,
-    x0: DiskPoint | None = None,
-    c: float = 1.0,
-    min_dist: float = 1e-8,
-) -> list[PerStepSample]:
-    """Per-step quantities from a two-Busemann run started on the y-axis.
+def harvest_two_busemann_steps(steps: int) -> tuple[list[PerStepSample], int]:
+    """Per-step quantities from a two-Busemann run from 0.9i with
+    lambda_k = 1/(k+1), and the number of steps skipped.
 
     With xbar at the origin and delta = d_k / 2, the ball hypothesis holds in
     closed form: sup f over B[0, delta] is log1p(sinh^2 delta), strictly below
-    f(x^k) = log1p(sinh^2 d_k) whenever d_k > 0. Steps too close to the origin
-    are skipped (delta would vanish).
+    f(x^k) = log1p(sinh^2 d_k) whenever d_k > 0. Steps within 1e-8 of the
+    origin are skipped (delta would vanish).
     """
-    return _harvest_two_busemann_steps(steps, x0, c, min_dist)[0]
-
-
-def _harvest_two_busemann_steps(
-    steps: int = 2000,
-    x0: DiskPoint | None = None,
-    c: float = 1.0,
-    min_dist: float = 1e-8,
-) -> tuple[list[PerStepSample], int]:
-    # The harvested samples and the number of steps skipped.
     m = POINCARE_DISK
-    oracle = two_busemann_oracle()
-    cfg = SolveConfig(
-        manifold=m,
-        oracle=oracle,
-        schedule=harmonic(c),
-        x0=x0 if x0 is not None else DiskPoint(0.0, 0.9),
-        max_iters=steps,
-    )
-    trace = run(cfg)
+    trace = run(SolveConfig(m, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), steps))
     out: list[PerStepSample] = []
     skipped = 0
     for prev, nxt in zip(trace.records, trace.records[1:]):
         d_k = m.distance(prev.point, ORIGIN)
         delta = 0.5 * d_k
-        if d_k <= min_dist or not math.log1p(math.sinh(delta) ** 2) < prev.f_value:
+        if d_k <= 1e-8 or not math.log1p(math.sinh(delta) ** 2) < prev.f_value:
             skipped += 1
             continue
         out.append(
@@ -400,29 +374,25 @@ def sublevel_boundedness_check(
     m: Manifold,
     oracle: SubgradientOracle,
     a: float,
-    center: DiskPoint | None = None,
-    n_rays: int = 64,
-    r_max: float = 50.0,
-    step: float = 0.25,
-    refine_tol: float = 1e-6,
+    n_rays: int,
     seed: int = 0,
 ) -> tuple["InequalityReport", list[RayWitness]]:
-    """Certify along rays from a solution point that f eventually exceeds ``a``.
+    """Certify along n_rays rays from the oracle's solution point that f
+    eventually exceeds ``a``.
 
-    Each ray either yields a witness radius (refined to ``refine_tol``) or is
+    Each ray either yields a witness radius (refined to RAY_REFINE_TOL) or is
     flagged; flagged rays count as violations and indicate an unbounded
     sublevel set, i.e. the compactness hypothesis fails in that direction.
     The report's worst_margin is the largest witness radius, an empirical
     bound on the sublevel set.
     """
-    if center is None:
-        sset = oracle.solution_set
-        if sset.kind in ("single-point", "closed-ball"):
-            center = sset.point
-        elif sset.kind == "x-axis":
-            center = ORIGIN
-        else:
-            raise ValueError("oracle has no canonical solution point; pass center")
+    sset = oracle.solution_set
+    if sset.kind in ("single-point", "closed-ball"):
+        center = sset.point
+    elif sset.kind == "x-axis":
+        center = ORIGIN
+    else:
+        raise ValueError("oracle has no canonical solution point")
 
     def f_at(direction: complex, radius: float) -> float:
         v = Tangent.from_complex(center, direction)
@@ -434,18 +404,18 @@ def sublevel_boundedness_check(
         direction = complex(math.cos(theta), math.sin(theta))
         lo = 0.0
         found = None
-        r = step
-        while r <= r_max + 1e-9:
+        r = RAY_STEP
+        while r <= RAY_CAP + 1e-9:
             if f_at(direction, r) > a:
                 found = r
                 break
             lo = r
-            r += step
+            r += RAY_STEP
         if found is None:
             witnesses.append(RayWitness(direction, None))
             continue
         hi = found
-        while hi - lo > refine_tol:
+        while hi - lo > RAY_REFINE_TOL:
             mid = 0.5 * (lo + hi)
             if f_at(direction, mid) > a:
                 hi = mid
@@ -460,7 +430,7 @@ def sublevel_boundedness_check(
         rejected=0,
         violations=sum(1 for w in witnesses if w.witness_radius is None),
         worst_margin=max(radii) if radii else math.inf,
-        tolerance=refine_tol,
+        tolerance=RAY_REFINE_TOL,
         seed=seed,
         hypothesis_mode="rays",
         histogram=_histogram(radii),
@@ -471,10 +441,10 @@ def sublevel_boundedness_check(
 # -- fuzz harness --------------------------------------------------------------------
 
 
-def _histogram(values: Sequence[float], bins: int = 20) -> dict:
+def _histogram(values: Sequence[float]) -> dict:
     if not len(values):
         return {"edges": [], "counts": []}
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
+    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=20)
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
@@ -579,16 +549,11 @@ def fuzz(
 # -- bundled suites --------------------------------------------------------------------
 
 
-def suite_law_of_cosines(
-    n: int = 100_000,
-    seed: int = 0,
-    tol: float = 1e-9,
-    cap: float = DEFAULT_RADIUS_CAP,
-) -> list[InequalityReport]:
+def suite_law_of_cosines(n: int, seed: int, tol: float) -> list[InequalityReport]:
     """Equality at the true curvature (kappa = 1) and the lower-bound
     direction at kappa = 2 on the same triangle distribution."""
     eq = fuzz(
-        partial(_law_of_cosines_margins, 1.0, cap=cap),
+        partial(_law_of_cosines_margins, 1.0),
         n,
         seed,
         tol,
@@ -596,7 +561,7 @@ def suite_law_of_cosines(
         two_sided=True,
     )
     lb = fuzz(
-        partial(_law_of_cosines_margins, 2.0, cap=cap),
+        partial(_law_of_cosines_margins, 2.0),
         n,
         seed + 1,
         1e-12,
@@ -658,11 +623,7 @@ def _two_busemann_key_margins(
     return _key_margins(x, 0j, _two_busemann_value(x), g, delta, lam, sup), rejected
 
 
-def suite_key_theorem(
-    n: int = 10_000,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> list[InequalityReport]:
+def suite_key_theorem(n: int, seed: int, tol: float) -> list[InequalityReport]:
     """Contraction-inequality margins over verified configurations of the
     anchored-distance and two-Busemann objectives, plus a smaller net-checked
     batch exercising the finite-net hypothesis path."""
@@ -697,12 +658,10 @@ def suite_key_theorem(
     ]
 
 
-def suite_per_step(
-    steps: int = 2000, seed: int = 0, tol: float = 1e-10
-) -> list[InequalityReport]:
+def suite_per_step(steps: int, seed: int, tol: float) -> list[InequalityReport]:
     """Per-step margins harvested from a two-Busemann run, plus the exact
     division consistency between the two forms."""
-    samples, skipped = _harvest_two_busemann_steps(steps=steps)
+    samples, skipped = harvest_two_busemann_steps(steps)
     if not samples:
         raise RuntimeError("harvest produced no hypothesis-verified steps")
     m1s, m2s, consistency = [], [], []
@@ -721,14 +680,12 @@ def suite_per_step(
     ]
 
 
-def suite_sublevel(n_rays: int = 64, seed: int = 0) -> list[InequalityReport]:
+def suite_sublevel(n_rays: int, seed: int) -> list[InequalityReport]:
     """Witness radii for the coercive bundled oracles (compact solution
     sets); both must certify on every ray."""
     m = POINCARE_DISK
-    r1, _ = sublevel_boundedness_check(m, distance_oracle(ORIGIN), 1.0, n_rays=n_rays, seed=seed)
-    r2, _ = sublevel_boundedness_check(
-        m, ball_hinge_oracle(ORIGIN, 0.3), 1.0, n_rays=n_rays, seed=seed
-    )
+    r1, _ = sublevel_boundedness_check(m, distance_oracle(ORIGIN), 1.0, n_rays, seed)
+    r2, _ = sublevel_boundedness_check(m, ball_hinge_oracle(ORIGIN, 0.3), 1.0, n_rays, seed)
     return [r1, r2]
 
 
@@ -748,12 +705,7 @@ def _gradcheck_fd_margins(rng: np.random.Generator, k: int) -> tuple[np.ndarray,
     return fd - inner_array(p, busemann_gradient_array(eta, p), s), 0
 
 
-def suite_gradcheck(
-    n: int = 1000,
-    seed: int = 0,
-    tol_norm: float = 1e-10,
-    tol_fd: float = 1e-4,
-) -> list[InequalityReport]:
+def suite_gradcheck(n: int, seed: int, tol_norm: float) -> list[InequalityReport]:
     """Unit gradient norm and geodesic finite-difference agreement for
     Busemann functions."""
     return [
@@ -769,7 +721,7 @@ def suite_gradcheck(
             _gradcheck_fd_margins,
             n,
             seed + 1,
-            tol_fd,
+            1e-4,
             "busemann-finite-difference",
             two_sided=True,
         ),
@@ -783,7 +735,8 @@ class Suite:
     ``fn(n, seed, tol)`` runs it (``fn(n, seed)`` when ``tol`` is None, and
     ``--tol`` is then rejected); ``n`` is the default of ``--n`` and
     ``counts`` what ``--n`` counts; ``governs`` names the check ``--tol``
-    sets, whose default is ``tol``.
+    sets, whose default is ``tol``. The suite functions take no defaults, so
+    this table is the only place a suite's defaults are written.
     """
 
     fn: Callable[..., list[InequalityReport]]
@@ -823,9 +776,9 @@ def run_suite(
 ) -> list[InequalityReport]:
     """Run one named suite, or all of them; None picks each suite's default.
 
-    ``n`` and ``tol`` are checked against the table first (ConfigError keyed
-    by the flag): ``all`` needs the largest of the suites' smallest ``n`` and
-    rejects ``tol`` because sublevel does.
+    ``n``, ``seed`` and ``tol`` are checked against the table first
+    (ConfigError keyed by the flag): ``all`` needs the largest of the suites'
+    smallest ``n`` and rejects ``tol`` because sublevel does.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(name)
@@ -833,6 +786,8 @@ def run_suite(
     least = max(suite.min_n for suite in suites)
     if n is not None and n < least:
         raise ConfigError("--n", f"must be >= {least} for {name}, got {n}")
+    if seed < 0:
+        raise ConfigError("--seed", f"must be >= 0, got {seed}")
     if tol is not None and any(suite.tol is None for suite in suites):
         raise ConfigError("--tol", f"is not accepted by {name}")
     if tol is not None and not tol >= 0.0:

@@ -90,7 +90,7 @@ def test_criterion_2_law_of_cosines():
 def test_criterion_3_key_theorem_fuzz():
     t0 = time.perf_counter()
     reports = suite_key_theorem(n=10_000, seed=0, tol=1e-10)
-    per_step = suite_per_step(steps=2000)
+    per_step = suite_per_step(steps=2000, seed=0, tol=1e-10)
     elapsed = time.perf_counter() - t0
     n_verified = sum(r.n for r in reports)
     ok = (

@@ -275,6 +275,22 @@ class TestVerify:
         assert main(["verify", "gradcheck", "--n", "10", "--report", str(report)]) == 2
         assert str(tmp_path / "file") in capsys.readouterr().err
 
+    def test_unwritable_report_fails_before_the_suite_runs(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        report = tmp_path / "file" / "r.json"
+        assert main(["verify", "gradcheck", "--n", "10", "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(tmp_path / "file") in err
+
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, suite):
+        code = main(["verify", suite, "--n", "8", "--seed", "-1",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         import hypersub.cli as cli_mod
         from hypersub.verify import InequalityReport

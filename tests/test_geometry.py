@@ -15,7 +15,6 @@ from hypersub.geometry import (
     Tangent,
     ZeroVector,
     geodesic_from_origin,
-    mobius_to_origin,
     ray_distance,
     scaled_disk,
 )
@@ -184,7 +183,7 @@ class TestAngle:
 class TestMobius:
     def test_origin_maps_to_p(self):
         p = DiskPoint(0.4, -0.2)
-        iso = mobius_to_origin(p)
+        iso = MobiusIsometry.origin_to(p)
         assert iso.apply(ORIGIN) == p
         assert abs(iso.apply_inverse(p).z) < 1e-16
 

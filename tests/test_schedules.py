@@ -127,7 +127,7 @@ class TestEmpiricalFlags:
         ids=lambda s: s.spec,
     )
     def test_agrees_with_declared(self, schedule):
-        inferred = infer_flags(schedule, n=10**6)
+        inferred = infer_flags(schedule)
         assert inferred == {
             "diminishing": schedule.diminishing,
             "nonsummable": schedule.nonsummable,
@@ -137,7 +137,7 @@ class TestEmpiricalFlags:
     def test_log_inverse_decays_below_any_probe(self):
         # 1/log(k+2) is diminishing but still ~0.07 at k = 10^6, so the finite
         # probe cannot confirm the flag; the other two agree.
-        inferred = infer_flags(log_inverse(1.0), n=10**6)
+        inferred = infer_flags(log_inverse(1.0))
         assert inferred["nonsummable"] and not inferred["square_summable"]
         assert not inferred["diminishing"]
 
