@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -135,9 +136,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # An unusable report path fails here, before the suite runs.
+    # An unusable report path fails here, before the suite runs. Nothing is
+    # created until the report is written, after run_suite checked the flags.
     report_path = Path(args.report) if args.report else Path(f"verify-{args.suite}.report.json")
-    report_path.parent.mkdir(parents=True, exist_ok=True)
+    ancestor = next(a for a in report_path.parents if a.exists())
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError("--report", f"cannot be written: {ancestor} is not a writable directory")
     reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed, tol=args.tol)
     for r in reports:
         print(

@@ -15,6 +15,7 @@ All operations are pure functions of immutable values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import InitVar, dataclass
 
@@ -107,19 +108,6 @@ class Tangent:
         return Tangent(self.base, self.vx * factor, self.vy * factor)
 
 
-def _poincare_distance(p: complex, q: complex) -> float:
-    # 2*atanh(|p-q| / |1 - conj(p) q|) equals the usual
-    # arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))) but keeps full relative
-    # accuracy for nearby points.
-    num = abs(q - p)
-    if num == 0.0:
-        return 0.0
-    rho = num / abs(1.0 - p.conjugate() * q)
-    if rho >= 1.0:  # only reachable through rounding at the very boundary
-        rho = math.nextafter(1.0, 0.0)
-    return 2.0 * math.atanh(rho)
-
-
 @dataclass(frozen=True)
 class Manifold:
     """One of the three supported models with its curvature bound ``kappa``.
@@ -151,11 +139,25 @@ class Manifold:
         return self.flat or p.abs2() < 1.0
 
     # -- metric ------------------------------------------------------------
+    # The ``_z`` forms take points z = x + iy and tangent components
+    # v = vx + i vy as complex numbers; the solver and the oracles call them.
+
+    def distance_z(self, p: complex, q: complex) -> float:
+        if self.flat:
+            return abs(q - p)
+        # 2*atanh(|p-q| / |1 - conj(p) q|) equals the usual
+        # arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))) but keeps full relative
+        # accuracy for nearby points.
+        num = abs(q - p)
+        if num == 0.0:
+            return 0.0
+        rho = num / abs(1.0 - p.conjugate() * q)
+        if rho >= 1.0:  # only reachable through rounding at the very boundary
+            rho = math.nextafter(1.0, 0.0)
+        return 2.0 * math.atanh(rho) / self.kappa
 
     def distance(self, p: DiskPoint, q: DiskPoint) -> float:
-        if self.flat:
-            return abs(q.z - p.z)
-        return _poincare_distance(p.z, q.z) / self.kappa
+        return self.distance_z(p.z, q.z)
 
     def inner(self, u: Tangent, v: Tangent) -> float:
         if u.base != v.base:
@@ -166,11 +168,15 @@ class Manifold:
         lam = 2.0 / (1.0 - u.base.abs2())
         return dot * (lam / self.kappa) ** 2
 
-    def norm(self, v: Tangent) -> float:
-        e = math.hypot(v.vx, v.vy)
+    def norm_z(self, p: complex, v: complex) -> float:
+        """Manifold length of the tangent with components ``v`` at ``p``."""
+        e = math.hypot(v.real, v.imag)
         if self.flat:
             return e
-        return 2.0 * e / ((1.0 - v.base.abs2()) * self.kappa)
+        return 2.0 * e / ((1.0 - (p.real * p.real + p.imag * p.imag)) * self.kappa)
+
+    def norm(self, v: Tangent) -> float:
+        return self.norm_z(v.base.z, v.v)
 
     def angle(self, u: Tangent, v: Tangent) -> float:
         """Angle in [0, pi]; all three models are conformal to the plane, so
@@ -186,57 +192,64 @@ class Manifold:
 
     # -- exponential map and its inverse ------------------------------------
 
-    def exp_with_drift(self, p: DiskPoint, v: Tangent) -> tuple[DiskPoint, bool]:
-        """Endpoint of the unit-time geodesic from ``p`` with velocity ``v``.
+    def exp_z(self, p: complex, v: complex) -> tuple[complex, bool]:
+        """Endpoint of the unit-time geodesic from ``p`` with velocity ``v``,
+        and whether rounding pushed it against the unit circle so that it was
+        clamped radially to ``BOUNDARY_CLAMP``. A non-finite input or endpoint
+        raises; a disk endpoint then needs no bound check, as its modulus is
+        below 1 - DRIFT_EPS or it was clamped."""
+        if not cmath.isfinite(v):
+            raise ValueError(f"tangent components must be finite, got ({v.real}, {v.imag})")
+        if v == 0.0:
+            return p, False
+        if self.flat:
+            w = p + v
+            if not cmath.isfinite(w):
+                raise ValueError(f"point coordinates must be finite, got ({w.real}, {w.imag})")
+            return w, False
+        # Step length in unscaled-disk units: the scaled metric shortens the
+        # manifold norm by kappa, and the geodesic parameter stretches by the
+        # same factor, so kappa cancels.
+        a = abs(v)
+        t = 2.0 * a / (1.0 - (p.real * p.real + p.imag * p.imag))
+        u = v / a
+        r = math.tanh(0.5 * t)
+        w = (u * r + p) / (1.0 + p.conjugate() * u * r)
+        if not cmath.isfinite(w):
+            raise ResultOutsideDisk(f"exp produced a non-finite point from {p} with |v|={t}")
+        a = abs(w)
+        if a >= 1.0 - DRIFT_EPS:
+            return w * (BOUNDARY_CLAMP / a), True
+        return w, False
 
-        Returns ``(point, drifted)``; ``drifted`` is True when rounding pushed
-        the result against the unit circle and it was clamped radially to
-        ``BOUNDARY_CLAMP``.
-        """
+    def exp_with_drift(self, p: DiskPoint, v: Tangent) -> tuple[DiskPoint, bool]:
+        """``exp_z`` on a DiskPoint and a Tangent based there."""
         if v.base != p:
             raise ValueError("tangent is not based at p")
         if v.is_zero():
             return p, False
-        if self.flat:
-            return DiskPoint.plane(p.x + v.vx, p.y + v.vy), False
-        ec = v.v
-        # Step length in unscaled-disk units: the scaled metric shortens the
-        # manifold norm by kappa, and the geodesic parameter stretches by the
-        # same factor, so kappa cancels.
-        t = 2.0 * abs(ec) / (1.0 - p.abs2())
-        u = ec / abs(ec)
-        r = math.tanh(0.5 * t)
-        w = (u * r + p.z) / (1.0 + p.z.conjugate() * u * r)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise ResultOutsideDisk(f"exp produced a non-finite point from {p} with |v|={t}")
-        a = abs(w)
-        drifted = False
-        if a >= 1.0 - DRIFT_EPS:
-            w *= BOUNDARY_CLAMP / a
-            drifted = True
-        return DiskPoint(w.real, w.imag), drifted
+        w, drifted = self.exp_z(p.z, v.v)
+        return DiskPoint.from_complex(w, check=not self.flat), drifted
 
     def exp(self, p: DiskPoint, v: Tangent) -> DiskPoint:
         return self.exp_with_drift(p, v)[0]
 
-    def log(self, p: DiskPoint, q: DiskPoint) -> Tangent:
-        """The tangent at ``p`` with ``exp(p, log(p, q)) = q`` and manifold
-        norm equal to ``distance(p, q)``."""
+    def log_z(self, p: complex, q: complex) -> complex:
+        """Components of the tangent at ``p`` with ``exp(p, log(p, q)) = q``
+        and manifold norm equal to ``distance(p, q)``."""
         if self.flat:
-            return Tangent(p, q.x - p.x, q.y - p.y)
-        w0 = (q.z - p.z) / (1.0 - p.z.conjugate() * q.z)
+            return q - p
+        w0 = (q - p) / (1.0 - p.conjugate() * q)
         rho = abs(w0)
         if rho == 0.0:
-            return Tangent(p, 0.0, 0.0)
-        if rho >= 1.0:
-            rho_c = math.nextafter(1.0, 0.0)
-        else:
-            rho_c = rho
-        d = 2.0 * math.atanh(rho_c)
+            return 0j
+        d = 2.0 * math.atanh(math.nextafter(1.0, 0.0) if rho >= 1.0 else rho)
         # Euclidean components are kappa-independent: the manifold norm and
         # the manifold distance pick up the same 1/kappa.
-        ec = w0 * (d * (1.0 - p.abs2()) / (2.0 * rho))
-        return Tangent(p, ec.real, ec.imag)
+        return w0 * (d * (1.0 - (p.real * p.real + p.imag * p.imag)) / (2.0 * rho))
+
+    def log(self, p: DiskPoint, q: DiskPoint) -> Tangent:
+        return Tangent.from_complex(p, self.log_z(p.z, q.z))
 
     # -- derived quantities --------------------------------------------------
 
@@ -275,8 +288,9 @@ def scaled_disk(kappa: float) -> Manifold:
 # use the scalar formulas, which stay the reference they are tested against.
 
 
-def abs2_array(z: np.ndarray) -> np.ndarray:
-    """|z|^2 as x*x + y*y, the rounding of ``DiskPoint.abs2``."""
+def abs2(z: complex | np.ndarray) -> float | np.ndarray:
+    """|z|^2 as x*x + y*y, the rounding of ``DiskPoint.abs2``, for a complex
+    number or array. The ``_z`` forms of Manifold write it out inline."""
     return z.real * z.real + z.imag * z.imag
 
 
@@ -288,13 +302,13 @@ def distance_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def inner_array(p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Twin of ``POINCARE_DISK.inner`` for tangents u, v at p."""
-    lam = 2.0 / (1.0 - abs2_array(p))
+    lam = 2.0 / (1.0 - abs2(p))
     return (u.real * v.real + u.imag * v.imag) * lam**2
 
 
 def norm_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Twin of ``POINCARE_DISK.norm`` for a tangent v at p."""
-    return 2.0 * np.abs(v) / (1.0 - abs2_array(p))
+    return 2.0 * np.abs(v) / (1.0 - abs2(p))
 
 
 def angle_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -313,7 +327,7 @@ def exp_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     p, v = np.broadcast_arrays(p, v)
     a = np.abs(v)
     moving = a > 0.0
-    t = 2.0 * a / (1.0 - abs2_array(p))
+    t = 2.0 * a / (1.0 - abs2(p))
     ur = np.divide(v, a, out=np.zeros_like(v), where=moving) * np.tanh(0.5 * t)
     w = (ur + p) / (1.0 + np.conj(p) * ur)
     if not np.all(np.isfinite(w)):
@@ -328,7 +342,7 @@ def log_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     w0 = (q - p) / (1.0 - np.conj(p) * q)
     rho = np.abs(w0)
     d = 2.0 * np.arctanh(np.minimum(rho, np.nextafter(1.0, 0.0)))
-    scale = np.divide(d * (1.0 - abs2_array(p)), 2.0 * rho, out=np.zeros_like(rho), where=rho > 0.0)
+    scale = np.divide(d * (1.0 - abs2(p)), 2.0 * rho, out=np.zeros_like(rho), where=rho > 0.0)
     return w0 * scale
 
 

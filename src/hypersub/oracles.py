@@ -2,7 +2,9 @@
 
 Every oracle returns a pair ``(value, subgradient)`` at a query point; the
 subgradient ``g`` satisfies ``f(y) >= f(x) + <g, log_x y>`` in the metric of
-the manifold the oracle was evaluated on.
+the manifold the oracle was evaluated on. An oracle's ``fn(m, z)`` takes the
+point as a complex number and returns the subgradient's Euclidean components
+as one; ``evaluate`` gives the same pair as DiskPoint -> Tangent.
 
 The bundled families are Busemann functions on the disk (closed forms below),
 their sums, the hinge of the distance to a closed ball, and the plain distance
@@ -23,7 +25,7 @@ from .geometry import (
     DiskPoint,
     Manifold,
     Tangent,
-    abs2_array,
+    abs2,
 )
 
 
@@ -91,19 +93,20 @@ class SolutionSet:
 @dataclass(frozen=True)
 class SubgradientOracle:
     name: str
-    fn: Callable[[Manifold, DiskPoint], tuple[float, Tangent]]
+    fn: Callable[[Manifold, complex], tuple[float, complex]]
     known_min: float | None = None
     solution_set: SolutionSet = field(default_factory=SolutionSet.unknown)
     disk_only: bool = False  # Busemann-based: undefined on the flat plane
 
     def evaluate(self, m: Manifold, p: DiskPoint) -> tuple[float, Tangent]:
-        return self.fn(m, p)
+        f, g = self.fn(m, p.z)
+        return f, Tangent.from_complex(p, g)
 
     def value(self, m: Manifold, p: DiskPoint) -> float:
-        return self.fn(m, p)[0]
+        return self.fn(m, p.z)[0]
 
     def subgradient(self, m: Manifold, p: DiskPoint) -> Tangent:
-        return self.fn(m, p)[1]
+        return self.evaluate(m, p)[1]
 
 
 # -- Busemann functions --------------------------------------------------------
@@ -117,18 +120,24 @@ def _unit(eta: complex) -> complex:
     return eta / a
 
 
+def _busemann_value(e: complex, z: complex) -> float:
+    # e is a unit boundary direction (the result of _unit).
+    return math.log(abs(z - e) ** 2) - math.log1p(-abs2(z))
+
+
+def _busemann_gradient(e: complex, z: complex) -> complex:
+    return 0.5 * (1.0 - abs2(z)) * (z - e) / (1.0 - e * z.conjugate())
+
+
 def busemann_value(eta: complex, x: DiskPoint) -> float:
     """Busemann function of the ray from the origin toward the boundary point
     ``eta``: log(|x - eta|^2 / (1 - |x|^2))."""
-    e = _unit(eta)
-    return math.log(abs(x.z - e) ** 2) - math.log1p(-x.abs2())
+    return _busemann_value(_unit(eta), x.z)
 
 
 def busemann_gradient(eta: complex, p: DiskPoint) -> Tangent:
     """Poincaré gradient (1-|p|^2)/2 * (p-eta)/(1-eta conj(p)); unit norm."""
-    e = _unit(eta)
-    g = 0.5 * (1.0 - p.abs2()) * (p.z - e) / (1.0 - e * p.z.conjugate())
-    return Tangent.from_complex(p, g)
+    return Tangent.from_complex(p, _busemann_gradient(_unit(eta), p.z))
 
 
 def _unit_array(eta: np.ndarray) -> np.ndarray:
@@ -144,13 +153,13 @@ def busemann_value_array(eta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Elementwise twin of ``busemann_value`` on complex arrays of boundary
     directions and points."""
     e = _unit_array(eta)
-    return np.log(np.abs(x - e) ** 2) - np.log1p(-abs2_array(x))
+    return np.log(np.abs(x - e) ** 2) - np.log1p(-abs2(x))
 
 
 def busemann_gradient_array(eta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Elementwise twin of ``busemann_gradient``, as tangent components."""
     e = _unit_array(eta)
-    return 0.5 * (1.0 - abs2_array(p)) * (p - e) / (1.0 - e * np.conj(p))
+    return 0.5 * (1.0 - abs2(p)) * (p - e) / (1.0 - e * np.conj(p))
 
 
 def _require_disk(m: Manifold, what: str) -> None:
@@ -166,11 +175,14 @@ def _disk_gradient_scale(m: Manifold) -> float:
 
 def busemann_oracle(eta: complex) -> SubgradientOracle:
     e = _unit(eta)
+    # The public forms normalize their argument again; keep that rounding.
+    e2 = _unit(e)
 
-    def fn(m: Manifold, p: DiskPoint) -> tuple[float, Tangent]:
+    def fn(m: Manifold, z: complex) -> tuple[float, complex]:
         _require_disk(m, "a Busemann oracle")
-        g = busemann_gradient(e, p)
-        return busemann_value(e, p), g.scaled(_disk_gradient_scale(m))
+        g = _busemann_gradient(e2, z)
+        c = _disk_gradient_scale(m)
+        return _busemann_value(e2, z), complex(g.real * c, g.imag * c)
 
     return SubgradientOracle(f"busemann:eta={format_complex(e)}", fn, disk_only=True)
 
@@ -193,12 +205,11 @@ def two_busemann_oracle() -> SubgradientOracle:
     y-axis points along the axis toward the origin.
     """
 
-    def fn(m: Manifold, p: DiskPoint) -> tuple[float, Tangent]:
+    def fn(m: Manifold, z: complex) -> tuple[float, complex]:
         _require_disk(m, "the two-Busemann oracle")
-        value = busemann_value(1.0, p) + busemann_value(-1.0, p)
-        g = busemann_gradient(1.0, p).v + busemann_gradient(-1.0, p).v
-        scale = _disk_gradient_scale(m)
-        return value, Tangent.from_complex(p, g * scale)
+        value = _busemann_value(1.0, z) + _busemann_value(-1.0, z)
+        g = _busemann_gradient(1.0, z) + _busemann_gradient(-1.0, z)
+        return value, g * _disk_gradient_scale(m)
 
     return SubgradientOracle(
         "two-busemann", fn, known_min=0.0, solution_set=SolutionSet.x_axis(), disk_only=True
@@ -207,19 +218,27 @@ def two_busemann_oracle() -> SubgradientOracle:
 
 # -- distance-based oracles -----------------------------------------------------
 
+def _hinge_fn(center: DiskPoint, r: float) -> Callable[[Manifold, complex], tuple[float, complex]]:
+    """fn of max(0, d(p, center) - r), with the zero subgradient where d <= r
+    and the unit one, -log_p(center) / d, elsewhere; r = 0 gives d(p, center)."""
+    a = center.z
+
+    def fn(m: Manifold, z: complex) -> tuple[float, complex]:
+        d = m.distance_z(z, a)
+        if d <= r:
+            return 0.0, 0j
+        v = m.log_z(z, a)
+        c = -1.0 / d
+        return d - r, complex(v.real * c, v.imag * c)
+
+    return fn
+
+
 def distance_oracle(anchor: DiskPoint) -> SubgradientOracle:
     """f(p) = d(p, anchor); coercive with the single minimizer ``anchor``."""
-
-    def fn(m: Manifold, p: DiskPoint) -> tuple[float, Tangent]:
-        d = m.distance(p, anchor)
-        if d == 0.0:
-            return 0.0, Tangent(p, 0.0, 0.0)
-        s = m.log(p, anchor).scaled(-1.0 / d)
-        return d, s
-
     return SubgradientOracle(
         f"distance:anchor={format_complex(anchor.z)}",
-        fn,
+        _hinge_fn(anchor, 0.0),
         known_min=0.0,
         solution_set=SolutionSet.single_point(anchor),
     )
@@ -230,17 +249,9 @@ def ball_hinge_oracle(center: DiskPoint, r: float) -> SubgradientOracle:
     (a valid choice there, and the one that triggers the STOP rule)."""
     if not r > 0.0:
         raise ValueError("hinge radius must be positive")
-
-    def fn(m: Manifold, p: DiskPoint) -> tuple[float, Tangent]:
-        d = m.distance(p, center)
-        if d <= r:
-            return 0.0, Tangent(p, 0.0, 0.0)
-        s = m.log(p, center).scaled(-1.0 / d)
-        return d - r, s
-
     return SubgradientOracle(
         f"ball-hinge:center={format_complex(center.z)},r={r!r}",
-        fn,
+        _hinge_fn(center, r),
         known_min=0.0,
         solution_set=SolutionSet.closed_ball(center, r),
     )
@@ -261,18 +272,18 @@ def weighted_sum(
         raise ValueError("need at least one oracle")
     if any(not w > 0.0 for w in weights):
         raise ValueError("weights must be positive")
-    parts = list(zip(oracles, weights))
+    parts = [(oracle.fn, w) for oracle, w in zip(oracles, weights)]
 
-    def fn(m: Manifold, p: DiskPoint) -> tuple[float, Tangent]:
+    def fn(m: Manifold, z: complex) -> tuple[float, complex]:
         total = 0.0
         gx = 0.0
         gy = 0.0
-        for oracle, w in parts:
-            f, g = oracle.evaluate(m, p)
+        for part, w in parts:
+            f, g = part(m, z)
             total += w * f
-            gx += w * g.vx
-            gy += w * g.vy
-        return total, Tangent(p, gx, gy)
+            gx += w * g.real
+            gy += w * g.imag
+        return total, complex(gx, gy)
 
     return SubgradientOracle(
         name,

@@ -103,10 +103,6 @@ class RunTrace:
     summary: dict
 
 
-def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
 def build_summary(records: list[IterationRecord], f_star: float | None) -> dict:
     """Summary statistics over the recorded iterates, stored in the trace
     (``load_trace`` reads them back rather than recomputing them)."""
@@ -150,64 +146,60 @@ def run(cfg: SolveConfig) -> RunTrace:
     """Drive the method from cfg.x0 until STOP, the budget, or a failure.
 
     Records every ``record_every``-th iterate plus the first and the last.
+    A non-finite value, subgradient or step, and a step size the schedule
+    rejects, end the run with NUMERICAL_FAILURE; the records are kept.
     """
     m = cfg.manifold
     oracle = cfg.oracle
     sset = oracle.solution_set
-    have_set = sset.kind != "unknown"
     f_star = oracle.known_min
     x_star = sset.nearest_point(m, cfg.x0)
     d0 = m.distance(cfg.x0, x_star) if x_star is not None else None
 
     records: list[IterationRecord] = []
 
-    def record(k: int, x: DiskPoint, f: float, gn: float, lam: float, drift: bool) -> None:
-        records.append(
-            IterationRecord(
-                k=k,
-                point=x,
-                f_value=f,
-                grad_norm=gn,
-                lambda_k=lam,
-                dist_to_s=sset.distance_to(m, x) if have_set else None,
-                drift=drift,
-            )
-        )
+    def record(k: int, z: complex, f: float, gn: float, lam: float, drift: bool) -> None:
+        # No bound check: z is x0 or an output of exp_z (see its docstring).
+        x = DiskPoint(z.real, z.imag, check=False)
+        records.append(IterationRecord(k, x, f, gn, lam, sset.distance_to(m, x), drift))
 
-    x = cfg.x0
+    # The loop runs on complex points and subgradient components; z stays
+    # finite because exp_z raises on a non-finite endpoint.
+    fn, step, norm_z, exp_z = oracle.fn, cfg.schedule.step, m.norm_z, m.exp_z
+    z = cfg.x0.z
     drift_in = False
-    termination: Termination | None = None
     k = 0
     while True:
-        f, g = oracle.evaluate(m, x)
-        gn = m.norm(g)
-        if not (_finite(x.x, x.y) and _finite(f, gn)):
+        f, g = fn(m, z)
+        gn = norm_z(z, g)
+        if not (math.isfinite(f) and math.isfinite(gn)):
             # Records up to the failure are kept; the failing iterate itself
             # is not serialized (it would put non-finite floats in the JSON).
             termination = Termination(NUMERICAL_FAILURE, k, "non-finite value or subgradient")
             break
-        lam = cfg.schedule.step(k)
-        recorded = k % cfg.record_every == 0
-        if recorded:
-            record(k, x, f, gn, lam, drift_in)
-        if gn <= cfg.stop_grad_tol:
-            if not recorded:
-                record(k, x, f, gn, lam, drift_in)
-            termination = Termination(SUBGRADIENT_ZERO, k)
-            break
-        if k == cfg.max_iters:
-            if not recorded:
-                record(k, x, f, gn, lam, drift_in)
-            termination = Termination(MAX_ITERS, cfg.max_iters)
-            break
-        s = g.scaled(-1.0 / gn)
         try:
-            x, drift_in = m.exp_with_drift(x, s.scaled(lam))
-        except (ValueError, ArithmeticError) as exc:
-            termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
-            if not recorded:
-                record(k, x, f, gn, lam, drift_in)
+            lam = step(k)
+        except ValueError as exc:
+            termination = Termination(NUMERICAL_FAILURE, k, f"step size failed: {exc}")
             break
+        termination = None
+        if gn <= cfg.stop_grad_tol:
+            termination = Termination(SUBGRADIENT_ZERO, k)
+        elif k == cfg.max_iters:
+            termination = Termination(MAX_ITERS, k)
+        else:
+            # Scale component by component, in the rounding of Tangent.scaled.
+            c = -1.0 / gn
+            s = complex(g.real * c, g.imag * c)
+            try:
+                z_next, drift_next = exp_z(z, complex(s.real * lam, s.imag * lam))
+            except (ValueError, ArithmeticError) as exc:
+                termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
+        if termination is not None or k % cfg.record_every == 0:
+            record(k, z, f, gn, lam, drift_in)
+        if termination is not None:
+            break
+        z, drift_in = z_next, drift_next
         k += 1
 
     return RunTrace(

@@ -24,7 +24,7 @@ from .geometry import (
     DiskPoint,
     Manifold,
     Tangent,
-    abs2_array,
+    abs2,
     angle_array,
     distance_array,
     exp_array,
@@ -236,7 +236,7 @@ def _ball_net(
     # kappa and the tangent norm by the same factor, so kappa cancels below.
     t = np.arccosh(1.0 + rng.random(shape) * (np.cosh(m.kappa * radius) - 1.0))
     direction = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
-    pts = exp_array(center, direction * (0.5 * t * (1.0 - abs2_array(center))))
+    pts = exp_array(center, direction * (0.5 * t * (1.0 - abs2(center))))
     return np.concatenate([np.broadcast_to(center, shape[:-1] + (1,)), pts], axis=-1)
 
 

@@ -105,6 +105,16 @@ class TestSolve:
         assert main(["solve", cfg]) == 2
         assert "x0" in capsys.readouterr().err
 
+    def test_underflowing_step_exits_3_with_its_trace(self, tmp_path, capsys):
+        text = GOOD.replace("harmonic:c=1", "harmonic:c=5e-324")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 3
+        assert "nonpositive step" in capsys.readouterr().err
+        trace = load_trace(tmp_path / "good.trace.json")
+        assert trace.termination.kind == "numerical-failure"
+        assert trace.termination.step == 1
+        summary = json.loads((tmp_path / "good.summary.json").read_text())
+        assert summary["n_records"] == 1
+
     def test_missing_file(self, capsys):
         assert main(["solve", "no/such/file.cfg"]) == 2
 
@@ -290,6 +300,12 @@ class TestVerify:
         assert code == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_rejected_flags_leave_no_report_directory(self, tmp_path, capsys):
+        report = tmp_path / "newdir" / "r.json"
+        assert main(["verify", "gradcheck", "--seed", "-1", "--report", str(report)]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "newdir").exists()
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         import hypersub.cli as cli_mod

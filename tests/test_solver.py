@@ -8,7 +8,6 @@ from hypersub.geometry import (
     ORIGIN,
     POINCARE_DISK,
     DiskPoint,
-    Tangent,
 )
 from hypersub.oracles import (
     SolutionSet,
@@ -40,8 +39,8 @@ M = POINCARE_DISK
 
 
 def constant_oracle(c=1.0, solution_set=None):
-    def fn(m, p):
-        return c, Tangent(p, 0.0, 0.0)
+    def fn(m, z):
+        return c, 0j
 
     return SubgradientOracle(
         "constant",
@@ -187,11 +186,12 @@ class TestRun:
             assert r.lambda_k == sched.step(r.k)
 
     def test_numerical_failure_retains_records(self):
-        def fn(m, p):
+        def fn(m, z):
+            p = DiskPoint.from_complex(z)
             if p.x < 0.3:
-                return math.nan, Tangent(p, 1.0, 0.0)
+                return math.nan, 1 + 0j
             d = m.distance(p, ORIGIN)
-            return d, m.log(p, ORIGIN).scaled(-1.0 / d)
+            return d, m.log(p, ORIGIN).scaled(-1.0 / d).v
 
         bad = SubgradientOracle("bad", fn)
         cfg = SolveConfig(M, bad, table([0.1]), DiskPoint(0.5, 0.0), 100)
@@ -200,6 +200,28 @@ class TestRun:
         assert trace.termination.reason is not None
         assert len(trace.records) >= 1
         assert all(math.isfinite(r.f_value) for r in trace.records)
+
+    def test_underflowing_step_is_a_numerical_failure(self):
+        # 5e-324 / 2 rounds to 0.0, which the schedule rejects at k = 1.
+        cfg = SolveConfig(M, two_busemann_oracle(), harmonic(5e-324), DiskPoint(0.0, 0.9), 10)
+        trace = run(cfg)
+        assert trace.termination.kind == "numerical-failure"
+        assert trace.termination.step == 1
+        assert "nonpositive step 0.0 at k=1" in trace.termination.reason
+        assert [r.k for r in trace.records] == [0]
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.nan)])
+    def test_non_finite_subgradient_is_a_numerical_failure(self, bad):
+        def fn(m, z):
+            if z.real < 0.3:
+                return 1.0, bad
+            return 1.0, 1 + 0j
+
+        cfg = SolveConfig(M, SubgradientOracle("bad", fn), table([0.1]), DiskPoint(0.5, 0.0), 100)
+        trace = run(cfg)
+        assert trace.termination.kind == "numerical-failure"
+        assert trace.termination.reason == "non-finite value or subgradient"
+        assert trace.records and all(r.point.x >= 0.3 for r in trace.records)
 
     def test_x0_outside_disk_rejected(self):
         with pytest.raises(ValueError):
@@ -249,8 +271,8 @@ class TestRun:
 
 class TestMinGapSeries:
     def test_requires_f_star(self):
-        def fn(m, p):
-            return 1.0, Tangent(p, 1.0, 0.0)
+        def fn(m, z):
+            return 1.0, 1 + 0j
 
         cfg = SolveConfig(
             M, SubgradientOracle("nameless", fn), harmonic(1.0), DiskPoint(0.2, 0.0), 5
@@ -259,8 +281,8 @@ class TestMinGapSeries:
             min_gap_series(run(cfg))
 
     def test_failure_at_k0_gives_empty_series(self):
-        def fn(m, p):
-            return math.nan, Tangent(p, 1.0, 0.0)
+        def fn(m, z):
+            return math.nan, 1 + 0j
 
         oracle = SubgradientOracle("nan", fn, known_min=0.0)
         trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.2, 0.0), 5))
@@ -308,8 +330,8 @@ class TestComplexityReport:
             assert rep.satisfied_all
 
     def test_missing_solution_point(self):
-        def fn(m, p):
-            return 1.0, Tangent(p, 1.0, 0.0)
+        def fn(m, z):
+            return 1.0, 1 + 0j
 
         oracle = SubgradientOracle("flat", fn, known_min=0.0)
         cfg = SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.2, 0.0), 5)

@@ -211,8 +211,8 @@ class TestKeyTheorem:
             key_theorem_margin(cfg, net_points=100, net_rng=np.random.default_rng(0))
 
     def test_zero_subgradient_guard(self):
-        def fn(m, p):
-            return m.distance(p, ORIGIN), Tangent(p, 0.0, 0.0)
+        def fn(m, z):
+            return m.distance(DiskPoint.from_complex(z), ORIGIN), 0j
 
         fake = SubgradientOracle("fake", fn)
         cfg = KeyConfig(M, fake, DiskPoint(0.5, 0.0), ORIGIN, 0.2, 0.1)
@@ -297,8 +297,8 @@ class TestSublevel:
             assert (w.witness_radius is None) == on_axis
 
     def test_requires_center_for_unknown_sets(self):
-        def fn(m, p):
-            return 1.0, Tangent(p, 1.0, 0.0)
+        def fn(m, z):
+            return 1.0, 1 + 0j
 
         with pytest.raises(ValueError):
             sublevel_boundedness_check(M, SubgradientOracle("u", fn), 1.0, n_rays=64)
