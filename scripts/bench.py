@@ -22,16 +22,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)  # workload seeds of the --trace 0 runs; the --trace 1 run uses the first
+SECONDS = 30.0  # run length of each perfbench run
 
 
 def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
-def run_once(workload: str, seed: int, trace: int, seconds: float) -> dict:
+def run_once(workload: str, seed: int, trace: int) -> dict:
     command = [
         sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=True)
     # Stdout is the indented report followed by the one-line result.
@@ -57,8 +59,6 @@ def medians(runs: list[dict], workloads: list[str], metrics: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], help="workload seeds of the --trace 0 runs")
-    parser.add_argument("--seconds", type=float, default=30.0, help="run length of each perfbench run")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -66,14 +66,14 @@ def main(argv: list[str] | None = None) -> int:
     metrics = [m["name"] for m in spec["end_to_end"]]
     runs = []
     for w in workloads:
-        for trace, seeds in ((0, args.seeds), (1, args.seeds[:1])):
+        for trace, seeds in ((0, SEEDS), (1, SEEDS[:1])):
             for seed in seeds:
                 print(f"bench: {w} seed {seed} trace {trace}", file=sys.stderr, flush=True)
-                runs.append(run_once(w, seed, trace, args.seconds))
+                runs.append(run_once(w, seed, trace))
     bench = {
         "pr": args.pr,
-        "seeds": args.seeds,
-        "seconds": args.seconds,
+        "seeds": list(SEEDS),
+        "seconds": SECONDS,
         "src_lines": src_lines(ROOT),
         "median_end_to_end": medians(runs, workloads, metrics),
         "runs": runs,

@@ -108,6 +108,12 @@ class Tangent:
         return Tangent(self.base, self.vx * factor, self.vy * factor)
 
 
+def abs2(z: complex | np.ndarray) -> float | np.ndarray:
+    """|z|^2 as x*x + y*y, the rounding of ``DiskPoint.abs2``, for a complex
+    number or array."""
+    return z.real * z.real + z.imag * z.imag
+
+
 @dataclass(frozen=True)
 class Manifold:
     """One of the three supported models with its curvature bound ``kappa``.
@@ -173,7 +179,7 @@ class Manifold:
         e = math.hypot(v.real, v.imag)
         if self.flat:
             return e
-        return 2.0 * e / ((1.0 - (p.real * p.real + p.imag * p.imag)) * self.kappa)
+        return 2.0 * e / ((1.0 - abs2(p)) * self.kappa)
 
     def norm(self, v: Tangent) -> float:
         return self.norm_z(v.base.z, v.v)
@@ -211,7 +217,7 @@ class Manifold:
         # manifold norm by kappa, and the geodesic parameter stretches by the
         # same factor, so kappa cancels.
         a = abs(v)
-        t = 2.0 * a / (1.0 - (p.real * p.real + p.imag * p.imag))
+        t = 2.0 * a / (1.0 - abs2(p))
         u = v / a
         r = math.tanh(0.5 * t)
         w = (u * r + p) / (1.0 + p.conjugate() * u * r)
@@ -223,7 +229,7 @@ class Manifold:
         return w, False
 
     def exp_with_drift(self, p: DiskPoint, v: Tangent) -> tuple[DiskPoint, bool]:
-        """``exp_z`` on a DiskPoint and a Tangent based there."""
+        """``exp_z`` on a DiskPoint and a Tangent based there; a zero tangent returns ``p`` itself."""
         if v.base != p:
             raise ValueError("tangent is not based at p")
         if v.is_zero():
@@ -246,7 +252,7 @@ class Manifold:
         d = 2.0 * math.atanh(math.nextafter(1.0, 0.0) if rho >= 1.0 else rho)
         # Euclidean components are kappa-independent: the manifold norm and
         # the manifold distance pick up the same 1/kappa.
-        return w0 * (d * (1.0 - (p.real * p.real + p.imag * p.imag)) / (2.0 * rho))
+        return w0 * (d * (1.0 - abs2(p)) / (2.0 * rho))
 
     def log(self, p: DiskPoint, q: DiskPoint) -> Tangent:
         return Tangent.from_complex(p, self.log_z(p.z, q.z))
@@ -286,12 +292,6 @@ def scaled_disk(kappa: float) -> Manifold:
 # Elementwise twins of the Poincaré-disk (kappa = 1) operations above, on complex
 # arrays: points are z = x + iy and tangents their Euclidean components v. They
 # use the scalar formulas, which stay the reference they are tested against.
-
-
-def abs2(z: complex | np.ndarray) -> float | np.ndarray:
-    """|z|^2 as x*x + y*y, the rounding of ``DiskPoint.abs2``, for a complex
-    number or array. The ``_z`` forms of Manifold write it out inline."""
-    return z.real * z.real + z.imag * z.imag
 
 
 def distance_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
