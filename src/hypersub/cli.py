@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 from .geometry import EUCLIDEAN_PLANE, ORIGIN, POINCARE_DISK, DiskPoint, Manifold, scaled_disk
@@ -101,22 +102,31 @@ def _atomic_json(path: Path, payload: dict) -> None:
     atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace) -> dict:
-    steps_taken = trace.records[-1].k if trace.records else 0
-    if steps_taken > 0:
-        sum_lam, sum_lam_sq = partial_sums(cfg.schedule, steps_taken - 1)
+def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace, wall_s: float) -> dict:
+    """The summary of a solve. ``drift_count`` and ``min_boundary_gap``
+    (smallest 1 - |z|, None on the plane) range over the recorded iterates;
+    ``wall_s`` is the wall time of run()."""
+    steps = trace.termination.step
+    if steps > 0:
+        sum_lam, sum_lam_sq = partial_sums(cfg.schedule, steps - 1)
     else:
         sum_lam, sum_lam_sq = 0.0, 0.0
     return {
         "name": name,
         "termination": trace.termination.kind,
-        "termination_step": trace.termination.step,
+        "termination_step": steps,
         "best_value": trace.summary["best_value"],
         "best_gap": trace.summary["best_gap"],
         "final_dist_to_s": trace.summary["final_dist_to_s"],
         "sum_lambda": sum_lam,
         "sum_lambda_sq": sum_lam_sq,
         "n_records": len(trace.records),
+        "drift_count": sum(r.drift for r in trace.records),
+        "min_boundary_gap": None
+        if cfg.manifold.flat or not trace.records
+        else min(1.0 - abs(r.point.z) for r in trace.records),
+        "wall_s": wall_s,
+        "steps_per_s": steps / wall_s,
     }
 
 
@@ -124,11 +134,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     name, out_dir, cfg = build_solve_config(read_config(Path(args.config)))
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
+    t0 = time.perf_counter()
     trace = run(cfg)
+    wall_s = time.perf_counter() - t0
     write_trace_json(trace, out_dir / f"{name}.trace.json")
     write_trace_csv(trace, out_dir / f"{name}.trace.csv")
-    _atomic_json(out_dir / f"{name}.summary.json", solve_summary(name, cfg, trace))
-    print(f"{name}: {trace.termination.kind} after {trace.records[-1].k if trace.records else 0} iterations")
+    _atomic_json(out_dir / f"{name}.summary.json", solve_summary(name, cfg, trace, wall_s))
+    print(f"{name}: {trace.termination.kind} after {trace.termination.step} iterations")
     if trace.termination.kind == NUMERICAL_FAILURE:
         print(f"numerical failure: {trace.termination.reason}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -139,6 +151,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # An unusable report path fails here, before the suite runs. Nothing is
     # created until the report is written, after run_suite checked the flags.
     report_path = Path(args.report) if args.report else Path(f"verify-{args.suite}.report.json")
+    if report_path.is_dir():
+        raise ConfigError("--report", f"cannot be written: {report_path} is a directory")
     ancestor = next(a for a in report_path.parents if a.exists())
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
         raise ConfigError("--report", f"cannot be written: {ancestor} is not a writable directory")

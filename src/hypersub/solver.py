@@ -9,17 +9,18 @@ history is captured in a RunTrace.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .geometry import DiskPoint, Manifold
-from .oracles import SubgradientOracle, format_complex, parse_complex
+from .oracles import SINGLE_POINT, SubgradientOracle, format_complex, parse_complex
 from .schedules import StepSchedule, parse_schedule
 
 
@@ -158,10 +159,13 @@ def run(cfg: SolveConfig) -> RunTrace:
 
     records: list[IterationRecord] = []
 
+    point_z = sset.point.z if sset.kind == SINGLE_POINT else None
+
     def record(k: int, z: complex, f: float, gn: float, lam: float, drift: bool) -> None:
         # No bound check: z is x0 or an output of exp_z (see its docstring).
         x = DiskPoint(z.real, z.imag, check=False)
-        records.append(IterationRecord(k, x, f, gn, lam, sset.distance_to(m, x), drift))
+        dist = m.distance_z(z, point_z) if point_z is not None else sset.distance_to(m, x)
+        records.append(IterationRecord(k, x, f, gn, lam, dist, drift))
 
     # The loop runs on complex points and subgradient components; z stays
     # finite because exp_z raises on a non-finite endpoint.
@@ -261,7 +265,8 @@ def complexity_bound_report(
     d0sq = trace.dist_x0_to_solution ** 2
 
     # Cumulative step sums at the recorded indices, sharing one pass.
-    sums: list[tuple[float, float]] = []
+    s1s: list[float] = []
+    s2s: list[float] = []
     s1 = s2 = 0.0
     next_k = 0
     for r in trace.records:
@@ -270,35 +275,32 @@ def complexity_bound_report(
             s1 += lam
             s2 += lam * lam
             next_k += 1
-        sums.append((s1, s2))
-
+        s1s.append(s1)
+        s2s.append(s2)
+    sl, sq = np.array(s1s), np.array(s2s)
     gaps = [g for _, g in min_gap_series(trace)]
+    gaps_arr = np.array(gaps)
 
-    def rhs(n_idx: int, ca: float, cb: float) -> float:
-        sl, sq = sums[n_idx]
+    def rhs(ca: float, cb: float) -> np.ndarray:
+        # Elementwise, the same IEEE operations as on Python floats.
         return (kappa * ca * sq + cb * d0sq) / sl
 
-    rows = []
-    ok_all = True
-    for i, r in enumerate(trace.records):
-        lhs = gaps[i]
-        val = rhs(i, a, b)
-        ok = lhs <= val
-        ok_all = ok_all and ok
-        rows.append((r.k, lhs, val, ok))
+    vals = rhs(a, b)
+    oks = gaps_arr <= vals
+    rows = list(zip([r.k for r in trace.records], gaps, vals.tolist(), oks.tolist()))
 
     grid = [10.0 ** e for e in range(-3, 5)]
     fit: tuple[float, float] | None = None
     for ca in grid:
         for cb in grid:
-            if all(gaps[i] <= rhs(i, ca, cb) for i in range(len(trace.records))):
+            if np.all(gaps_arr <= rhs(ca, cb)):
                 if fit is None or (ca + cb, ca) < (fit[0] + fit[1], fit[0]):
                     fit = (ca, cb)
     return ComplexityReport(
         a=a,
         b=b,
         rows=rows,
-        satisfied_all=ok_all,
+        satisfied_all=bool(oks.all()),
         fit_a=None if fit is None else fit[0],
         fit_b=None if fit is None else fit[1],
     )
@@ -310,6 +312,8 @@ CSV_HEADER = ["k", "x", "y", "f", "grad_norm", "lambda", "dist_to_S", "drift"]
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
+    """The trace as a JSON-ready dict; ``write_trace_json`` writes the bytes
+    of ``json.dumps(trace_to_dict(trace), indent=2)``."""
     return {
         "config": trace.config,
         "f_star": trace.f_star,
@@ -355,28 +359,95 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _json_scalar(v) -> str:
+    """``v`` as json.dumps writes it, without its call overhead for a finite
+    float, an int and the three constants."""
+    if type(v) is float:
+        if v - v == 0.0:  # finite; json writes nan and inf its own way
+            return repr(v)
+    elif v is None:
+        return "null"
+    elif v is True:
+        return "true"
+    elif v is False:
+        return "false"
+    elif type(v) is int:
+        return repr(v)
+    return json.dumps(v)
+
+
+def _json_nested(value, level: int) -> list[str]:
+    """json.dumps(value, indent=2) as it reads ``level`` containers deep."""
+    return [json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)]
+
+
+def _json_object(members: dict[str, list[str]], level: int) -> list[str]:
+    """A JSON object ``level`` containers deep, laid out as by
+    json.dumps(indent=2), from the text chunks of its member values."""
+    if not members:
+        return ["{}"]
+    pad = "\n" + "  " * (level + 1)
+    chunks = ["{"]
+    for key, value in members.items():
+        chunks.append(f"{pad}{json.dumps(key)}: ")
+        chunks += value
+        chunks.append(",")
+    chunks[-1] = "\n" + "  " * level + "}"
+    return chunks
+
+
+def _json_rows(template: str, rows: Iterable[tuple], level: int) -> list[str]:
+    """A JSON array ``level`` containers deep of rows of scalars; ``template``
+    lays out one row, one %s per scalar, and ends in the separator."""
+    s = _json_scalar
+    chunks = [template % tuple([s(v) for v in row]) for row in rows]
+    if not chunks:
+        return ["[]"]
+    chunks[-1] = chunks[-1][:-1]
+    return ["[", *chunks, "\n" + "  " * level + "]"]
+
+
+# The two long arrays as json.dumps(indent=2) lays them out: a record is an
+# object two containers deep, a min-gap pair a list three deep.
+_RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
+_RECORD_JSON = "\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    },"
+_PAIR_JSON = "\n      [\n        %s,\n        %s\n      ],"
+
+
 def write_trace_json(trace: RunTrace, path: str | Path) -> None:
-    atomic_write(Path(path), json.dumps(trace_to_dict(trace), indent=2) + "\n")
+    """Write the bytes of ``json.dumps(trace_to_dict(trace), indent=2)`` and
+    a newline. The records and the min-gap series go through one row template
+    each, which spares json's pure-Python indenting encoder."""
+    head = trace_to_dict(replace(trace, records=[], summary={}))
+    members = {key: _json_nested(value, 1) for key, value in head.items()}
+    rows = (
+        (r.k, r.point.x, r.point.y, r.f_value, r.grad_norm, r.lambda_k, r.dist_to_s, r.drift)
+        for r in trace.records
+    )
+    members["records"] = _json_rows(_RECORD_JSON, rows, 1)
+    members["summary"] = _json_object(
+        {
+            key: _json_rows(_PAIR_JSON, value, 2)
+            if key == "min_gap_series" and value is not None
+            else _json_nested(value, 2)
+            for key, value in trace.summary.items()
+        },
+        1,
+    )
+    atomic_write(Path(path), "".join([*_json_object(members, 0), "\n"]))
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in trace.records:
-        writer.writerow(
-            [
-                r.k,
-                repr(r.point.x),
-                repr(r.point.y),
-                repr(r.f_value),
-                repr(r.grad_norm),
-                repr(r.lambda_k),
-                "" if r.dist_to_s is None else repr(r.dist_to_s),
-                int(r.drift),
-            ]
-        )
-    atomic_write(Path(path), buf.getvalue())
+    """Write the records as CSV_HEADER rows: floats by repr, an absent
+    distance as an empty field, the drift flag as 0 or 1."""
+    lines = [",".join(CSV_HEADER) + "\n"]
+    lines += [
+        "%d,%r,%r,%r,%r,%r,%s,%d\n"
+        % (r.k, r.point.x, r.point.y, r.f_value, r.grad_norm, r.lambda_k,
+           "" if r.dist_to_s is None else repr(r.dist_to_s), r.drift)
+        for r in trace.records
+    ]
+    atomic_write(Path(path), "".join(lines))
 
 
 def load_trace(path: str | Path) -> RunTrace:

@@ -115,6 +115,37 @@ class TestSolve:
         summary = json.loads((tmp_path / "good.summary.json").read_text())
         assert summary["n_records"] == 1
 
+    def test_underflowing_step_counts_its_one_step(self, tmp_path, capsys):
+        # Step 0 is 5e-324 and step 1 underflows: one step was taken, although
+        # only the iterate before it is recorded.
+        text = GOOD.replace("harmonic:c=1", "harmonic:c=5e-324")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().out == "good: numerical-failure after 1 iterations\n"
+        summary = json.loads((tmp_path / "good.summary.json").read_text())
+        assert (summary["sum_lambda"], summary["sum_lambda_sq"]) == (5e-324, 0.0)
+
+    def test_summary_explains_the_run(self, tmp_path):
+        assert main(["solve", str(CONFIGS / "two_busemann.cfg"), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "two_busemann.summary.json").read_text())
+        trace = load_trace(tmp_path / "two_busemann.trace.json")
+        assert summary["drift_count"] == 0
+        assert summary["min_boundary_gap"] == min(1.0 - abs(r.point.z) for r in trace.records)
+        assert summary["min_boundary_gap"] == 1.0 - 0.9  # the start is the iterate nearest the circle
+        assert summary["wall_s"] > 0.0
+        assert summary["steps_per_s"] == summary["termination_step"] / summary["wall_s"]
+
+    def test_summary_counts_drift_at_the_boundary(self, tmp_path):
+        # The Busemann run of tests/test_golden.py that reaches the radial clamp.
+        text = (
+            "name = edge\nmanifold = scaled:kappa=0.5\noracle = busemann:eta=0.6+0.8i\n"
+            "schedule = sqrt:c=1\nx0 = -0.3+0.1i\nmax_iters = 3000\n"
+        )
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "edge.summary.json").read_text())
+        trace = load_trace(tmp_path / "edge.trace.json")
+        assert summary["drift_count"] == sum(r.drift for r in trace.records) > 0
+        assert 0.0 < summary["min_boundary_gap"] < 1e-12
+
     def test_missing_file(self, capsys):
         assert main(["solve", "no/such/file.cfg"]) == 2
 
@@ -171,6 +202,7 @@ class TestSolve:
         summary = json.loads((tmp_path / "flat.summary.json").read_text())
         assert summary["termination"] == "subgradient-zero"
         assert summary["termination_step"] == 1
+        assert summary["min_boundary_gap"] is None
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         import hypersub.cli as cli_mod
@@ -292,6 +324,12 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert str(tmp_path / "file") in err
+
+    def test_report_that_is_a_directory_fails_before_the_suite_runs(self, tmp_path, capsys):
+        assert main(["verify", "gradcheck", "--n", "10", "--report", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--report cannot be written: {tmp_path} is a directory" in err
 
     @pytest.mark.parametrize("suite", [*SUITES, "all"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, suite):

@@ -1,7 +1,9 @@
 """Byte-level pins of whole solver runs.
 
-Each case serializes ``run(cfg)`` the way ``write_trace_json`` does and
-compares its sha256 with a digest recorded from an earlier implementation.
+Each case serializes ``run(cfg)`` through ``trace_to_dict`` and through the
+two trace writers, and tabulates its ``complexity_bound_report``; the sha256
+of each result is compared with a digest recorded from an earlier
+implementation.
 The cases cover every branch the step dispatches on: the Poincaré disk, the
 scaled disk at kappa above and below 1, and the flat plane; a zero-subgradient
 stop and a spent budget; recording every step and every n-th step; and the
@@ -9,8 +11,11 @@ radial clamp at the boundary. A change in the order of any floating-point
 operation on the hot path changes some digest.
 """
 
+import functools
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +30,18 @@ from hypersub.oracles import (
     weighted_sum,
 )
 from hypersub.schedules import harmonic, power_law, sqrt_harmonic
-from hypersub.solver import SolveConfig, run, trace_to_dict
+from hypersub.oracles import SolutionSet, SubgradientOracle
+from hypersub.solver import (
+    MissingFStar,
+    MissingSolutionPoint,
+    SolveConfig,
+    Termination,
+    complexity_bound_report,
+    run,
+    trace_to_dict,
+    write_trace_csv,
+    write_trace_json,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -84,7 +100,116 @@ DIGESTS = {
 }
 
 
+# Recorded from the csv.writer implementation of write_trace_csv.
+CSV_DIGESTS = {
+    "ball_hinge_cfg": "60850d44f65634a37846a62e0bb86f5687d329bc5b84e395367a6184a9c62534",
+    "disk_example_1e4": "1a898e0720850c3691b9d4024571f4e0da90f39749348e89ee2f73d8857d90cc",
+    "fermat_weber_2e4": "eae0d8f14133ae57ebf691cb1a86391a289d7025542d57489b6aa6ce96f9be31",
+    "flat_distance": "028d0e520e2f56f92bbe83de6cc48ae31ad5c98fba02b5932de5fb6d1adddc96",
+    "flat_weighted_sum": "89e24632f9a09040d9681c232cda7aa06d9d13587f995c50a6fe364de66f3428",
+    "scaled05_busemann": "36eaae26d21acdaad96e6e47c82e23f7d8c672ecbee39945768c4488ac24dc0d",
+    "scaled2_ball_hinge": "777e302d4f34a99560ce62bcfe49ad3b92b3bfb8d3be08cb67a09f8c3fd8230b",
+    "two_busemann_cfg": "1a898e0720850c3691b9d4024571f4e0da90f39749348e89ee2f73d8857d90cc",
+}
+
+# sha256 of repr(complexity_bound_report(trace)), recorded from the
+# pure-Python implementation; a case without f* pins the exception instead.
+NO_F_STAR = "MissingFStar: the oracle did not declare its minimum value"
+REPORT_DIGESTS = {
+    "ball_hinge_cfg": "0445d313fe04dc541172ce7d307fbfc617bf0727c520db0e7d15fb34550f9bba",
+    "disk_example_1e4": "617a6d9bc6973bc723e1dcde2b4991dfea5d07e396cd2e3554e33a327e3c669f",
+    "fermat_weber_2e4": NO_F_STAR,
+    "flat_distance": "85e33b4214a52d62afa6544bd7d94c8a20117d23308caf2e26d744ff12749504",
+    "flat_weighted_sum": NO_F_STAR,
+    "scaled05_busemann": NO_F_STAR,
+    "scaled2_ball_hinge": "94526eb5437e416ff1b543ff83d08edc75d541515401b0a13b8f59ad12215aaf",
+    "two_busemann_cfg": "617a6d9bc6973bc723e1dcde2b4991dfea5d07e396cd2e3554e33a327e3c669f",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@functools.cache
+def traced(name):
+    return run(CASES[name]())
+
+
+def written(write, trace, tmp_path) -> bytes:
+    path = tmp_path / "trace.out"
+    write(trace, path)
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_is_byte_identical(name):
-    text = json.dumps(trace_to_dict(run(CASES[name]())), indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+def test_run_is_byte_identical(name, tmp_path):
+    trace = traced(name)
+    text = json.dumps(trace_to_dict(trace), indent=2)
+    assert sha256(text.encode()) == DIGESTS[name]
+    data = written(write_trace_json, trace, tmp_path)
+    assert data.endswith(b"\n")
+    assert sha256(data[:-1]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_is_byte_identical(name, tmp_path):
+    assert sha256(written(write_trace_csv, traced(name), tmp_path)) == CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_complexity_report_is_unchanged(name):
+    try:
+        got = sha256(repr(complexity_bound_report(traced(name))).encode())
+    except (MissingFStar, MissingSolutionPoint) as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == REPORT_DIGESTS[name]
+
+
+# -- write_trace_json on traces the cases above do not reach ---------------------
+
+
+class Tagged(float):
+    """A float subclass whose repr json does not use."""
+
+    def __repr__(self):
+        return "tagged"
+
+
+def constant(value, known_min=None, solution_set=None):
+    def fn(m, z):
+        return value, 1 + 0j
+
+    extra = {} if solution_set is None else {"solution_set": solution_set}
+    return SubgradientOracle("constant", fn, known_min=known_min, **extra)
+
+
+def short_run(oracle):
+    return run(SolveConfig(POINCARE_DISK, oracle, harmonic(1.0), DiskPoint(0.1, 0.2), 4))
+
+
+def with_odd_scalars():
+    trace = short_run(constant(2.0, 0.0, SolutionSet.single_point(DiskPoint(0.0, 0.0))))
+    r = trace.records[1]
+    odd = replace(r, f_value=math.nan, grad_norm=-math.inf, lambda_k=Tagged(0.5), dist_to_s=math.inf)
+    return replace(trace, records=[trace.records[0], odd, *trace.records[2:]])
+
+
+EDGE_TRACES = {
+    # The first evaluation is not finite, so no record is kept.
+    "zero_records": lambda: short_run(constant(math.nan)),
+    "no_f_star": lambda: short_run(constant(1.0)),
+    "unknown_solution_set": lambda: short_run(constant(1.0, known_min=0.0)),
+    "escaped_reason": lambda: replace(
+        short_run(constant(1.0, known_min=0.0)),
+        termination=Termination("numerical-failure", 2, 'step "failed": \u03bb \u2192 0\\n\u00e9\n'),
+    ),
+    "non_finite_and_float_subclass": with_odd_scalars,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TRACES))
+def test_json_writer_matches_json_dumps(name, tmp_path):
+    trace = EDGE_TRACES[name]()
+    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    assert written(write_trace_json, trace, tmp_path) == expected.encode()
