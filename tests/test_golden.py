@@ -23,6 +23,8 @@ import pytest
 from hypersub.cli import build_solve_config, read_config
 from hypersub.geometry import EUCLIDEAN_PLANE, POINCARE_DISK, DiskPoint, scaled_disk
 from hypersub.oracles import (
+    SolutionSet,
+    SubgradientOracle,
     ball_hinge_oracle,
     busemann_oracle,
     distance_oracle,
@@ -30,7 +32,6 @@ from hypersub.oracles import (
     weighted_sum,
 )
 from hypersub.schedules import harmonic, power_law, sqrt_harmonic
-from hypersub.oracles import SolutionSet, SubgradientOracle
 from hypersub.solver import (
     MissingFStar,
     MissingSolutionPoint,
@@ -180,8 +181,8 @@ def constant(value, known_min=None, solution_set=None):
     def fn(m, z):
         return value, 1 + 0j
 
-    extra = {} if solution_set is None else {"solution_set": solution_set}
-    return SubgradientOracle("constant", fn, known_min=known_min, **extra)
+    sset = SolutionSet.unknown() if solution_set is None else solution_set
+    return SubgradientOracle("constant", fn, known_min=known_min, solution_set=sset)
 
 
 def short_run(oracle):
