@@ -8,8 +8,12 @@ same checkout, unchanged and one process at a time: once per seed with
 ``--trace 0`` (the end-to-end metrics), then once with ``--trace 1`` (the
 per-layer rows). The file holds the machine block of each run, every run's
 one-line result, the median of each end-to-end metric per workload over the
-seeds, and the line count of src/. Committed per change, the files give the
-trend of the numbers from one change to the next.
+seeds, and the line count of src/. Each ``--trace 0`` run also keeps the
+median time of every phase of its timed section (``phases_ref`` in
+reference-loop units, ``phases_s`` in seconds), so the split of a workload
+between, say, ``run()``, the trace writers and ``load_trace`` can be read from
+the file. Committed per change, the files give the trend of the numbers from
+one change to the next.
 """
 
 from __future__ import annotations
@@ -39,13 +43,20 @@ def run_once(workload: str, seed: int, trace: int) -> dict:
     # Stdout is the indented report followed by the one-line result.
     lines = done.stdout.splitlines()
     report = json.loads("\n".join(lines[:-1]))
-    return {
+    out = {
         "workload": workload,
         "seed": seed,
         "trace": trace,
         "machine": report["machine"],
         "result": json.loads(lines[-1]),
     }
+    if trace == 0:
+        # Median time of each phase of the timed section, in reference-loop
+        # units and in seconds.
+        wall = report["end_to_end"]["wall_ref"]
+        out["phases_ref"] = {p: s["median"] for p, s in wall["phases_ref"].items()}
+        out["phases_s"] = {p: s["median"] for p, s in wall["raw"]["phases_s"].items()}
+    return out
 
 
 def medians(runs: list[dict], workloads: list[str], metrics: list[str]) -> dict:

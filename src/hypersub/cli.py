@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .geometry import EUCLIDEAN_PLANE, ORIGIN, POINCARE_DISK, DiskPoint, Manifold, scaled_disk
+from .geometry import EUCLIDEAN_PLANE, POINCARE_DISK, DiskPoint, Manifold, scaled_disk
 from .oracles import make_oracle, parse_complex, parse_spec, two_busemann_oracle
 from .schedules import harmonic, parse_schedule, partial_sums
 from .solver import (
@@ -124,7 +124,7 @@ def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace, wall_s: float) -
         "drift_count": sum(r.drift for r in trace.records),
         "min_boundary_gap": None
         if cfg.manifold.flat or not trace.records
-        else min(1.0 - abs(r.point.z) for r in trace.records),
+        else min(1.0 - abs(r.z) for r in trace.records),
         "wall_s": wall_s,
         "steps_per_s": steps / wall_s,
     }
@@ -176,13 +176,13 @@ def reproduce_assertions(trace: RunTrace) -> list[str]:
     messages (empty list means all hold)."""
     m = POINCARE_DISK
     failures: list[str] = []
-    worst_re = max(abs(r.point.x) for r in trace.records)
+    worst_re = max(abs(r.z.real) for r in trace.records)
     if worst_re >= 1e-10:
         failures.append(f"iterates left the y-axis: max |Re| = {worst_re:.3e}")
     worst_slack = -math.inf
     for prev, nxt in zip(trace.records, trace.records[1:]):
-        d_prev = m.distance(prev.point, ORIGIN)
-        d_next = m.distance(nxt.point, ORIGIN)
+        d_prev = m.distance_z(prev.z, 0j)
+        d_next = m.distance_z(nxt.z, 0j)
         slack = d_next - max(prev.lambda_k, d_prev)
         worst_slack = max(worst_slack, slack)
     if worst_slack > 1e-12:
@@ -221,7 +221,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"x0 = {args.x0}, schedule = {cfg.schedule.spec}, budget = {args.steps} steps",
         f"termination: {trace.termination.kind} at k = {trace.termination.step}",
         f"iterates recorded: {len(trace.records)}",
-        f"max |Re x_k|: {max(abs(r.point.x) for r in trace.records):.3e}",
+        f"max |Re x_k|: {max(abs(r.z.real) for r in trace.records):.3e}",
         f"final f: {trace.records[-1].f_value:.6e}",
         f"final distance to the solution set: {trace.records[-1].dist_to_s:.6e}",
         "",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,8 @@ import numpy as np
 # DRIFT_EPS of the unit circle; the caller sees a drift flag.
 DRIFT_EPS = 1e-15
 BOUNDARY_CLAMP = 1.0 - 1e-12
+# Largest float below 1: distance and log clamp atanh's argument to it.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class ZeroVector(ValueError):
@@ -124,11 +126,13 @@ class Manifold:
 
     model: str
     kappa: float
+    flat: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.model not in ("poincare-disk", "scaled-disk", "euclidean-plane"):
             raise ValueError(f"unknown manifold model {self.model!r}")
         object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "flat", self.model == "euclidean-plane")
         if self.model == "euclidean-plane":
             if self.kappa != 0.0:
                 raise ValueError("the flat plane has curvature bound 0")
@@ -137,10 +141,6 @@ class Manifold:
         if self.model == "poincare-disk" and self.kappa != 1.0:
             raise ValueError("the Poincaré disk has kappa = 1")
 
-    @property
-    def flat(self) -> bool:
-        return self.model == "euclidean-plane"
-
     def contains(self, p: DiskPoint) -> bool:
         return self.flat or p.abs2() < 1.0
 
@@ -148,19 +148,35 @@ class Manifold:
     # The ``_z`` forms take points z = x + iy and tangent components
     # v = vx + i vy as complex numbers; the solver and the oracles call them.
 
-    def distance_z(self, p: complex, q: complex) -> float:
+    def distance_log_z(self, p: complex, q: complex) -> tuple[float, complex]:
+        """``(distance_z(p, q), log_z(p, q))``, forming q - p and
+        1 - conj(p) q once. The distance takes the modulus ratio and the log
+        the modulus of the complex quotient; each keeps its own rounding."""
+        dq = q - p
         if self.flat:
-            return abs(q - p)
+            return abs(dq), dq
         # 2*atanh(|p-q| / |1 - conj(p) q|) equals the usual
         # arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))) but keeps full relative
         # accuracy for nearby points.
-        num = abs(q - p)
+        num = abs(dq)
         if num == 0.0:
-            return 0.0
-        rho = num / abs(1.0 - p.conjugate() * q)
-        if rho >= 1.0:  # only reachable through rounding at the very boundary
-            rho = math.nextafter(1.0, 0.0)
-        return 2.0 * math.atanh(rho) / self.kappa
+            return 0.0, 0j
+        den = 1.0 - p.conjugate() * q
+        atanh = math.atanh
+        # rho >= 1 is only reachable through rounding at the very boundary.
+        rho = num / abs(den)
+        d = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho) / self.kappa
+        w0 = dq / den
+        rho = abs(w0)
+        if rho == 0.0:
+            return d, 0j
+        # Euclidean components are kappa-independent: the manifold norm and
+        # the manifold distance pick up the same 1/kappa.
+        t = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho)
+        return d, w0 * (t * (1.0 - abs2(p)) / (2.0 * rho))
+
+    def distance_z(self, p: complex, q: complex) -> float:
+        return self.distance_log_z(p, q)[0]
 
     def distance(self, p: DiskPoint, q: DiskPoint) -> float:
         return self.distance_z(p.z, q.z)
@@ -243,16 +259,7 @@ class Manifold:
     def log_z(self, p: complex, q: complex) -> complex:
         """Components of the tangent at ``p`` with ``exp(p, log(p, q)) = q``
         and manifold norm equal to ``distance(p, q)``."""
-        if self.flat:
-            return q - p
-        w0 = (q - p) / (1.0 - p.conjugate() * q)
-        rho = abs(w0)
-        if rho == 0.0:
-            return 0j
-        d = 2.0 * math.atanh(math.nextafter(1.0, 0.0) if rho >= 1.0 else rho)
-        # Euclidean components are kappa-independent: the manifold norm and
-        # the manifold distance pick up the same 1/kappa.
-        return w0 * (d * (1.0 - abs2(p)) / (2.0 * rho))
+        return self.distance_log_z(p, q)[1]
 
     def log(self, p: DiskPoint, q: DiskPoint) -> Tangent:
         return Tangent.from_complex(p, self.log_z(p.z, q.z))

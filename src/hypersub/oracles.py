@@ -224,10 +224,9 @@ def _hinge_fn(center: DiskPoint, r: float) -> Callable[[Manifold, complex], tupl
     a = center.z
 
     def fn(m: Manifold, z: complex) -> tuple[float, complex]:
-        d = m.distance_z(z, a)
+        d, v = m.distance_log_z(z, a)
         if d <= r:
             return 0.0, 0j
-        v = m.log_z(z, a)
         c = -1.0 / d
         return d - r, complex(v.real * c, v.imag * c)
 

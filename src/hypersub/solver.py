@@ -75,15 +75,22 @@ class SolveConfig:
             raise ConfigError("oracle", f"{self.oracle.name} is defined on disk models only")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
+    """One recorded iterate; ``z`` is the point x + iy as a complex number."""
+
     k: int
-    point: DiskPoint
+    z: complex
     f_value: float
     grad_norm: float
     lambda_k: float
     dist_to_s: float | None
     drift: bool
+
+    @property
+    def point(self) -> DiskPoint:
+        """The iterate as a DiskPoint, built on each read."""
+        return DiskPoint(self.z.real, self.z.imag, check=False)
 
 
 @dataclass(frozen=True)
@@ -158,25 +165,20 @@ def run(cfg: SolveConfig) -> RunTrace:
     d0 = m.distance(cfg.x0, x_star) if x_star is not None else None
 
     records: list[IterationRecord] = []
-
     point_z = sset.point.z if sset.kind == SINGLE_POINT else None
-
-    def record(k: int, z: complex, f: float, gn: float, lam: float, drift: bool) -> None:
-        # No bound check: z is x0 or an output of exp_z (see its docstring).
-        x = DiskPoint(z.real, z.imag, check=False)
-        dist = m.distance_z(z, point_z) if point_z is not None else sset.distance_to(m, x)
-        records.append(IterationRecord(k, x, f, gn, lam, dist, drift))
 
     # The loop runs on complex points and subgradient components; z stays
     # finite because exp_z raises on a non-finite endpoint.
     fn, step, norm_z, exp_z = oracle.fn, cfg.schedule.step, m.norm_z, m.exp_z
+    stop_grad_tol, max_iters, record_every = cfg.stop_grad_tol, cfg.max_iters, cfg.record_every
+    isfinite = math.isfinite
     z = cfg.x0.z
     drift_in = False
     k = 0
     while True:
         f, g = fn(m, z)
         gn = norm_z(z, g)
-        if not (math.isfinite(f) and math.isfinite(gn)):
+        if not (isfinite(f) and isfinite(gn)):
             # Records up to the failure are kept; the failing iterate itself
             # is not serialized (it would put non-finite floats in the JSON).
             termination = Termination(NUMERICAL_FAILURE, k, "non-finite value or subgradient")
@@ -187,20 +189,25 @@ def run(cfg: SolveConfig) -> RunTrace:
             termination = Termination(NUMERICAL_FAILURE, k, f"step size failed: {exc}")
             break
         termination = None
-        if gn <= cfg.stop_grad_tol:
+        if gn <= stop_grad_tol:
             termination = Termination(SUBGRADIENT_ZERO, k)
-        elif k == cfg.max_iters:
+        elif k == max_iters:
             termination = Termination(MAX_ITERS, k)
         else:
-            # Scale component by component, in the rounding of Tangent.scaled.
+            # Scale component by component, in the rounding of Tangent.scaled:
+            # first by -1/|g|, then by the step size.
             c = -1.0 / gn
-            s = complex(g.real * c, g.imag * c)
             try:
-                z_next, drift_next = exp_z(z, complex(s.real * lam, s.imag * lam))
+                z_next, drift_next = exp_z(z, complex(g.real * c * lam, g.imag * c * lam))
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
-        if termination is not None or k % cfg.record_every == 0:
-            record(k, z, f, gn, lam, drift_in)
+        if termination is not None or k % record_every == 0:
+            if point_z is not None:
+                dist = m.distance_z(z, point_z)
+            else:
+                # No bound check: z is x0 or an output of exp_z (see its docstring).
+                dist = sset.distance_to(m, DiskPoint(z.real, z.imag, check=False))
+            records.append(IterationRecord(k, z, f, gn, lam, dist, drift_in))
         if termination is not None:
             break
         z, drift_in = z_next, drift_next
@@ -322,8 +329,8 @@ def trace_to_dict(trace: RunTrace) -> dict:
         "records": [
             {
                 "k": r.k,
-                "x": r.point.x,
-                "y": r.point.y,
+                "x": r.z.real,
+                "y": r.z.imag,
                 "f": r.f_value,
                 "grad_norm": r.grad_norm,
                 "lambda": r.lambda_k,
@@ -421,7 +428,7 @@ def write_trace_json(trace: RunTrace, path: str | Path) -> None:
     head = trace_to_dict(replace(trace, records=[], summary={}))
     members = {key: _json_nested(value, 1) for key, value in head.items()}
     rows = (
-        (r.k, r.point.x, r.point.y, r.f_value, r.grad_norm, r.lambda_k, r.dist_to_s, r.drift)
+        (r.k, r.z.real, r.z.imag, r.f_value, r.grad_norm, r.lambda_k, r.dist_to_s, r.drift)
         for r in trace.records
     )
     members["records"] = _json_rows(_RECORD_JSON, rows, 1)
@@ -443,7 +450,7 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
     lines = [",".join(CSV_HEADER) + "\n"]
     lines += [
         "%d,%r,%r,%r,%r,%r,%s,%d\n"
-        % (r.k, r.point.x, r.point.y, r.f_value, r.grad_norm, r.lambda_k,
+        % (r.k, r.z.real, r.z.imag, r.f_value, r.grad_norm, r.lambda_k,
            "" if r.dist_to_s is None else repr(r.dist_to_s), r.drift)
         for r in trace.records
     ]
@@ -453,19 +460,19 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
 def load_trace(path: str | Path) -> RunTrace:
     """Rebuild a RunTrace from its JSON file.
 
-    Points are reconstructed without the disk-bound check so traces from the
-    flat model reload cleanly.
+    A record's point is read back as ``complex(x, y)``, with no disk-bound
+    check, so traces from the flat model reload cleanly.
     """
     raw = json.loads(Path(path).read_text())
     records = [
         IterationRecord(
-            k=r["k"],
-            point=DiskPoint(r["x"], r["y"], check=False),
-            f_value=r["f"],
-            grad_norm=r["grad_norm"],
-            lambda_k=r["lambda"],
-            dist_to_s=r["dist_to_s"],
-            drift=bool(r["drift"]),
+            r["k"],
+            complex(r["x"], r["y"]),
+            r["f"],
+            r["grad_norm"],
+            r["lambda"],
+            r["dist_to_s"],
+            bool(r["drift"]),
         )
         for r in raw["records"]
     ]

@@ -12,7 +12,8 @@ array twins, built on the array forms in ``geometry`` and ``oracles``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -344,7 +345,7 @@ def harvest_two_busemann_steps(steps: int) -> tuple[list[PerStepSample], int]:
     out: list[PerStepSample] = []
     skipped = 0
     for prev, nxt in zip(trace.records, trace.records[1:]):
-        d_k = m.distance(prev.point, ORIGIN)
+        d_k = m.distance_z(prev.z, 0j)
         delta = 0.5 * d_k
         if d_k <= 1e-8 or not math.log1p(math.sinh(delta) ** 2) < prev.f_value:
             skipped += 1
@@ -353,8 +354,8 @@ def harvest_two_busemann_steps(steps: int) -> tuple[list[PerStepSample], int]:
             PerStepSample(
                 k=prev.k,
                 d_k=d_k,
-                d_k1=m.distance(nxt.point, ORIGIN),
-                lam=m.distance(prev.point, nxt.point),
+                d_k1=m.distance_z(nxt.z, 0j),
+                lam=m.distance_z(prev.z, nxt.z),
                 delta=delta,
             )
         )
@@ -386,6 +387,7 @@ def sublevel_boundedness_check(
     The report's worst_margin is the largest witness radius, an empirical
     bound on the sublevel set.
     """
+    t0 = time.perf_counter()
     sset = oracle.solution_set
     if sset.kind in ("single-point", "closed-ball"):
         center = sset.point
@@ -434,6 +436,7 @@ def sublevel_boundedness_check(
         seed=seed,
         hypothesis_mode="rays",
         histogram=_histogram(radii),
+        wall_s=time.perf_counter() - t0,
     )
     return report, witnesses
 
@@ -459,6 +462,8 @@ class InequalityReport:
     hypothesis_mode: str | None
     histogram: dict
     rejected: int = 0  # draws the samplers discarded (skipped steps for per-step)
+    # Wall time spent producing the report; None for a report built by hand.
+    wall_s: float | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -475,6 +480,8 @@ class InequalityReport:
             "seed": self.seed,
             "hypothesis_mode": self.hypothesis_mode,
             "histogram": self.histogram,
+            "wall_s": self.wall_s,
+            "samples_per_s": None if not self.wall_s else self.n / self.wall_s,
         }
 
 
@@ -531,6 +538,7 @@ def fuzz(
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    t0 = time.perf_counter()
     chunks: list[np.ndarray] = []
     rejected = 0
     for c in range((n + CHUNK - 1) // CHUNK):
@@ -541,9 +549,10 @@ def fuzz(
             raise ValueError(f"chunk {c} gave margins of shape {margins.shape}, not ({k},)")
         chunks.append(margins)
         rejected += dropped
-    return report_margins(
+    report = report_margins(
         np.concatenate(chunks), tolerance, check, seed, two_sided, hypothesis_mode, rejected
     )
+    return replace(report, wall_s=time.perf_counter() - t0)
 
 
 # -- bundled suites --------------------------------------------------------------------
@@ -660,7 +669,9 @@ def suite_key_theorem(n: int, seed: int, tol: float) -> list[InequalityReport]:
 
 def suite_per_step(steps: int, seed: int, tol: float) -> list[InequalityReport]:
     """Per-step margins harvested from a two-Busemann run, plus the exact
-    division consistency between the two forms."""
+    division consistency between the two forms. The three checks share one
+    harvest run, so each report carries the wall time of the whole suite."""
+    t0 = time.perf_counter()
     samples, skipped = harvest_two_busemann_steps(steps)
     if not samples:
         raise RuntimeError("harvest produced no hypothesis-verified steps")
@@ -671,13 +682,15 @@ def suite_per_step(steps: int, seed: int, tol: float) -> list[InequalityReport]:
         m2s.append(m2)
         consistency.append(m2 - m1 / math.sinh(s.lam))
     common = {"hypothesis_mode": "analytic", "rejected": skipped}
-    return [
+    reports = [
         report_margins(m1s, tol, "per-step-cdelta", seed, **common),
         report_margins(m2s, tol, "per-step-cdelta-divided", seed, **common),
         report_margins(
             consistency, 1e-10, "per-step-consistency", seed, two_sided=True, **common
         ),
     ]
+    wall_s = time.perf_counter() - t0
+    return [replace(r, wall_s=wall_s) for r in reports]
 
 
 def suite_sublevel(n_rays: int, seed: int) -> list[InequalityReport]:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -249,6 +250,31 @@ class TestVerify:
                      "--report", str(tmp_path / "a.json")]) == 0
         assert main(["verify", "sublevel", "--n", "8",
                      "--report", str(tmp_path / "b.json")]) == 0
+
+    # sha256 of each report file written at seed 3 before wall_s and
+    # samples_per_s were added; dropping the two keys must give these bytes.
+    UNTIMED_DIGESTS = {
+        ("law-of-cosines", 60): "7322cd15001dce64deaef710b9e1986c2ea11286bd5894f84714e75400f483a9",
+        ("key-theorem", 40): "dac32b0fb151dbc237a7a03357fc7044dba367da5250c6caf33457b3b2597024",
+        ("per-step", 300): "635793a7c1698b8e9f88cd8301073cca3fa10f8cb0e0201b47e69e13caec12be",
+        ("sublevel", 8): "7f0269e10f3e7584d873d282e32befee5dd0a44940c092d73690b91212bddc57",
+        ("gradcheck", 50): "37cfe8caa0af810dc34509a776fc3854965f8a19be4001d5c1c20a9d99cadeb7",
+    }
+
+    @pytest.mark.parametrize("suite,n", list(UNTIMED_DIGESTS))
+    def test_reports_are_timed_and_otherwise_unchanged(self, tmp_path, suite, n):
+        path = tmp_path / "r.json"
+        assert main(["verify", suite, "--n", str(n), "--seed", "3", "--report", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        for r in payload["reports"]:
+            assert list(r)[-2:] == ["wall_s", "samples_per_s"]
+            wall_s, samples_per_s = r.pop("wall_s"), r.pop("samples_per_s")
+            assert wall_s > 0.0
+            assert samples_per_s == r["n"] / wall_s
+        if suite == "per-step":  # the three checks share one harvest run
+            assert len({r["n"] for r in payload["reports"]}) == 1
+        text = json.dumps(payload, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == self.UNTIMED_DIGESTS[suite, n]
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypersub.geometry import (
     POINCARE_DISK,
     BOUNDARY_CLAMP,
     DiskPoint,
+    Manifold,
     MobiusIsometry,
     Tangent,
     ZeroVector,
@@ -94,6 +96,82 @@ class TestDistance:
     def test_euclidean(self):
         a = DiskPoint.plane(3.0, 4.0)
         assert EUCLIDEAN_PLANE.distance(DiskPoint.plane(0, 0), a) == 5.0
+
+
+class TestFlat:
+    def test_flag_per_model(self):
+        assert EUCLIDEAN_PLANE.flat
+        assert not POINCARE_DISK.flat
+        assert not scaled_disk(0.5).flat
+
+    def test_flag_is_derived_from_the_model(self):
+        m = Manifold("euclidean-plane", 0.0)
+        assert m.flat and m == EUCLIDEAN_PLANE and hash(m) == hash(EUCLIDEAN_PLANE)
+        assert repr(scaled_disk(2.0)) == "Manifold(model='scaled-disk', kappa=2.0)"
+        assert not dataclasses.replace(EUCLIDEAN_PLANE, model="scaled-disk", kappa=2.0).flat
+        with pytest.raises(TypeError):
+            Manifold("poincare-disk", 1.0, True)
+
+
+def _distance_reference(m, p, q):
+    """Manifold.distance_z as written before distance_log_z existed."""
+    if m.flat:
+        return abs(q - p)
+    num = abs(q - p)
+    if num == 0.0:
+        return 0.0
+    rho = num / abs(1.0 - p.conjugate() * q)
+    if rho >= 1.0:
+        rho = math.nextafter(1.0, 0.0)
+    return 2.0 * math.atanh(rho) / m.kappa
+
+
+def _log_reference(m, p, q):
+    """Manifold.log_z as written before distance_log_z existed."""
+    if m.flat:
+        return q - p
+    w0 = (q - p) / (1.0 - p.conjugate() * q)
+    rho = abs(w0)
+    if rho == 0.0:
+        return 0j
+    d = 2.0 * math.atanh(math.nextafter(1.0, 0.0) if rho >= 1.0 else rho)
+    return w0 * (d * (1.0 - (p.real * p.real + p.imag * p.imag)) / (2.0 * rho))
+
+
+def _bits(d, v):
+    return d.hex(), v.real.hex(), v.imag.hex()
+
+
+class TestDistanceLog:
+    @staticmethod
+    def pairs(m, seed):
+        rng = np.random.default_rng(seed)
+        if m.flat:
+            pts = [complex(*rng.uniform(-10.0, 10.0, 2)) for _ in range(400)]
+        else:
+            pts = [p.z for p in (sample_point(rng, 2.5) for _ in range(400))]
+            # near the circle, where rounding can push the ratio to 1
+            pts += [cmath.exp(1j * a) * math.nextafter(1.0, 0.0) for a in rng.uniform(0, 7, 200)]
+        out = list(zip(pts[::2], pts[1::2]))
+        out += [(p, p) for p in pts[:20]]  # coincident
+        out += [(p, -p) for p in pts[-100:]]  # antipodal
+        return out
+
+    @pytest.mark.parametrize("m", [M, scaled_disk(0.5), scaled_disk(3.0), EUCLIDEAN_PLANE])
+    def test_matches_the_separate_formulas_bit_for_bit(self, m):
+        for p, q in self.pairs(m, seed=11):
+            got = m.distance_log_z(p, q)
+            want = (_distance_reference(m, p, q), _log_reference(m, p, q))
+            assert _bits(*got) == _bits(*want), (p, q)
+            assert _bits(m.distance_z(p, q), m.log_z(p, q)) == _bits(*want)
+
+    def test_samples_reach_the_clamp_and_coincidence(self):
+        pairs = [(p, q) for p, q in self.pairs(M, 11) if p != q]
+        # both ratios, the distance's and the log's, reach the clamp
+        assert any(abs(q - p) / abs(1.0 - p.conjugate() * q) >= 1.0 for p, q in pairs)
+        assert any(abs((q - p) / (1.0 - p.conjugate() * q)) >= 1.0 for p, q in pairs)
+        assert M.distance_log_z(0.3 - 0.2j, 0.3 - 0.2j) == (0.0, 0j)
+        assert EUCLIDEAN_PLANE.distance_log_z(3.0 + 4.0j, 0j) == (5.0, -3.0 - 4.0j)
 
 
 class TestExpLog:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypersub.geometry import (
     ORIGIN,
     POINCARE_DISK,
     DiskPoint,
+    scaled_disk,
 )
 from hypersub.oracles import (
     SolutionSet,
@@ -20,6 +22,7 @@ from hypersub.oracles import (
 from hypersub.schedules import harmonic, partial_sums, sqrt_harmonic, table
 from hypersub.solver import (
     ConfigError,
+    IterationRecord,
     MissingFStar,
     MissingSolutionPoint,
     SUBGRADIENT_ZERO,
@@ -269,6 +272,21 @@ class TestRun:
         assert all(r.dist_to_s is None for r in trace.records)
 
 
+class TestIterationRecord:
+    def test_frozen_and_slotted(self):
+        r = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 3)).records[1]
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.z = 0j
+
+    def test_point_is_derived_from_z(self):
+        for r in run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.1, 0.9), 20)).records:
+            assert type(r.z) is complex
+            assert r.point == DiskPoint(r.z.real, r.z.imag, check=False)
+        r = IterationRecord(0, 2.0 - 3.0j, 1.0, 1.0, 0.5, None, False)
+        assert (r.point.x, r.point.y) == (2.0, -3.0)  # no disk-bound check
+
+
 class TestMinGapSeries:
     def test_requires_f_star(self):
         def fn(m, z):
@@ -379,6 +397,26 @@ class TestSerialization:
         assert loaded.records == trace.records
         assert loaded.summary == trace.summary
         assert build_summary(loaded.records, loaded.f_star) == trace.summary
+
+    @pytest.mark.parametrize(
+        "m,oracle,x0",
+        [
+            # every iterate of this run lies outside the unit disk
+            (EUCLIDEAN_PLANE, ball_hinge_oracle(DiskPoint.plane(3.0, 6.0), 0.5), DiskPoint.plane(-4.0, 5.0)),
+            (scaled_disk(0.7), distance_oracle(DiskPoint(-0.3, 0.4)), DiskPoint(0.1, -0.8)),
+        ],
+        ids=["euclidean-plane", "scaled-disk"],
+    )
+    def test_json_round_trip_keeps_records(self, tmp_path, m, oracle, x0):
+        trace = run(SolveConfig(m, oracle, harmonic(1.0), x0, 300))
+        assert len(trace.records) > 2
+        if m.flat:
+            assert all(abs(r.z) > 1.0 for r in trace.records)
+        path = tmp_path / "t.trace.json"
+        write_trace_json(trace, path)
+        loaded = load_trace(path)
+        assert loaded.records == trace.records
+        assert all(type(r.z) is complex for r in loaded.records)
 
     def test_csv_golden_header_and_shape(self, tmp_path):
         cfg = SolveConfig(

@@ -356,6 +356,17 @@ class TestFuzz:
                     "hypothesis_mode", "histogram"):
             assert key in payload
 
+    def test_report_wall_time(self):
+        report = fuzz(scalar_chunks(lambda rng: 1.0), 10, seed=3, tolerance=1e-9, check="t")
+        assert report.wall_s > 0.0
+        payload = report.to_json()
+        assert payload["wall_s"] == report.wall_s
+        assert payload["samples_per_s"] == 10 / report.wall_s
+        # the time is not part of the result: equal reports stay equal
+        assert report == report_margins([1.0] * 10, 1e-9, "t", 3)
+        by_hand = report_margins([1.0] * 10, 1e-9, "t", 3).to_json()
+        assert (by_hand["wall_s"], by_hand["samples_per_s"]) == (None, None)
+
     def test_chunk_of_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             fuzz(lambda rng, k: (np.zeros(k + 1), 0), 10, 0, 1e-9, "size")
