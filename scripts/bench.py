@@ -12,8 +12,13 @@ seeds, and the line count of src/. Each ``--trace 0`` run also keeps the
 median time of every phase of its timed section (``phases_ref`` in
 reference-loop units, ``phases_s`` in seconds), so the split of a workload
 between, say, ``run()``, the trace writers and ``load_trace`` can be read from
-the file. Committed per change, the files give the trend of the numbers from
-one change to the next.
+the file. The ``--trace 1`` rows are raw seconds and microseconds, so each
+traced run is bracketed by runs of the fixed reference loop of
+perfbench/calibrate.py: ``reference_loop_s`` is their median, and
+``per_layer_ref`` gives every row in seconds or microseconds in units of it,
+so that a row can be compared between files taken under different machine
+load. Committed per change, the files give the trend of the numbers from one
+change to the next.
 """
 
 from __future__ import annotations
@@ -26,8 +31,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from calibrate import reference_seconds  # noqa: E402
+
 SEEDS = (0, 1, 2)  # workload seeds of the --trace 0 runs; the --trace 1 run uses the first
 SECONDS = 30.0  # run length of each perfbench run
+REF_RUNS = 5  # reference-loop runs just before and just after each --trace 1 run
+SECONDS_PER_UNIT = {"s": 1.0, "us": 1e-6}
 
 
 def src_lines(root: Path) -> int:
@@ -39,7 +49,9 @@ def run_once(workload: str, seed: int, trace: int) -> dict:
         sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
+    ref = [reference_seconds() for _ in range(REF_RUNS)] if trace else []
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=True)
+    ref += [reference_seconds() for _ in range(REF_RUNS)] if trace else []
     # Stdout is the indented report followed by the one-line result.
     lines = done.stdout.splitlines()
     report = json.loads("\n".join(lines[:-1]))
@@ -56,6 +68,14 @@ def run_once(workload: str, seed: int, trace: int) -> dict:
         wall = report["end_to_end"]["wall_ref"]
         out["phases_ref"] = {p: s["median"] for p, s in wall["phases_ref"].items()}
         out["phases_s"] = {p: s["median"] for p, s in wall["raw"]["phases_s"].items()}
+    else:
+        ref_s = statistics.median(ref)
+        out["reference_loop_s"] = ref_s
+        out["per_layer_ref"] = {
+            name: row["value"] * SECONDS_PER_UNIT[row["unit"]] / ref_s
+            for name, row in out["result"]["metrics"].items()
+            if row["unit"] in SECONDS_PER_UNIT
+        }
     return out
 
 

@@ -7,7 +7,6 @@ from .geometry import (
     POINCARE_DISK,
     DiskPoint,
     Manifold,
-    MobiusIsometry,
     ResultOutsideDisk,
     Tangent,
     ZeroVector,
@@ -24,13 +23,11 @@ from .oracles import (
     distance_oracle,
     make_oracle,
     two_busemann_oracle,
-    two_busemann_value_polar,
     weighted_sum,
 )
 from .schedules import (
     StepSchedule,
     harmonic,
-    infer_flags,
     log_inverse,
     parse_schedule,
     partial_sums,

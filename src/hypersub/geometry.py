@@ -136,8 +136,8 @@ class Manifold:
         if self.model == "euclidean-plane":
             if self.kappa != 0.0:
                 raise ValueError("the flat plane has curvature bound 0")
-        elif not self.kappa > 0.0:
-            raise ValueError("disk models need kappa > 0")
+        elif not (self.kappa > 0.0 and math.isfinite(self.kappa)):
+            raise ValueError(f"disk models need a finite kappa > 0, got {self.kappa}")
         if self.model == "poincare-disk" and self.kappa != 1.0:
             raise ValueError("the Poincaré disk has kappa = 1")
 
@@ -352,71 +352,3 @@ def log_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     scale = np.divide(d * (1.0 - abs2(p)), 2.0 * rho, out=np.zeros_like(rho), where=rho > 0.0)
     return w0 * scale
 
-
-@dataclass(frozen=True)
-class MobiusIsometry:
-    """Disk automorphism z -> (u z + c) / (1 + conj(c) u z) with |u| = 1.
-
-    It maps 0 to ``c`` and preserves the Poincaré (and any scaled) metric.
-    """
-
-    c: complex
-    u: complex = 1.0 + 0.0j
-
-    def __post_init__(self) -> None:
-        if abs(self.c) >= 1.0:
-            raise ValueError("isometry center must lie inside the disk")
-        mu = abs(self.u)
-        if mu == 0.0:
-            raise ZeroVector("rotation factor must be nonzero")
-        object.__setattr__(self, "u", self.u / mu)
-
-    @classmethod
-    def origin_to(cls, p: DiskPoint, direction: complex = 1.0 + 0.0j) -> "MobiusIsometry":
-        """Isometry sending the origin to ``p``; ``direction`` rotates the
-        ray tanh(t/2) before translating."""
-        return cls(p.z, direction)
-
-    def apply_z(self, z: complex) -> complex:
-        return (self.u * z + self.c) / (1.0 + self.c.conjugate() * self.u * z)
-
-    def invert_z(self, w: complex) -> complex:
-        return ((w - self.c) / (1.0 - self.c.conjugate() * w)) * self.u.conjugate()
-
-    def apply(self, p: DiskPoint) -> DiskPoint:
-        return DiskPoint.from_complex(self.apply_z(p.z))
-
-    def apply_inverse(self, p: DiskPoint) -> DiskPoint:
-        return DiskPoint.from_complex(self.invert_z(p.z))
-
-    def _derivative(self, z: complex) -> complex:
-        return self.u * (1.0 - abs(self.c) ** 2) / (1.0 + self.c.conjugate() * self.u * z) ** 2
-
-    def push(self, t: Tangent) -> Tangent:
-        """Pushforward of a tangent along the map (conformal, so a complex
-        scaling of the components)."""
-        z = t.base.z
-        return Tangent.from_complex(self.apply(t.base), self._derivative(z) * t.v)
-
-    def pull(self, t: Tangent) -> Tangent:
-        """Pushforward along the inverse map."""
-        z = self.invert_z(t.base.z)
-        return Tangent.from_complex(DiskPoint.from_complex(z), t.v / self._derivative(z))
-
-
-def geodesic_from_origin(eta: complex, t: float) -> DiskPoint:
-    """Point at arclength ``t`` on the unit-speed ray from 0 toward the
-    boundary direction ``eta`` (Poincaré metric)."""
-    e = eta / abs(eta)
-    return DiskPoint.from_complex(e * math.tanh(0.5 * t))
-
-
-def ray_distance(x: DiskPoint, eta: complex, t: float) -> float:
-    """Poincaré distance from ``x`` to the ray point at arclength ``t`` toward
-    ``eta``, evaluated without forming the near-boundary point (stable for
-    large ``t``)."""
-    e = eta / abs(eta)
-    arg = (math.cosh(t) * (1.0 + x.abs2()) - 2.0 * math.sinh(t) * (e.conjugate() * x.z).real) / (
-        1.0 - x.abs2()
-    )
-    return math.acosh(max(1.0, arg))

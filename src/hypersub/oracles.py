@@ -20,8 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    ORIGIN,
-    POINCARE_DISK,
     DiskPoint,
     Manifold,
     Tangent,
@@ -185,17 +183,6 @@ def busemann_oracle(eta: complex) -> SubgradientOracle:
         return _busemann_value(e2, z), complex(g.real * c, g.imag * c)
 
     return SubgradientOracle(f"busemann:eta={format_complex(e)}", fn, disk_only=True)
-
-
-def two_busemann_value_polar(p: DiskPoint) -> float:
-    """The worked-example objective in polar form, log(1 + sinh^2 t sin^2 theta)
-    with t the Poincaré distance to the origin and theta the angle at the
-    origin to the +x direction."""
-    if p == ORIGIN:
-        return 0.0
-    t = POINCARE_DISK.distance(ORIGIN, p)
-    theta = math.atan2(p.y, p.x)
-    return math.log1p((math.sinh(t) * math.sin(theta)) ** 2)
 
 
 def two_busemann_oracle() -> SubgradientOracle:

@@ -137,27 +137,3 @@ def partial_sums(s: StepSchedule, n: int) -> tuple[float, float]:
         s2 = t
     return s1, s2
 
-
-def infer_flags(s: StepSchedule) -> dict[str, bool]:
-    """Advisory empirical classification from the partial sums of n = 10^6
-    terms and of a probe = 10^4-term head.
-
-    Non-summability is undecidable from finitely many terms; the heuristics
-    below are scale-aware (relative to lambda_0) and separate the built-in
-    families at moderate parameters (power-law exponents >= 0.6). Near the
-    alpha = 1/2 boundary no finite probe can tell the classes apart.
-
-    * diminishing: lambda_n < 1e-3 * lambda_0;
-    * non-summable: the tail sum over (probe, n] still exceeds lambda_0;
-    * square-summable: the tail of the squares over (probe, n] is below
-      lambda_0^2.
-    """
-    n, probe = 10**6, 10**4
-    lam0 = s.step(0)
-    head1, head2 = partial_sums(s, probe)
-    full1, full2 = partial_sums(s, n)
-    return {
-        "diminishing": s.step(n) < 1e-3 * lam0,
-        "nonsummable": (full1 - head1) > lam0,
-        "square_summable": (full2 - head2) < lam0 * lam0,
-    }

@@ -62,8 +62,8 @@ class SolveConfig:
             raise ConfigError("max_iters", f"must be >= 1, got {self.max_iters}")
         if self.record_every < 1:
             raise ConfigError("record_every", f"must be >= 1, got {self.record_every}")
-        if not self.stop_grad_tol >= 0.0:
-            raise ConfigError("stop_grad_tol", f"must be >= 0, got {self.stop_grad_tol}")
+        if not 0.0 <= self.stop_grad_tol < math.inf:
+            raise ConfigError("stop_grad_tol", f"must be finite and >= 0, got {self.stop_grad_tol}")
         if not self.manifold.contains(self.x0):
             raise ConfigError("x0", f"= {format_complex(self.x0.z)} lies outside the manifold carrier")
         point = self.oracle.solution_set.point

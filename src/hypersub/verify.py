@@ -803,8 +803,8 @@ def run_suite(
         raise ConfigError("--seed", f"must be >= 0, got {seed}")
     if tol is not None and any(suite.tol is None for suite in suites):
         raise ConfigError("--tol", f"is not accepted by {name}")
-    if tol is not None and not tol >= 0.0:
-        raise ConfigError("--tol", f"must be >= 0, got {tol}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ConfigError("--tol", f"must be finite and >= 0, got {tol}")
     reports: list[InequalityReport] = []
     for suite in suites:
         args = (suite.n if n is None else n, seed)

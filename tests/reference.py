@@ -34,6 +34,29 @@ def mp_busemann_limit(eta: complex, p: complex, t: float = 30.0, dps: int = 60) 
         return float(mp.acosh(1 + num / den) - t)
 
 
+def mobius(c: complex, u: complex, z: complex) -> complex:
+    """Disk automorphism z -> (u z + c) / (1 + conj(c) u z) for |c| < 1 and
+    |u| = 1; it maps 0 to c and preserves the Poincaré metric."""
+    return (u * z + c) / (1 + c.conjugate() * u * z)
+
+
+def mobius_derivative(c: complex, u: complex, z: complex) -> complex:
+    """Complex derivative of ``mobius`` at z; the map is conformal, so a
+    tangent's components are pushed forward by multiplying with it."""
+    return u * (1 - abs(c) ** 2) / (1 + c.conjugate() * u * z) ** 2
+
+
+def two_busemann_polar(p: complex) -> float:
+    """The worked-example objective in polar form, log(1 + sinh^2 t sin^2 theta),
+    with t = 2 atanh|p| the Poincaré distance to the origin and theta the
+    angle at the origin to the +x direction."""
+    if p == 0:
+        return 0.0
+    t = 2 * math.atanh(abs(p))
+    theta = math.atan2(p.imag, p.real)
+    return math.log1p((math.sinh(t) * math.sin(theta)) ** 2)
+
+
 def min_distance_to_x_axis(p: complex) -> float:
     """1-D numerical minimization of the Poincaré distance from p to the
     diameter, over the foot coordinate."""

@@ -167,6 +167,22 @@ class TestSolve:
         assert f"config error: {key} " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key,old,new",
+        [
+            ("manifold", "poincare", "scaled:kappa=inf"),
+            ("stop_grad_tol", "max_iters = 10000", "max_iters = 10000\nstop_grad_tol = inf"),
+        ],
+    )
+    def test_infinite_value_is_no_false_minimizer(self, tmp_path, capsys, key, old, new):
+        # x0 lies 3 from the ball; either value made the hinge report it as a
+        # minimizer after 0 iterations
+        text = (CONFIGS / "ball_hinge.cfg").read_text().replace(old, new)
+        code = main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("oracle", ["two-busemann", "busemann:eta=1.0+0.0i"])
     def test_disk_only_oracle_on_the_plane_is_named(self, tmp_path, capsys, oracle):
         text = GOOD.replace("poincare", "euclidean").replace("two-busemann", oracle)

@@ -16,6 +16,7 @@ from hypersub.geometry import (
 )
 from hypersub.oracles import (
     LengthMismatch,
+    SolutionSet,
     ball_hinge_oracle,
     busemann_gradient,
     busemann_oracle,
@@ -26,12 +27,11 @@ from hypersub.oracles import (
     parse_complex,
     parse_spec,
     two_busemann_oracle,
-    two_busemann_value_polar,
     weighted_sum,
 )
 from hypersub.verify import sample_point
 
-from reference import mp_busemann_limit
+from reference import mp_busemann_limit, two_busemann_polar
 
 M = POINCARE_DISK
 
@@ -132,13 +132,13 @@ class TestTwoBusemann:
     def test_polar_and_sum_forms_agree(self):
         oracle = two_busemann_oracle()
         assert oracle.value(M, DiskPoint(0.0, 0.5)) == pytest.approx(
-            two_busemann_value_polar(DiskPoint(0.0, 0.5)), abs=1e-12
+            two_busemann_polar(0.5j), abs=1e-12
         )
         rng = np.random.default_rng(26)
         for _ in range(500):
             p = sample_point(rng, 2.5)
             assert oracle.value(M, p) == pytest.approx(
-                two_busemann_value_polar(p), abs=1e-12
+                two_busemann_polar(p.z), abs=1e-12
             )
 
     def test_value_at_half_i(self):
@@ -272,6 +272,59 @@ class TestWeightedSum:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             weighted_sum([two_busemann_oracle()], [1.0, 2.0])
+
+
+class TestSolutionSet:
+    @pytest.mark.parametrize("m", [M, scaled_disk(2.0)], ids=["poincare", "scaled2"])
+    def test_closed_ball_point_outside(self, m):
+        rng = np.random.default_rng(40)
+        center = sample_point(rng, 1.0)
+        ball = SolutionSet.closed_ball(center, 0.4)
+        seen = 0
+        for _ in range(200):
+            p = sample_point(rng, 2.5)
+            d = m.distance(p, center)
+            if d <= 0.4:
+                continue
+            seen += 1
+            q = ball.nearest_point(m, p)
+            assert m.distance(q, center) == pytest.approx(0.4, abs=1e-11)
+            assert m.distance(p, q) == pytest.approx(d - 0.4, abs=1e-11)
+            assert ball.distance_to(m, p) == d - 0.4
+        assert seen > 100
+
+    def test_closed_ball_point_inside(self):
+        rng = np.random.default_rng(41)
+        center = sample_point(rng, 1.0)
+        ball = SolutionSet.closed_ball(center, 0.5)
+        for _ in range(50):
+            step = Tangent.from_complex(center, cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+            p = M.exp(center, step.scaled(rng.uniform(0.0, 0.45) / M.norm(step)))
+            assert ball.nearest_point(M, p) == p
+            assert ball.distance_to(M, p) == 0.0
+
+    def test_x_axis_is_the_projection(self):
+        axis = SolutionSet.x_axis()
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            p = sample_point(rng, 2.5)
+            assert axis.nearest_point(M, p) == M.x_axis_projection(p)
+            assert axis.distance_to(M, p) == M.distance_to_x_axis(p)
+
+    def test_single_point(self):
+        a = DiskPoint(0.3, -0.2)
+        only = SolutionSet.single_point(a)
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            p = sample_point(rng, 2.5)
+            assert only.nearest_point(M, p) == a
+            assert only.distance_to(M, p) == M.distance(p, a)
+
+    def test_unknown_set_has_no_answer(self):
+        unknown = SolutionSet.unknown()
+        p = DiskPoint(0.1, 0.2)
+        assert unknown.nearest_point(M, p) is None
+        assert unknown.distance_to(M, p) is None
 
 
 class TestRegistry:

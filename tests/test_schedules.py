@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from hypersub.schedules import (
     harmonic,
-    infer_flags,
     log_inverse,
     parse_schedule,
     partial_sums,
@@ -118,28 +117,6 @@ class TestPartialSums:
             want = fsum_partial_sums(s.fn, 5000)
             assert got[0] == pytest.approx(want[0], rel=1e-14)
             assert got[1] == pytest.approx(want[1], rel=1e-14)
-
-
-class TestEmpiricalFlags:
-    @pytest.mark.parametrize(
-        "schedule",
-        [harmonic(1.0), sqrt_harmonic(0.5), power_law(1.0, 0.75), power_law(2.0, 0.6)],
-        ids=lambda s: s.spec,
-    )
-    def test_agrees_with_declared(self, schedule):
-        inferred = infer_flags(schedule)
-        assert inferred == {
-            "diminishing": schedule.diminishing,
-            "nonsummable": schedule.nonsummable,
-            "square_summable": schedule.square_summable,
-        }
-
-    def test_log_inverse_decays_below_any_probe(self):
-        # 1/log(k+2) is diminishing but still ~0.07 at k = 10^6, so the finite
-        # probe cannot confirm the flag; the other two agree.
-        inferred = infer_flags(log_inverse(1.0))
-        assert inferred["nonsummable"] and not inferred["square_summable"]
-        assert not inferred["diminishing"]
 
 
 class TestParse:

@@ -245,6 +245,7 @@ class TestRun:
             ("oracle", {"manifold": EUCLIDEAN_PLANE}),
             ("oracle", {"manifold": EUCLIDEAN_PLANE,
                         "oracle": weighted_sum([two_busemann_oracle()], [1.0])}),
+            ("stop_grad_tol", {"stop_grad_tol": math.inf}),
         ],
     )
     def test_rejections_name_the_field(self, key, changes):

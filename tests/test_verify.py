@@ -469,6 +469,7 @@ class TestSuites:
             ("gradcheck", {"tol": -1e-9}, "--tol"),
             ("gradcheck", {"tol": math.nan}, "--tol"),
             *[(name, {"seed": -1}, "--seed") for name in [*SUITES, "all"]],
+            ("gradcheck", {"tol": math.inf}, "--tol"),
         ],
     )
     def test_library_calls_get_the_flag_checks(self, name, kwargs, key):
