@@ -99,13 +99,14 @@ def build_solve_config(entries: dict[str, str]) -> tuple[str, Path, SolveConfig]
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
-    atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace, wall_s: float) -> dict:
+def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace, wall_s: float, write_s: float) -> dict:
     """The summary of a solve. ``drift_count`` and ``min_boundary_gap``
     (smallest 1 - |z|, None on the plane) range over the recorded iterates;
-    ``wall_s`` is the wall time of run()."""
+    ``wall_s`` is the wall time of run(), ``write_s`` that of writing the
+    trace JSON and CSV."""
     steps = trace.termination.step
     if steps > 0:
         sum_lam, sum_lam_sq = partial_sums(cfg.schedule, steps - 1)
@@ -127,6 +128,7 @@ def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace, wall_s: float) -
         else min(1.0 - abs(r.z) for r in trace.records),
         "wall_s": wall_s,
         "steps_per_s": steps / wall_s,
+        "write_s": write_s,
     }
 
 
@@ -136,10 +138,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
     trace = run(cfg)
-    wall_s = time.perf_counter() - t0
+    t1 = time.perf_counter()
     write_trace_json(trace, out_dir / f"{name}.trace.json")
     write_trace_csv(trace, out_dir / f"{name}.trace.csv")
-    _atomic_json(out_dir / f"{name}.summary.json", solve_summary(name, cfg, trace, wall_s))
+    write_s = time.perf_counter() - t1
+    summary = solve_summary(name, cfg, trace, t1 - t0, write_s)
+    _atomic_json(out_dir / f"{name}.summary.json", summary)
     print(f"{name}: {trace.termination.kind} after {trace.termination.step} iterations")
     if trace.termination.kind == NUMERICAL_FAILURE:
         print(f"numerical failure: {trace.termination.reason}", file=sys.stderr)
@@ -236,7 +240,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     else:
         lines.append("all checks passed")
     report = "\n".join(lines) + "\n"
-    atomic_write(out_dir / "disk_example.report.txt", report)
+    atomic_write(out_dir / "disk_example.report.txt", [report])
     print(report, end="")
     return EXIT_REPRODUCTION if failures else EXIT_OK
 

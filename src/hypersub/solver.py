@@ -14,8 +14,9 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -46,6 +47,12 @@ SUBGRADIENT_ZERO = "subgradient-zero"
 MAX_ITERS = "max-iters"
 NUMERICAL_FAILURE = "numerical-failure"
 
+# The largest stop_grad_tol accepted. A subgradient of norm g at x gives
+# f(x) - f* <= g * d(x, S), so a larger tolerance would let a distance or
+# hinge oracle's unit-norm subgradient pass as zero and a far iterate as a
+# minimizer.
+MAX_STOP_GRAD_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -62,8 +69,10 @@ class SolveConfig:
             raise ConfigError("max_iters", f"must be >= 1, got {self.max_iters}")
         if self.record_every < 1:
             raise ConfigError("record_every", f"must be >= 1, got {self.record_every}")
-        if not 0.0 <= self.stop_grad_tol < math.inf:
-            raise ConfigError("stop_grad_tol", f"must be finite and >= 0, got {self.stop_grad_tol}")
+        if not 0.0 <= self.stop_grad_tol <= MAX_STOP_GRAD_TOL:
+            raise ConfigError(
+                "stop_grad_tol", f"must lie in [0, {MAX_STOP_GRAD_TOL}], got {self.stop_grad_tol}"
+            )
         if not self.manifold.contains(self.x0):
             raise ConfigError("x0", f"= {format_complex(self.x0.z)} lies outside the manifold carrier")
         point = self.oracle.solution_set.point
@@ -348,14 +357,16 @@ def trace_to_dict(trace: RunTrace) -> dict:
     }
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename, with
-    the permissions an ordinary open() would give (0o666 less the umask)."""
+def atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` as they are produced, through a
+    temporary file and a rename, with the permissions an ordinary open()
+    would give (0o666 less the umask). If producing a chunk raises, the
+    temporary file is removed and ``path`` keeps what it held."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         mask = os.umask(0)  # os.umask is the only portable way to read it
         os.umask(mask)
         os.chmod(tmp, 0o666 & ~mask)
@@ -388,43 +399,46 @@ def _json_nested(value, level: int) -> list[str]:
     return [json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)]
 
 
-def _json_object(members: dict[str, list[str]], level: int) -> list[str]:
+def _json_object(members: dict[str, Iterable[str]], level: int) -> Iterator[str]:
     """A JSON object ``level`` containers deep, laid out as by
     json.dumps(indent=2), from the text chunks of its member values."""
     if not members:
-        return ["{}"]
+        yield "{}"
+        return
     pad = "\n" + "  " * (level + 1)
-    chunks = ["{"]
+    sep = "{"
     for key, value in members.items():
-        chunks.append(f"{pad}{json.dumps(key)}: ")
-        chunks += value
-        chunks.append(",")
-    chunks[-1] = "\n" + "  " * level + "}"
-    return chunks
+        yield f"{sep}{pad}{json.dumps(key)}: "
+        yield from value
+        sep = ","
+    yield "\n" + "  " * level + "}"
 
 
-def _json_rows(template: str, rows: Iterable[tuple], level: int) -> list[str]:
+def _json_rows(template: str, rows: Iterable[tuple], level: int) -> Iterator[str]:
     """A JSON array ``level`` containers deep of rows of scalars; ``template``
-    lays out one row, one %s per scalar, and ends in the separator."""
+    lays out one row, one %s per scalar, after its separator."""
     s = _json_scalar
-    chunks = [template % tuple([s(v) for v in row]) for row in rows]
-    if not chunks:
-        return ["[]"]
-    chunks[-1] = chunks[-1][:-1]
-    return ["[", *chunks, "\n" + "  " * level + "]"]
+    first = True
+    for row in rows:
+        text = template % tuple([s(v) for v in row])
+        if first:
+            text, first = "[" + text[1:], False
+        yield text
+    yield "[]" if first else "\n" + "  " * level + "]"
 
 
 # The two long arrays as json.dumps(indent=2) lays them out: a record is an
 # object two containers deep, a min-gap pair a list three deep.
 _RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
-_RECORD_JSON = "\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    },"
-_PAIR_JSON = "\n      [\n        %s,\n        %s\n      ],"
+_RECORD_JSON = ",\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    }"
+_PAIR_JSON = ",\n      [\n        %s,\n        %s\n      ]"
 
 
 def write_trace_json(trace: RunTrace, path: str | Path) -> None:
     """Write the bytes of ``json.dumps(trace_to_dict(trace), indent=2)`` and
-    a newline. The records and the min-gap series go through one row template
-    each, which spares json's pure-Python indenting encoder."""
+    a newline, streamed as it is laid out. The records and the min-gap series
+    go through one row template each, which spares json's pure-Python
+    indenting encoder."""
     head = trace_to_dict(replace(trace, records=[], summary={}))
     members = {key: _json_nested(value, 1) for key, value in head.items()}
     rows = (
@@ -441,41 +455,65 @@ def write_trace_json(trace: RunTrace, path: str | Path) -> None:
         },
         1,
     )
-    atomic_write(Path(path), "".join([*_json_object(members, 0), "\n"]))
+    atomic_write(Path(path), chain(_json_object(members, 0), ["\n"]))
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
-    """Write the records as CSV_HEADER rows: floats by repr, an absent
-    distance as an empty field, the drift flag as 0 or 1."""
-    lines = [",".join(CSV_HEADER) + "\n"]
-    lines += [
+    """Write the records as CSV_HEADER rows, streamed: floats by repr, an
+    absent distance as an empty field, the drift flag as 0 or 1."""
+    rows = (
         "%d,%r,%r,%r,%r,%r,%s,%d\n"
         % (r.k, r.z.real, r.z.imag, r.f_value, r.grad_norm, r.lambda_k,
            "" if r.dist_to_s is None else repr(r.dist_to_s), r.drift)
         for r in trace.records
-    ]
-    atomic_write(Path(path), "".join(lines))
+    )
+    atomic_write(Path(path), chain([",".join(CSV_HEADER) + "\n"], rows))
+
+
+_RECORD_KEY_SET = frozenset(_RECORD_KEYS)
+
+
+def _record_from_json(obj: dict):
+    """json object_hook: an object with exactly the record keys and numeric
+    x and y becomes an IterationRecord as it is parsed; any other object stays
+    a dict."""
+    if obj.keys() == _RECORD_KEY_SET:
+        x, y = obj["x"], obj["y"]
+        if type(x) in (float, int) and type(y) in (float, int):
+            return IterationRecord(
+                obj["k"], complex(x, y), obj["f"], obj["grad_norm"], obj["lambda"],
+                obj["dist_to_s"], bool(obj["drift"]),
+            )
+    return obj
+
+
+def _record_fault(obj) -> str:
+    """What keeps a parsed record object from being an IterationRecord."""
+    if type(obj) is not dict:
+        return f"is not an object: {obj!r}"
+    missing = [key for key in _RECORD_KEYS if key not in obj]
+    if missing:
+        return f"misses key(s) {', '.join(missing)}"
+    extra = [key for key in obj if key not in _RECORD_KEY_SET]
+    if extra:
+        return f"has extra key(s) {', '.join(extra)}"
+    return f"has a non-numeric coordinate: x = {obj['x']!r}, y = {obj['y']!r}"
 
 
 def load_trace(path: str | Path) -> RunTrace:
     """Rebuild a RunTrace from its JSON file.
 
-    A record's point is read back as ``complex(x, y)``, with no disk-bound
-    check, so traces from the flat model reload cleanly.
+    Each record object becomes an IterationRecord while the text is parsed,
+    so the record dicts are never all alive at once. A record's point is read
+    back as ``complex(x, y)``, with no disk-bound check, so traces from the
+    flat model reload cleanly. A record with a missing or extra key or a
+    non-numeric coordinate raises ValueError naming its index.
     """
-    raw = json.loads(Path(path).read_text())
-    records = [
-        IterationRecord(
-            r["k"],
-            complex(r["x"], r["y"]),
-            r["f"],
-            r["grad_norm"],
-            r["lambda"],
-            r["dist_to_s"],
-            bool(r["drift"]),
-        )
-        for r in raw["records"]
-    ]
+    raw = json.loads(Path(path).read_text(), object_hook=_record_from_json)
+    records = raw["records"]
+    for i, r in enumerate(records):
+        if type(r) is not IterationRecord:
+            raise ValueError(f"{path}: record {i} {_record_fault(r)}")
     x_star = raw["x_star"]
     term = raw["termination"]
     return RunTrace(
@@ -487,4 +525,3 @@ def load_trace(path: str | Path) -> RunTrace:
         termination=Termination(term["kind"], term["step"], term["reason"]),
         summary=raw["summary"],
     )
-

@@ -134,6 +134,7 @@ class TestSolve:
         assert summary["min_boundary_gap"] == 1.0 - 0.9  # the start is the iterate nearest the circle
         assert summary["wall_s"] > 0.0
         assert summary["steps_per_s"] == summary["termination_step"] / summary["wall_s"]
+        assert list(summary)[-1] == "write_s" and summary["write_s"] > 0.0
 
     def test_summary_counts_drift_at_the_boundary(self, tmp_path):
         # The Busemann run of tests/test_golden.py that reaches the radial clamp.
@@ -181,6 +182,15 @@ class TestSolve:
         code = main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert f"config error: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unit_tolerance_is_no_false_minimizer(self, tmp_path, capsys):
+        # The hinge's subgradient has norm 1 at x0, so stop_grad_tol = 1.0
+        # reported x0, 3 from the ball, as a minimizer after 0 iterations.
+        text = (CONFIGS / "ball_hinge.cfg").read_text() + "stop_grad_tol = 1.0\n"
+        code = main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: stop_grad_tol " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("oracle", ["two-busemann", "busemann:eta=1.0+0.0i"])

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypersub.oracles import (
 )
 from hypersub.schedules import harmonic, partial_sums, sqrt_harmonic, table
 from hypersub.solver import (
+    MAX_STOP_GRAD_TOL,
     ConfigError,
     IterationRecord,
     MissingFStar,
@@ -257,6 +261,18 @@ class TestRun:
         assert exc.value.key == key
         assert str(exc.value).startswith(key)
 
+    def test_stop_grad_tol_is_capped_at_a_numerical_zero(self):
+        # The hinge's subgradient has norm 1 at x0, 3 from the ball, so
+        # stop_grad_tol = 1.0 reported x0 as a minimizer after 0 iterations.
+        fields = dict(manifold=M, oracle=ball_hinge_oracle(ORIGIN, 0.3), schedule=harmonic(1.0),
+                      x0=DiskPoint(math.tanh(1.5), 0.0), max_iters=10_000)
+        trace = run(SolveConfig(**fields, stop_grad_tol=MAX_STOP_GRAD_TOL))
+        assert trace.termination == Termination(SUBGRADIENT_ZERO, 8)
+        for tol in (math.nextafter(MAX_STOP_GRAD_TOL, math.inf), 1.0):
+            with pytest.raises(ConfigError) as exc:
+                SolveConfig(**fields, stop_grad_tol=tol)
+            assert exc.value.key == "stop_grad_tol"
+
     def test_flat_plane_takes_points_off_the_disk(self):
         anchor = DiskPoint.plane(2.0, 0.0)
         cfg = SolveConfig(EUCLIDEAN_PLANE, distance_oracle(anchor), table([0.5]),
@@ -448,3 +464,77 @@ class TestSerialization:
         write_trace_csv(run(cfg), path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[6] == ""
+
+    @pytest.mark.parametrize(
+        "value,known_min,n_records",
+        [(math.nan, 0.0, 0), (1.0, None, 5)],
+        ids=["zero-records", "no-f-star"],
+    )
+    def test_json_round_trip_of_edge_traces(self, tmp_path, value, known_min, n_records):
+        # The first value is not finite, so no record is kept; or the oracle
+        # declares no f*, so the trace has no min-gap series.
+        def fn(m, z):
+            return value, 1 + 0j
+
+        oracle = SubgradientOracle("constant", fn, known_min=known_min, solution_set=SolutionSet.unknown())
+        trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.1, 0.2), 4))
+        assert len(trace.records) == n_records
+        assert trace.summary["min_gap_series"] is None
+        path = tmp_path / "t.trace.json"
+        write_trace_json(trace, path)
+        assert load_trace(path) == trace
+
+    @pytest.mark.parametrize(
+        "edit,fault",
+        [
+            (lambda r: r.pop("lambda"), "misses key(s) lambda"),
+            (lambda r: r.update(extra=1.0), "has extra key(s) extra"),
+            (lambda r: r.update(x="0.1"), "has a non-numeric coordinate"),
+            (lambda r: r.update(y=None), "has a non-numeric coordinate"),
+            (lambda r: r.update(x=True), "has a non-numeric coordinate"),
+        ],
+        ids=["missing-key", "extra-key", "string-x", "null-y", "bool-x"],
+    )
+    def test_load_trace_names_a_faulty_record(self, tmp_path, edit, fault):
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        write_trace_json(trace, path)
+        raw = json.loads(path.read_text())
+        edit(raw["records"][3])
+        path.write_text(json.dumps(raw, indent=2))
+        with pytest.raises(ValueError, match=re.escape(f"record 3 {fault}")):
+            load_trace(path)
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """20,001 records with an f*, so the min-gap series is written too."""
+    trace = run(SolveConfig(M, distance_oracle(DiskPoint(-0.3, 0.4)), sqrt_harmonic(0.5),
+                            DiskPoint(0.1, -0.8), 20_000))
+    assert len(trace.records) == 20_001 and trace.summary["min_gap_series"] is not None
+    return trace
+
+
+@pytest.mark.parametrize("writer", [write_trace_json, write_trace_csv], ids=["json", "csv"])
+class TestStreamedWriters:
+    def test_memory_does_not_grow_with_the_records(self, long_trace, tmp_path, writer):
+        path = tmp_path / "t.trace"
+        tracemalloc.start()
+        try:
+            writer(long_trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size
+
+    def test_failure_mid_stream_keeps_the_earlier_file(self, long_trace, tmp_path, writer):
+        # Neither json nor "%d" encodes an object(); the bad record sits
+        # halfway, after the first part of the file has been written.
+        path = tmp_path / "t.trace"
+        path.write_text("earlier\n")
+        records = list(long_trace.records)
+        records[10_000] = dataclasses.replace(records[10_000], k=object(), dist_to_s=object())
+        with pytest.raises(TypeError):
+            writer(dataclasses.replace(long_trace, records=records), path)
+        assert path.read_text() == "earlier\n"
+        assert list(tmp_path.iterdir()) == [path]
