@@ -55,7 +55,6 @@ FIELD_PARSERS = {
     "schedule": parse_schedule,
     "x0": lambda text: DiskPoint.from_complex(parse_complex(text), check=False),
     "max_iters": int,
-    "stop_grad_tol": float,
     "record_every": int,
 }
 CONFIG_KEYS = {"name", "out_dir", *FIELD_PARSERS}
@@ -64,8 +63,12 @@ REQUIRED_KEYS = ("name", "manifold", "oracle", "schedule", "x0", "max_iters")
 
 def read_config(path: Path) -> dict[str, str]:
     """Flat key = value text; '#' starts a comment, unknown keys rejected."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"is not UTF-8 text: {exc}") from None
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -191,13 +194,11 @@ def reproduce_assertions(trace: RunTrace) -> list[str]:
         worst_slack = max(worst_slack, slack)
     if worst_slack > 1e-12:
         failures.append(f"per-step bound violated: worst slack = {worst_slack:.3e}")
-    n_steps = trace.records[-1].k if trace.records else 0
+    n_steps = trace.records[-1].k
     final_dist = trace.records[-1].dist_to_s
-    if n_steps > 0:
-        tail_start = max(0, n_steps - max(1, n_steps // 10))
-        bound = max(r.lambda_k for r in trace.records if r.k >= tail_start)
-    else:
-        bound = trace.records[0].lambda_k if trace.records else 0.0
+    # n_steps = 0 gives -1, which keeps the only record.
+    tail_start = n_steps - max(1, n_steps // 10)
+    bound = max(r.lambda_k for r in trace.records if r.k >= tail_start)
     if final_dist is not None and final_dist > bound:
         failures.append(
             f"final distance {final_dist:.3e} above the tail step bound {bound:.3e}"

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,11 +47,10 @@ SUBGRADIENT_ZERO = "subgradient-zero"
 MAX_ITERS = "max-iters"
 NUMERICAL_FAILURE = "numerical-failure"
 
-# The largest stop_grad_tol accepted. A subgradient of norm g at x gives
-# f(x) - f* <= g * d(x, S), so a larger tolerance would let a distance or
-# hinge oracle's unit-norm subgradient pass as zero and a far iterate as a
-# minimizer.
-MAX_STOP_GRAD_TOL = 1e-6
+# The numerical zero of the STOP rule 0 in df(x), echoed in every trace as
+# "stop_grad_tol". A subgradient of norm g at x gives f(x) - f* <= g * d(x, S),
+# so an iterate where run() stops on it is a minimizer to machine precision.
+STOP_GRAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class SolveConfig:
     schedule: StepSchedule
     x0: DiskPoint
     max_iters: int
-    stop_grad_tol: float = 1e-12
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -69,10 +67,6 @@ class SolveConfig:
             raise ConfigError("max_iters", f"must be >= 1, got {self.max_iters}")
         if self.record_every < 1:
             raise ConfigError("record_every", f"must be >= 1, got {self.record_every}")
-        if not 0.0 <= self.stop_grad_tol <= MAX_STOP_GRAD_TOL:
-            raise ConfigError(
-                "stop_grad_tol", f"must lie in [0, {MAX_STOP_GRAD_TOL}], got {self.stop_grad_tol}"
-            )
         if not self.manifold.contains(self.x0):
             raise ConfigError("x0", f"= {format_complex(self.x0.z)} lies outside the manifold carrier")
         point = self.oracle.solution_set.point
@@ -123,27 +117,16 @@ class RunTrace:
 def build_summary(records: list[IterationRecord], f_star: float | None) -> dict:
     """Summary statistics over the recorded iterates, stored in the trace
     (``load_trace`` reads them back rather than recomputing them)."""
-    if not records:
-        return {
-            "best_value": None,
-            "best_gap": None,
-            "final_dist_to_s": None,
-            "min_gap_series": None,
-        }
-    best = min(r.f_value for r in records)
+    best = min((r.f_value for r in records), default=None)
     summary: dict = {
         "best_value": best,
-        "best_gap": None if f_star is None else best - f_star,
-        "final_dist_to_s": records[-1].dist_to_s,
+        "best_gap": None if f_star is None or best is None else best - f_star,
+        "final_dist_to_s": records[-1].dist_to_s if records else None,
         "min_gap_series": None,
     }
-    if f_star is not None:
-        running = math.inf
-        series = []
-        for r in records:
-            running = min(running, r.f_value - f_star)
-            series.append([r.k, running])
-        summary["min_gap_series"] = series
+    if f_star is not None and records:
+        running = accumulate((r.f_value - f_star for r in records), min)
+        summary["min_gap_series"] = [[r.k, gap] for r, gap in zip(records, running)]
     return summary
 
 
@@ -154,7 +137,7 @@ def config_echo(cfg: SolveConfig) -> dict:
         "schedule": cfg.schedule.spec,
         "x0": format_complex(cfg.x0.z),
         "max_iters": cfg.max_iters,
-        "stop_grad_tol": cfg.stop_grad_tol,
+        "stop_grad_tol": STOP_GRAD_TOL,
         "record_every": cfg.record_every,
     }
 
@@ -179,7 +162,7 @@ def run(cfg: SolveConfig) -> RunTrace:
     # The loop runs on complex points and subgradient components; z stays
     # finite because exp_z raises on a non-finite endpoint.
     fn, step, norm_z, exp_z = oracle.fn, cfg.schedule.step, m.norm_z, m.exp_z
-    stop_grad_tol, max_iters, record_every = cfg.stop_grad_tol, cfg.max_iters, cfg.record_every
+    stop_grad_tol, max_iters, record_every = STOP_GRAD_TOL, cfg.max_iters, cfg.record_every
     isfinite = math.isfinite
     z = cfg.x0.z
     drift_in = False
@@ -280,20 +263,14 @@ def complexity_bound_report(
     kappa = trace.config["manifold"]["kappa"]
     d0sq = trace.dist_x0_to_solution ** 2
 
-    # Cumulative step sums at the recorded indices, sharing one pass.
-    s1s: list[float] = []
-    s2s: list[float] = []
-    s1 = s2 = 0.0
-    next_k = 0
-    for r in trace.records:
-        while next_k <= r.k:
-            lam = schedule.step(next_k)
-            s1 += lam
-            s2 += lam * lam
-            next_k += 1
-        s1s.append(s1)
-        s2s.append(s2)
-    sl, sq = np.array(s1s), np.array(s2s)
+    # Step sums up to each recorded k; np.cumsum adds left to right, as a running
+    # sum does. Squaring in place keeps at most two arrays of n steps alive.
+    ks = [r.k for r in trace.records]
+    n = ks[-1] + 1 if ks else 0
+    lams = np.fromiter(map(schedule.step, range(n)), float, n)
+    sl = np.cumsum(lams)[ks]
+    lams *= lams
+    sq = np.cumsum(lams)[ks]
     gaps = [g for _, g in min_gap_series(trace)]
     gaps_arr = np.array(gaps)
 
@@ -303,22 +280,18 @@ def complexity_bound_report(
 
     vals = rhs(a, b)
     oks = gaps_arr <= vals
-    rows = list(zip([r.k for r in trace.records], gaps, vals.tolist(), oks.tolist()))
+    rows = list(zip(ks, gaps, vals.tolist(), oks.tolist()))
 
     grid = [10.0 ** e for e in range(-3, 5)]
-    fit: tuple[float, float] | None = None
-    for ca in grid:
-        for cb in grid:
-            if np.all(gaps_arr <= rhs(ca, cb)):
-                if fit is None or (ca + cb, ca) < (fit[0] + fit[1], fit[0]):
-                    fit = (ca, cb)
+    passing = [(ca + cb, ca, cb) for ca in grid for cb in grid if np.all(gaps_arr <= rhs(ca, cb))]
+    _, fit_a, fit_b = min(passing, default=(None, None, None))
     return ComplexityReport(
         a=a,
         b=b,
         rows=rows,
         satisfied_all=bool(oks.all()),
-        fit_a=None if fit is None else fit[0],
-        fit_b=None if fit is None else fit[1],
+        fit_a=fit_a,
+        fit_b=fit_b,
     )
 
 
@@ -394,26 +367,6 @@ def _json_scalar(v) -> str:
     return json.dumps(v)
 
 
-def _json_nested(value, level: int) -> list[str]:
-    """json.dumps(value, indent=2) as it reads ``level`` containers deep."""
-    return [json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)]
-
-
-def _json_object(members: dict[str, Iterable[str]], level: int) -> Iterator[str]:
-    """A JSON object ``level`` containers deep, laid out as by
-    json.dumps(indent=2), from the text chunks of its member values."""
-    if not members:
-        yield "{}"
-        return
-    pad = "\n" + "  " * (level + 1)
-    sep = "{"
-    for key, value in members.items():
-        yield f"{sep}{pad}{json.dumps(key)}: "
-        yield from value
-        sep = ","
-    yield "\n" + "  " * level + "}"
-
-
 def _json_rows(template: str, rows: Iterable[tuple], level: int) -> Iterator[str]:
     """A JSON array ``level`` containers deep of rows of scalars; ``template``
     lays out one row, one %s per scalar, after its separator."""
@@ -432,30 +385,31 @@ def _json_rows(template: str, rows: Iterable[tuple], level: int) -> Iterator[str
 _RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
 _RECORD_JSON = ",\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    }"
 _PAIR_JSON = ",\n      [\n        %s,\n        %s\n      ]"
+_RECORDS_AT = '\n  "records": []'
+_SERIES_AT = '\n    "min_gap_series": []'
 
 
 def write_trace_json(trace: RunTrace, path: str | Path) -> None:
     """Write the bytes of ``json.dumps(trace_to_dict(trace), indent=2)`` and
-    a newline, streamed as it is laid out. The records and the min-gap series
-    go through one row template each, which spares json's pure-Python
-    indenting encoder."""
-    head = trace_to_dict(replace(trace, records=[], summary={}))
-    members = {key: _json_nested(value, 1) for key, value in head.items()}
+    a newline. json.dumps lays out the trace with both long arrays empty; the
+    records and the min-gap series are streamed into it through one row
+    template each, which spares json's pure-Python indenting encoder."""
+    series = trace.summary.get("min_gap_series")
+    summary = {**trace.summary, "min_gap_series": []} if series else trace.summary
+    text = json.dumps(trace_to_dict(replace(trace, records=[], summary=summary)), indent=2)
     rows = (
         (r.k, r.z.real, r.z.imag, r.f_value, r.grad_norm, r.lambda_k, r.dist_to_s, r.drift)
         for r in trace.records
     )
-    members["records"] = _json_rows(_RECORD_JSON, rows, 1)
-    members["summary"] = _json_object(
-        {
-            key: _json_rows(_PAIR_JSON, value, 2)
-            if key == "min_gap_series" and value is not None
-            else _json_nested(value, 2)
-            for key, value in trace.summary.items()
-        },
-        1,
-    )
-    atomic_write(Path(path), chain(_json_object(members, 0), ["\n"]))
+    # Each marker occurs once: it starts with a newline, which json.dumps never
+    # writes raw inside a string, and at its indent the only "records" is the
+    # top-level member and the only "min_gap_series" after it the summary's.
+    head, tail = text.split(_RECORDS_AT)
+    chunks = [[head + _RECORDS_AT[:-2]], _json_rows(_RECORD_JSON, rows, 1)]
+    if series:
+        head, tail = tail.split(_SERIES_AT)
+        chunks += [[head + _SERIES_AT[:-2]], _json_rows(_PAIR_JSON, series, 2)]
+    atomic_write(Path(path), chain(*chunks, [tail + "\n"]))
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:

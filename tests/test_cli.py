@@ -186,11 +186,19 @@ class TestSolve:
 
     def test_unit_tolerance_is_no_false_minimizer(self, tmp_path, capsys):
         # The hinge's subgradient has norm 1 at x0, so stop_grad_tol = 1.0
-        # reported x0, 3 from the ball, as a minimizer after 0 iterations.
+        # reported x0, 3 from the ball, as a minimizer after 0 iterations. The
+        # threshold is the constant STOP_GRAD_TOL, so the key is rejected.
         text = (CONFIGS / "ball_hinge.cfg").read_text() + "stop_grad_tol = 1.0\n"
         code = main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert "config error: stop_grad_tol " in capsys.readouterr().err
+        assert "config error: stop_grad_tol is not a config key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"name = x\xff\nmanifold = poincare\n")
+        assert main(["solve", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"config error: {path} is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("oracle", ["two-busemann", "busemann:eta=1.0+0.0i"])

@@ -196,6 +196,23 @@ def with_odd_scalars():
     return replace(trace, records=[trace.records[0], odd, *trace.records[2:]])
 
 
+# The texts write_trace_json splits its json.dumps text at, newline and indent
+# included, inside strings.
+MARKERS = 'x\n  "records": []\n    "min_gap_series": []'
+
+
+def with_marker_texts():
+    oracle = replace(constant(1.0, 0.0, SolutionSet.single_point(DiskPoint(0.0, 0.0))), name=MARKERS)
+    trace = short_run(oracle)
+    return replace(trace, termination=Termination("numerical-failure", 2, MARKERS))
+
+
+def with_summary(change):
+    trace = short_run(constant(1.0, 0.0, SolutionSet.single_point(DiskPoint(0.0, 0.0))))
+    assert trace.summary["min_gap_series"]
+    return replace(trace, summary=change(trace.summary))
+
+
 EDGE_TRACES = {
     # The first evaluation is not finite, so no record is kept.
     "zero_records": lambda: short_run(constant(math.nan)),
@@ -206,6 +223,11 @@ EDGE_TRACES = {
         termination=Termination("numerical-failure", 2, 'step "failed": \u03bb \u2192 0\\n\u00e9\n'),
     ),
     "non_finite_and_float_subclass": with_odd_scalars,
+    "marker_texts": with_marker_texts,
+    "summary_without_series_key": lambda: with_summary(
+        lambda summary: {k: v for k, v in summary.items() if k != "min_gap_series"}
+    ),
+    "empty_series": lambda: with_summary(lambda summary: {**summary, "min_gap_series": []}),
 }
 
 

@@ -18,13 +18,14 @@ from hypersub.oracles import (
     SolutionSet,
     SubgradientOracle,
     ball_hinge_oracle,
+    busemann_oracle,
     distance_oracle,
     two_busemann_oracle,
     weighted_sum,
 )
 from hypersub.schedules import harmonic, partial_sums, sqrt_harmonic, table
 from hypersub.solver import (
-    MAX_STOP_GRAD_TOL,
+    STOP_GRAD_TOL,
     ConfigError,
     IterationRecord,
     MissingFStar,
@@ -241,15 +242,14 @@ class TestRun:
         [
             ("max_iters", {"max_iters": 0}),
             ("record_every", {"record_every": 0}),
-            ("stop_grad_tol", {"stop_grad_tol": -1e-9}),
-            ("stop_grad_tol", {"stop_grad_tol": math.nan}),
+            ("x0", {"x0": DiskPoint.plane(1.0, 0.0)}),  # on the circle, not in the open disk
+            ("oracle", {"manifold": EUCLIDEAN_PLANE, "oracle": busemann_oracle(1 + 0j)}),
             ("x0", {"x0": DiskPoint.plane(0.0, 1.5)}),
             ("oracle", {"oracle": distance_oracle(DiskPoint.plane(2.0, 0.0))}),
             ("oracle", {"oracle": ball_hinge_oracle(DiskPoint.plane(0.0, -1.0), 0.3)}),
             ("oracle", {"manifold": EUCLIDEAN_PLANE}),
             ("oracle", {"manifold": EUCLIDEAN_PLANE,
                         "oracle": weighted_sum([two_busemann_oracle()], [1.0])}),
-            ("stop_grad_tol", {"stop_grad_tol": math.inf}),
         ],
     )
     def test_rejections_name_the_field(self, key, changes):
@@ -261,17 +261,16 @@ class TestRun:
         assert exc.value.key == key
         assert str(exc.value).startswith(key)
 
-    def test_stop_grad_tol_is_capped_at_a_numerical_zero(self):
-        # The hinge's subgradient has norm 1 at x0, 3 from the ball, so
-        # stop_grad_tol = 1.0 reported x0 as a minimizer after 0 iterations.
+    def test_stop_threshold_is_a_constant(self):
+        # x0 lies 3 from the center; the hinge's subgradient has norm 1
+        # outside the ball and 0 inside it, which the iterate enters at k = 8.
         fields = dict(manifold=M, oracle=ball_hinge_oracle(ORIGIN, 0.3), schedule=harmonic(1.0),
                       x0=DiskPoint(math.tanh(1.5), 0.0), max_iters=10_000)
-        trace = run(SolveConfig(**fields, stop_grad_tol=MAX_STOP_GRAD_TOL))
+        trace = run(SolveConfig(**fields))
         assert trace.termination == Termination(SUBGRADIENT_ZERO, 8)
-        for tol in (math.nextafter(MAX_STOP_GRAD_TOL, math.inf), 1.0):
-            with pytest.raises(ConfigError) as exc:
-                SolveConfig(**fields, stop_grad_tol=tol)
-            assert exc.value.key == "stop_grad_tol"
+        assert trace.config["stop_grad_tol"] == STOP_GRAD_TOL == 1e-12
+        with pytest.raises(TypeError):
+            SolveConfig(**fields, stop_grad_tol=STOP_GRAD_TOL)
 
     def test_flat_plane_takes_points_off_the_disk(self):
         anchor = DiskPoint.plane(2.0, 0.0)
