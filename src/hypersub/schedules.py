@@ -1,8 +1,8 @@
 """Step-size sequences with declared analytic class.
 
 The convergence statements need diminishing, non-summable steps; some also
-need square-summability. Each built-in family carries the true flags of its
-closed form, checked at construction.
+need square-summability. Each built-in family declares the true flags of its
+closed form.
 """
 
 from __future__ import annotations
@@ -119,21 +119,9 @@ def parse_schedule(spec: str) -> StepSchedule:
 
 
 def partial_sums(s: StepSchedule, n: int) -> tuple[float, float]:
-    """Kahan-compensated (sum of lambda_k, sum of lambda_k^2) for k = 0..n."""
+    """(sum of lambda_k, sum of lambda_k^2) for k = 0..n, each correctly
+    rounded by math.fsum."""
     if n < 0:
         raise ValueError("partial sum index must be >= 0")
-    s1 = c1 = 0.0
-    s2 = c2 = 0.0
-    fn = s.fn
-    for k in range(n + 1):
-        lam = fn(k)
-        y = lam - c1
-        t = s1 + y
-        c1 = (t - s1) - y
-        s1 = t
-        y = lam * lam - c2
-        t = s2 + y
-        c2 = (t - s2) - y
-        s2 = t
-    return s1, s2
-
+    lams = [s.fn(k) for k in range(n + 1)]
+    return math.fsum(lams), math.fsum(lam * lam for lam in lams)

@@ -115,19 +115,16 @@ class RunTrace:
 
 
 def build_summary(records: list[IterationRecord], f_star: float | None) -> dict:
-    """Summary statistics over the recorded iterates, stored in the trace
-    (``load_trace`` reads them back rather than recomputing them)."""
+    """The best value, its gap to f* and the last distance to S over the
+    recorded iterates, stored in the trace (``load_trace`` reads them back
+    rather than recomputing them). The min-gap series is not stored; see
+    ``min_gap_series``."""
     best = min((r.f_value for r in records), default=None)
-    summary: dict = {
+    return {
         "best_value": best,
         "best_gap": None if f_star is None or best is None else best - f_star,
         "final_dist_to_s": records[-1].dist_to_s if records else None,
-        "min_gap_series": None,
     }
-    if f_star is not None and records:
-        running = accumulate((r.f_value - f_star for r in records), min)
-        summary["min_gap_series"] = [[r.k, gap] for r, gap in zip(records, running)]
-    return summary
 
 
 def config_echo(cfg: SolveConfig) -> dict:
@@ -217,11 +214,14 @@ def run(cfg: SolveConfig) -> RunTrace:
 
 
 def min_gap_series(trace: RunTrace) -> list[tuple[int, float]]:
-    """Running minimum of f(x^k) - f* over the recorded iterates, as
-    computed by build_summary."""
-    if trace.f_star is None:
+    """Running minimum of f(x^k) - f* over the recorded iterates, as (k, gap)
+    pairs, computed from the records on each call; empty when there are none."""
+    f_star = trace.f_star
+    if f_star is None:
         raise MissingFStar("the oracle did not declare its minimum value")
-    return [(k, gap) for k, gap in trace.summary["min_gap_series"] or []]
+    records = trace.records
+    running = accumulate((r.f_value - f_star for r in records), min)
+    return [(r.k, gap) for r, gap in zip(records, running)]
 
 
 @dataclass(frozen=True)
@@ -367,49 +367,41 @@ def _json_scalar(v) -> str:
     return json.dumps(v)
 
 
-def _json_rows(template: str, rows: Iterable[tuple], level: int) -> Iterator[str]:
-    """A JSON array ``level`` containers deep of rows of scalars; ``template``
-    lays out one row, one %s per scalar, after its separator."""
+# One record as json.dumps(indent=2) lays it out, an object two containers deep,
+# after its separator.
+_RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
+_RECORD_JSON = ",\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    }"
+_RECORDS_AT = '\n  "records": []'
+
+
+def _json_records(trace: RunTrace) -> Iterator[str]:
+    """The records array as json.dumps(indent=2) lays it out, as a member of
+    the top-level object, row by row."""
     s = _json_scalar
     first = True
-    for row in rows:
-        text = template % tuple([s(v) for v in row])
+    for r in trace.records:
+        z = r.z
+        text = _RECORD_JSON % (
+            s(r.k), s(z.real), s(z.imag), s(r.f_value),
+            s(r.grad_norm), s(r.lambda_k), s(r.dist_to_s), s(r.drift),
+        )
         if first:
             text, first = "[" + text[1:], False
         yield text
-    yield "[]" if first else "\n" + "  " * level + "]"
-
-
-# The two long arrays as json.dumps(indent=2) lays them out: a record is an
-# object two containers deep, a min-gap pair a list three deep.
-_RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
-_RECORD_JSON = ",\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    }"
-_PAIR_JSON = ",\n      [\n        %s,\n        %s\n      ]"
-_RECORDS_AT = '\n  "records": []'
-_SERIES_AT = '\n    "min_gap_series": []'
+    yield "[]" if first else "\n  ]"
 
 
 def write_trace_json(trace: RunTrace, path: str | Path) -> None:
     """Write the bytes of ``json.dumps(trace_to_dict(trace), indent=2)`` and
-    a newline. json.dumps lays out the trace with both long arrays empty; the
-    records and the min-gap series are streamed into it through one row
-    template each, which spares json's pure-Python indenting encoder."""
-    series = trace.summary.get("min_gap_series")
-    summary = {**trace.summary, "min_gap_series": []} if series else trace.summary
-    text = json.dumps(trace_to_dict(replace(trace, records=[], summary=summary)), indent=2)
-    rows = (
-        (r.k, r.z.real, r.z.imag, r.f_value, r.grad_norm, r.lambda_k, r.dist_to_s, r.drift)
-        for r in trace.records
-    )
-    # Each marker occurs once: it starts with a newline, which json.dumps never
+    a newline. json.dumps lays out the trace with the records empty; the
+    records are streamed into it through one row template, which spares
+    json's pure-Python indenting encoder."""
+    text = json.dumps(trace_to_dict(replace(trace, records=[])), indent=2)
+    # The marker occurs once: it starts with a newline, which json.dumps never
     # writes raw inside a string, and at its indent the only "records" is the
-    # top-level member and the only "min_gap_series" after it the summary's.
+    # top-level member.
     head, tail = text.split(_RECORDS_AT)
-    chunks = [[head + _RECORDS_AT[:-2]], _json_rows(_RECORD_JSON, rows, 1)]
-    if series:
-        head, tail = tail.split(_SERIES_AT)
-        chunks += [[head + _SERIES_AT[:-2]], _json_rows(_PAIR_JSON, series, 2)]
-    atomic_write(Path(path), chain(*chunks, [tail + "\n"]))
+    atomic_write(Path(path), chain([head + _RECORDS_AT[:-2]], _json_records(trace), [tail + "\n"]))
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,6 +264,18 @@ class TestSolve:
 
 
 class TestVerify:
+    def test_runs_as_a_module(self, tmp_path):
+        # python -m hypersub.cli runs the command, as the console script does.
+        path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        report = tmp_path / "r.json"
+        cmd = [sys.executable, "-m", "hypersub.cli", "verify", "gradcheck", "--n", "10"]
+        done = subprocess.run([*cmd, "--report", str(report)], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(report.read_text())["suite"] == "gradcheck"
+        done = subprocess.run([*cmd, "--seed", "-1"], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 2
+
     def test_gradcheck_passes(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         code = main(["verify", "gradcheck", "--n", "200", "--report", str(report)])

@@ -38,6 +38,8 @@ from hypersub.solver import (
     SolveConfig,
     Termination,
     complexity_bound_report,
+    load_trace,
+    min_gap_series,
     run,
     trace_to_dict,
     write_trace_csv,
@@ -143,14 +145,24 @@ def written(write, trace, tmp_path) -> bytes:
     return path.read_bytes()
 
 
+def with_stored_series(trace):
+    """The trace in the earlier layout the digests were recorded in, which
+    stored the min-gap series as the summary's last key: [k, gap] pairs, or
+    None without an f* or a record."""
+    series = None
+    if trace.f_star is not None and trace.records:
+        series = [[k, gap] for k, gap in min_gap_series(trace)]
+    return replace(trace, summary={**trace.summary, "min_gap_series": series})
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_is_byte_identical(name, tmp_path):
     trace = traced(name)
-    text = json.dumps(trace_to_dict(trace), indent=2)
+    assert "min_gap_series" not in trace.summary
+    text = json.dumps(trace_to_dict(with_stored_series(trace)), indent=2)
     assert sha256(text.encode()) == DIGESTS[name]
     data = written(write_trace_json, trace, tmp_path)
-    assert data.endswith(b"\n")
-    assert sha256(data[:-1]) == DIGESTS[name]
+    assert data == (json.dumps(trace_to_dict(trace), indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -207,12 +219,6 @@ def with_marker_texts():
     return replace(trace, termination=Termination("numerical-failure", 2, MARKERS))
 
 
-def with_summary(change):
-    trace = short_run(constant(1.0, 0.0, SolutionSet.single_point(DiskPoint(0.0, 0.0))))
-    assert trace.summary["min_gap_series"]
-    return replace(trace, summary=change(trace.summary))
-
-
 EDGE_TRACES = {
     # The first evaluation is not finite, so no record is kept.
     "zero_records": lambda: short_run(constant(math.nan)),
@@ -224,10 +230,9 @@ EDGE_TRACES = {
     ),
     "non_finite_and_float_subclass": with_odd_scalars,
     "marker_texts": with_marker_texts,
-    "summary_without_series_key": lambda: with_summary(
-        lambda summary: {k: v for k, v in summary.items() if k != "min_gap_series"}
+    "stored_series": lambda: with_stored_series(
+        short_run(constant(1.0, 0.0, SolutionSet.single_point(DiskPoint(0.0, 0.0))))
     ),
-    "empty_series": lambda: with_summary(lambda summary: {**summary, "min_gap_series": []}),
 }
 
 
@@ -236,3 +241,15 @@ def test_json_writer_matches_json_dumps(name, tmp_path):
     trace = EDGE_TRACES[name]()
     expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     assert written(write_trace_json, trace, tmp_path) == expected.encode()
+
+
+def test_trace_in_the_earlier_layout_loads(tmp_path):
+    # The file as it was written while the summary stored the min-gap series.
+    path = tmp_path / "old.trace.json"
+    path.write_text(json.dumps(trace_to_dict(with_stored_series(traced("disk_example_1e4"))), indent=2) + "\n")
+    assert sha256(path.read_bytes()[:-1]) == DIGESTS["disk_example_1e4"]
+    loaded = load_trace(path)
+    assert loaded.records == traced("disk_example_1e4").records
+    assert [list(pair) for pair in min_gap_series(loaded)] == loaded.summary["min_gap_series"]
+    expected = json.dumps(trace_to_dict(loaded), indent=2) + "\n"
+    assert written(write_trace_json, loaded, tmp_path) == expected.encode()

@@ -320,7 +320,7 @@ class TestMinGapSeries:
 
         oracle = SubgradientOracle("nan", fn, known_min=0.0)
         trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.2, 0.0), 5))
-        assert trace.records == [] and trace.summary["min_gap_series"] is None
+        assert trace.records == [] and "min_gap_series" not in trace.summary
         assert min_gap_series(trace) == []
 
     def test_constant_oracle_gives_all_zeros(self):
@@ -478,7 +478,12 @@ class TestSerialization:
         oracle = SubgradientOracle("constant", fn, known_min=known_min, solution_set=SolutionSet.unknown())
         trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.1, 0.2), 4))
         assert len(trace.records) == n_records
-        assert trace.summary["min_gap_series"] is None
+        assert "min_gap_series" not in trace.summary
+        if known_min is None:
+            with pytest.raises(MissingFStar):
+                min_gap_series(trace)
+        else:
+            assert min_gap_series(trace) == []
         path = tmp_path / "t.trace.json"
         write_trace_json(trace, path)
         assert load_trace(path) == trace
@@ -507,10 +512,11 @@ class TestSerialization:
 
 @pytest.fixture(scope="module")
 def long_trace():
-    """20,001 records with an f*, so the min-gap series is written too."""
+    """20,001 records with an f*."""
     trace = run(SolveConfig(M, distance_oracle(DiskPoint(-0.3, 0.4)), sqrt_harmonic(0.5),
                             DiskPoint(0.1, -0.8), 20_000))
-    assert len(trace.records) == 20_001 and trace.summary["min_gap_series"] is not None
+    assert len(trace.records) == 20_001 and "min_gap_series" not in trace.summary
+    assert len(min_gap_series(trace)) == 20_001
     return trace
 
 
