@@ -149,9 +149,9 @@ class Manifold:
     # v = vx + i vy as complex numbers; the solver and the oracles call them.
 
     def distance_log_z(self, p: complex, q: complex) -> tuple[float, complex]:
-        """``(distance_z(p, q), log_z(p, q))``, forming q - p and
-        1 - conj(p) q once. The distance takes the modulus ratio and the log
-        the modulus of the complex quotient; each keeps its own rounding."""
+        """``distance_z(p, q)`` and the components of ``log(p, q)``, forming
+        q - p and 1 - conj(p) q once. The distance takes the modulus ratio and
+        the log the modulus of the complex quotient; each keeps its own rounding."""
         dq = q - p
         if self.flat:
             return abs(dq), dq
@@ -244,25 +244,18 @@ class Manifold:
             return w * (BOUNDARY_CLAMP / a), True
         return w, False
 
-    def exp_with_drift(self, p: DiskPoint, v: Tangent) -> tuple[DiskPoint, bool]:
+    def exp(self, p: DiskPoint, v: Tangent) -> DiskPoint:
         """``exp_z`` on a DiskPoint and a Tangent based there; a zero tangent returns ``p`` itself."""
         if v.base != p:
             raise ValueError("tangent is not based at p")
         if v.is_zero():
-            return p, False
-        w, drifted = self.exp_z(p.z, v.v)
-        return DiskPoint.from_complex(w, check=not self.flat), drifted
-
-    def exp(self, p: DiskPoint, v: Tangent) -> DiskPoint:
-        return self.exp_with_drift(p, v)[0]
-
-    def log_z(self, p: complex, q: complex) -> complex:
-        """Components of the tangent at ``p`` with ``exp(p, log(p, q)) = q``
-        and manifold norm equal to ``distance(p, q)``."""
-        return self.distance_log_z(p, q)[1]
+            return p
+        return DiskPoint.from_complex(self.exp_z(p.z, v.v)[0], check=not self.flat)
 
     def log(self, p: DiskPoint, q: DiskPoint) -> Tangent:
-        return Tangent.from_complex(p, self.log_z(p.z, q.z))
+        """The tangent at ``p`` with ``exp(p, log(p, q)) = q`` and manifold
+        norm equal to ``distance(p, q)``."""
+        return Tangent.from_complex(p, self.distance_log_z(p.z, q.z)[1])
 
     # -- derived quantities --------------------------------------------------
 

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    ORIGIN,
     DiskPoint,
     Manifold,
     Tangent,
@@ -41,10 +42,10 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Where the minimizers are, when that is known in closed form."""
+    """Where the minimizers S are, when that is known in closed form."""
 
     kind: str
-    point: DiskPoint | None = None
+    point: DiskPoint | None = None  # a point of S; the origin on the x-axis
     radius: float = 0.0
 
     @classmethod
@@ -53,7 +54,7 @@ class SolutionSet:
 
     @classmethod
     def x_axis(cls) -> "SolutionSet":
-        return cls(X_AXIS)
+        return cls(X_AXIS, ORIGIN)
 
     @classmethod
     def closed_ball(cls, center: DiskPoint, radius: float) -> "SolutionSet":

@@ -116,9 +116,9 @@ class RunTrace:
 
 def build_summary(records: list[IterationRecord], f_star: float | None) -> dict:
     """The best value, its gap to f* and the last distance to S over the
-    recorded iterates, stored in the trace (``load_trace`` reads them back
-    rather than recomputing them). The min-gap series is not stored; see
-    ``min_gap_series``."""
+    recorded iterates: the trace's summary, which ``run`` builds and
+    ``load_trace`` rebuilds from the records it reads. The min-gap series is
+    not stored; see ``min_gap_series``."""
     best = min((r.f_value for r in records), default=None)
     return {
         "best_value": best,
@@ -469,5 +469,5 @@ def load_trace(path: str | Path) -> RunTrace:
         dist_x0_to_solution=raw["dist_x0_to_solution"],
         records=records,
         termination=Termination(term["kind"], term["step"], term["reason"]),
-        summary=raw["summary"],
+        summary=build_summary(records, raw["f_star"]),
     )

@@ -6,7 +6,8 @@ streams are chunked with per-chunk seeds.
 
 The scalar margins (``law_of_cosines_margin``, ``key_theorem_margin``) are
 the reference; the bundled suites evaluate whole chunks at once with their
-array twins, built on the array forms in ``geometry`` and ``oracles``.
+array twins, built on the array forms in ``geometry`` and ``oracles``. Only
+the array key-theorem suite certifies the ball hypothesis on a finite net.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .geometry import (
     POINCARE_DISK,
     DiskPoint,
     Manifold,
-    Tangent,
     abs2,
     angle_array,
     distance_array,
@@ -217,55 +217,39 @@ class KeyConfig:
 
 
 def _ball_net(
-    m: Manifold,
     center: complex | np.ndarray,
     radius: float | np.ndarray,
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Area-uniform net of n points of the closed ball B[center, radius], the
-    center first, as a complex array along the last axis.
+    """Area-uniform net of n points of the Poincaré-disk ball B[center, radius],
+    the center first, as a complex array along the last axis.
 
     ``center`` and ``radius`` broadcast, giving one net per ball.
     """
-    if m.flat:
-        raise ValueError("ball nets are drawn on disk models only")
     center = np.asarray(center, dtype=complex)[..., None]
     radius = np.asarray(radius, dtype=float)[..., None]
     shape = np.broadcast_shapes(center.shape, radius.shape)[:-1] + (n - 1,)
-    # Radius in unscaled-disk units: the scaled metric shortens distances by
-    # kappa and the tangent norm by the same factor, so kappa cancels below.
-    t = np.arccosh(1.0 + rng.random(shape) * (np.cosh(m.kappa * radius) - 1.0))
+    t = np.arccosh(1.0 + rng.random(shape) * (np.cosh(radius) - 1.0))
     direction = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
     pts = exp_array(center, direction * (0.5 * t * (1.0 - abs2(center))))
     return np.concatenate([np.broadcast_to(center, shape[:-1] + (1,)), pts], axis=-1)
 
 
-def key_theorem_margin(
-    cfg: KeyConfig,
-    analytic_sup: float | None = None,
-    net_points: int = 1000,
-    net_rng: np.random.Generator | None = None,
-) -> float:
+def key_theorem_margin(cfg: KeyConfig, analytic_sup: float) -> float:
     """Margin of the contraction inequality for one verified configuration.
 
-    The ball hypothesis is certified either analytically (the caller supplies
-    sup f over B[xbar, delta]) or by a finite net, which is necessary but not
-    sufficient; HypothesisUnverified is raised when the check fails.
+    The ball hypothesis is certified by ``analytic_sup``, the caller's closed
+    form of sup f over B[xbar, delta]; HypothesisUnverified is raised when a
+    hypothesis fails.
     """
     m = cfg.manifold
     fx, g = cfg.oracle.evaluate(m, cfg.x)
     d_xbar = m.distance(cfg.x, cfg.xbar)
     if d_xbar < 2.0 * cfg.delta * (1.0 - 1e-12):
         raise HypothesisUnverified(f"d(x, xbar) = {d_xbar} < 2 delta = {2 * cfg.delta}")
-    if analytic_sup is not None:
-        if not analytic_sup < fx:
-            raise HypothesisUnverified(f"sup f on the ball = {analytic_sup} >= f(x) = {fx}")
-    else:
-        rng = net_rng if net_rng is not None else np.random.default_rng(0)
-        for u in _ball_net(m, cfg.xbar.z, cfg.delta, net_points, rng):
-            if not cfg.oracle.value(m, DiskPoint.from_complex(u)) < fx:
-                raise HypothesisUnverified(f"f({u}) >= f(x) on the sampled net")
+    if not analytic_sup < fx:
+        raise HypothesisUnverified(f"sup f on the ball = {analytic_sup} >= f(x) = {fx}")
     gn = m.norm(g)
     if gn == 0.0:
         raise HypothesisUnverified("zero subgradient: x is already optimal")
@@ -378,8 +362,8 @@ def sublevel_boundedness_check(
     n_rays: int,
     seed: int = 0,
 ) -> tuple["InequalityReport", list[RayWitness]]:
-    """Certify along n_rays rays from the oracle's solution point that f
-    eventually exceeds ``a``.
+    """Certify along n_rays rays from ``oracle.solution_set.point``, a point of
+    S, that f eventually exceeds ``a``.
 
     Each ray either yields a witness radius (refined to RAY_REFINE_TOL) or is
     flagged; flagged rays count as violations and indicate an unbounded
@@ -388,17 +372,14 @@ def sublevel_boundedness_check(
     bound on the sublevel set.
     """
     t0 = time.perf_counter()
-    sset = oracle.solution_set
-    if sset.kind in ("single-point", "closed-ball"):
-        center = sset.point
-    elif sset.kind == "x-axis":
-        center = ORIGIN
-    else:
+    center = oracle.solution_set.point
+    if center is None:
         raise ValueError("oracle has no canonical solution point")
+    c = center.z
 
-    def f_at(direction: complex, radius: float) -> float:
-        v = Tangent.from_complex(center, direction)
-        return oracle.value(m, m.exp(center, v.scaled(radius / m.norm(v))))
+    def f_at(d: complex, radius: float) -> float:
+        s = radius / m.norm_z(c, d)
+        return oracle.fn(m, m.exp_z(c, complex(d.real * s, d.imag * s))[0])[0]
 
     witnesses: list[RayWitness] = []
     for j in range(n_rays):
@@ -625,7 +606,7 @@ def _two_busemann_key_margins(
     else:
         # One net per ball, NET_BLOCK balls at a time to bound the memory.
         sup = np.concatenate([
-            _two_busemann_value(_ball_net(POINCARE_DISK, 0j, block, net_points, rng)).max(axis=-1)
+            _two_busemann_value(_ball_net(0j, block, net_points, rng)).max(axis=-1)
             for block in np.split(delta, range(NET_BLOCK, k, NET_BLOCK))
         ])
     g = busemann_gradient_array(1.0, x) + busemann_gradient_array(-1.0, x)

@@ -29,6 +29,7 @@ from hypersub.oracles import (
     two_busemann_oracle,
 )
 from hypersub.verify import (
+    HypothesisUnverified,
     KeyConfig,
     TriangleSample,
     _ball_net,
@@ -178,10 +179,35 @@ def test_key_margins_match_the_scalar_margin(kind):
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        ("delta", r"d\(x, xbar\) < 2 delta"),
+        ("sup", r"sup f on the ball >= f\(x\)"),
+        ("g", "zero subgradient"),
+    ],
+)
+def test_key_margins_reject_a_failed_hypothesis(broken, message):
+    # distance-oracle configurations with xbar at the anchor 0, where f(x) = d
+    # and sup f over B[0, delta] = delta; then the second row breaks one
+    # hypothesis
+    x = np.array([0.5, -0.3j, 0.2 + 0.6j])
+    d = distance_array(x, 0j)
+    cols = {"g": log_array(x, 0j) * (-1.0 / d), "delta": 0.4 * d, "sup": 0.4 * d}
+
+    def margins():
+        return _key_margins(x, 0j, d, cols["g"], cols["delta"], np.full(3, 0.1), cols["sup"])
+
+    assert np.all(margins() >= -1e-12)
+    cols[broken][1] = {"delta": 0.6 * d[1], "sup": d[1], "g": 0j}[broken]
+    with pytest.raises(HypothesisUnverified, match=message):
+        margins()
+
+
 def test_ball_net_stays_in_its_balls():
     centers = np.array([0j, 0.3 + 0.4j, -0.7j])
     radii = np.array([0.5, 1.0, 2.0])
-    net = _ball_net(M, centers, radii, 300, np.random.default_rng(63))
+    net = _ball_net(centers, radii, 300, np.random.default_rng(63))
     assert net.shape == (3, 300)
     assert np.array_equal(net[:, 0], centers)
     d = distance_array(centers[:, None], net)

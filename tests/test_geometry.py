@@ -135,7 +135,7 @@ def _distance_reference(m, p, q):
 
 
 def _log_reference(m, p, q):
-    """Manifold.log_z as written before distance_log_z existed."""
+    """The components of Manifold.log as written before distance_log_z existed."""
     if m.flat:
         return q - p
     w0 = (q - p) / (1.0 - p.conjugate() * q)
@@ -171,7 +171,8 @@ class TestDistanceLog:
             got = m.distance_log_z(p, q)
             want = (_distance_reference(m, p, q), _log_reference(m, p, q))
             assert _bits(*got) == _bits(*want), (p, q)
-            assert _bits(m.distance_z(p, q), m.log_z(p, q)) == _bits(*want)
+            log = m.log(DiskPoint.from_complex(p, check=False), DiskPoint.from_complex(q, check=False))
+            assert _bits(m.distance_z(p, q), log.v) == _bits(*want)
 
     def test_samples_reach_the_clamp_and_coincidence(self):
         pairs = [(p, q) for p, q in self.pairs(M, 11) if p != q]
@@ -232,9 +233,10 @@ class TestExpLog:
     def test_boundary_drift_clamps_and_flags(self):
         p = DiskPoint(0.0, 0.0)
         v = Tangent(p, 60.0, 0.0)  # length 120, lands within 1e-15 of the circle
-        q, drifted = M.exp_with_drift(p, v)
+        q, drifted = M.exp_z(p.z, v.v)
         assert drifted
-        assert abs(q.z) == pytest.approx(BOUNDARY_CLAMP, abs=1e-15)
+        assert abs(q) == pytest.approx(BOUNDARY_CLAMP, abs=1e-15)
+        assert M.exp(p, v).z == q
 
     def test_euclidean_exp_log(self):
         p = DiskPoint.plane(2.0, 0.0)

@@ -208,9 +208,9 @@ def with_odd_scalars():
     return replace(trace, records=[trace.records[0], odd, *trace.records[2:]])
 
 
-# The texts write_trace_json splits its json.dumps text at, newline and indent
+# The text write_trace_json splits its json.dumps text at, newline and indent
 # included, inside strings.
-MARKERS = 'x\n  "records": []\n    "min_gap_series": []'
+MARKERS = 'x\n  "records": []'
 
 
 def with_marker_texts():
@@ -245,11 +245,17 @@ def test_json_writer_matches_json_dumps(name, tmp_path):
 
 def test_trace_in_the_earlier_layout_loads(tmp_path):
     # The file as it was written while the summary stored the min-gap series.
+    trace = traced("disk_example_1e4")
     path = tmp_path / "old.trace.json"
-    path.write_text(json.dumps(trace_to_dict(with_stored_series(traced("disk_example_1e4"))), indent=2) + "\n")
+    path.write_text(json.dumps(trace_to_dict(with_stored_series(trace)), indent=2) + "\n")
     assert sha256(path.read_bytes()[:-1]) == DIGESTS["disk_example_1e4"]
+    raw = json.loads(path.read_text())
     loaded = load_trace(path)
-    assert loaded.records == traced("disk_example_1e4").records
-    assert [list(pair) for pair in min_gap_series(loaded)] == loaded.summary["min_gap_series"]
-    expected = json.dumps(trace_to_dict(loaded), indent=2) + "\n"
-    assert written(write_trace_json, loaded, tmp_path) == expected.encode()
+    assert loaded.records == trace.records
+    assert [list(pair) for pair in min_gap_series(loaded)] == raw["summary"]["min_gap_series"]
+    assert "min_gap_series" not in loaded.summary
+    assert written(write_trace_json, loaded, tmp_path) == written(write_trace_json, trace, tmp_path)
+    # The summary is rebuilt from the records, so an edited one is not read.
+    raw["summary"]["best_value"] = -1.0
+    path.write_text(json.dumps(raw))
+    assert load_trace(path).summary["best_value"] == min(r.f_value for r in trace.records)

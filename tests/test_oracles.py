@@ -305,6 +305,7 @@ class TestSolutionSet:
 
     def test_x_axis_is_the_projection(self):
         axis = SolutionSet.x_axis()
+        assert axis.point == ORIGIN
         rng = np.random.default_rng(42)
         for _ in range(50):
             p = sample_point(rng, 2.5)

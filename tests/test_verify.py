@@ -176,13 +176,6 @@ class TestKeyTheorem:
             cfg = KeyConfig(M, distance_oracle(anchor), x, anchor, delta, lam)
             assert key_theorem_margin(cfg, analytic_sup=delta) >= -1e-10
 
-    def test_net_checked_two_busemann(self):
-        rng = np.random.default_rng(56)
-        oracle = two_busemann_oracle()
-        cfg = KeyConfig(M, oracle, DiskPoint(0.0, 0.5), ORIGIN, 0.25, 0.3)
-        margin = key_theorem_margin(cfg, net_points=500, net_rng=rng)
-        assert margin >= -1e-10
-
     def test_vanishing_step_margin_vanishes(self):
         cfg = KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.2, 1e-10)
         margin = key_theorem_margin(cfg, analytic_sup=0.2)
@@ -199,16 +192,6 @@ class TestKeyTheorem:
         cfg = KeyConfig(M, distance_oracle(ORIGIN), x, ORIGIN, 0.25, 0.1)
         with pytest.raises(HypothesisUnverified):
             key_theorem_margin(cfg, analytic_sup=fx + 1.0)
-
-    def test_net_rejects_when_ball_values_exceed_fx(self):
-        # anchor near x makes f(x) small while the far ball carries large
-        # values, so the net check must fail
-        anchor = DiskPoint(0.8, 0.0)
-        x = DiskPoint(0.7, 0.0)
-        xbar = DiskPoint(-0.5, 0.0)
-        cfg = KeyConfig(M, distance_oracle(anchor), x, xbar, 0.1, 0.1)
-        with pytest.raises(HypothesisUnverified):
-            key_theorem_margin(cfg, net_points=100, net_rng=np.random.default_rng(0))
 
     def test_zero_subgradient_guard(self):
         def fn(m, z):
