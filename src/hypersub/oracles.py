@@ -66,13 +66,15 @@ class SolutionSet:
     def unknown(cls) -> "SolutionSet":
         return cls(UNKNOWN)
 
-    def distance_to(self, m: Manifold, p: DiskPoint) -> float | None:
+    def distance_to(self, m: Manifold, z: complex) -> float | None:
+        """d(z, S) for a point given as the complex number z = x + iy, with no
+        disk-bound check (``run()`` passes x0 and exp_z outputs); None if S is unknown."""
         if self.kind == SINGLE_POINT:
-            return m.distance(p, self.point)
+            return m.distance_z(z, self.point.z)
         if self.kind == X_AXIS:
-            return m.distance_to_x_axis(p)
+            return m.distance_to_x_axis(DiskPoint(z.real, z.imag, check=False))
         if self.kind == CLOSED_BALL:
-            return max(0.0, m.distance(p, self.point) - self.radius)
+            return max(0.0, m.distance_z(z, self.point.z) - self.radius)
         return None
 
     def nearest_point(self, m: Manifold, p: DiskPoint) -> DiskPoint | None:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .geometry import DiskPoint, Manifold
-from .oracles import SINGLE_POINT, SubgradientOracle, format_complex, parse_complex
+from .oracles import SubgradientOracle, format_complex, parse_complex
 from .schedules import StepSchedule, parse_schedule
 
 
@@ -154,7 +154,6 @@ def run(cfg: SolveConfig) -> RunTrace:
     d0 = m.distance(cfg.x0, x_star) if x_star is not None else None
 
     records: list[IterationRecord] = []
-    point_z = sset.point.z if sset.kind == SINGLE_POINT else None
 
     # The loop runs on complex points and subgradient components; z stays
     # finite because exp_z raises on a non-finite endpoint.
@@ -191,12 +190,7 @@ def run(cfg: SolveConfig) -> RunTrace:
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
         if termination is not None or k % record_every == 0:
-            if point_z is not None:
-                dist = m.distance_z(z, point_z)
-            else:
-                # No bound check: z is x0 or an output of exp_z (see its docstring).
-                dist = sset.distance_to(m, DiskPoint(z.real, z.imag, check=False))
-            records.append(IterationRecord(k, z, f, gn, lam, dist, drift_in))
+            records.append(IterationRecord(k, z, f, gn, lam, sset.distance_to(m, z), drift_in))
         if termination is not None:
             break
         z, drift_in = z_next, drift_next

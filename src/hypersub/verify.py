@@ -6,8 +6,8 @@ streams are chunked with per-chunk seeds.
 
 The scalar margins (``law_of_cosines_margin``, ``key_theorem_margin``) are
 the reference; the bundled suites evaluate whole chunks at once with their
-array twins, built on the array forms in ``geometry`` and ``oracles``. Only
-the array key-theorem suite certifies the ball hypothesis on a finite net.
+array twins, built on the array forms in ``geometry`` and ``oracles``. Each
+key-theorem ball hypothesis is certified by a closed-form sup of f.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .geometry import (
     POINCARE_DISK,
     DiskPoint,
     Manifold,
-    abs2,
     angle_array,
     distance_array,
     exp_array,
@@ -55,7 +54,6 @@ RAY_CAP = 50.0
 RAY_STEP = 0.25
 RAY_REFINE_TOL = 1e-6
 CHUNK = 2048
-NET_BLOCK = 32
 
 
 class DegenerateTriangle(ValueError):
@@ -216,26 +214,6 @@ class KeyConfig:
             raise ValueError("lambda must be positive")
 
 
-def _ball_net(
-    center: complex | np.ndarray,
-    radius: float | np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Area-uniform net of n points of the Poincaré-disk ball B[center, radius],
-    the center first, as a complex array along the last axis.
-
-    ``center`` and ``radius`` broadcast, giving one net per ball.
-    """
-    center = np.asarray(center, dtype=complex)[..., None]
-    radius = np.asarray(radius, dtype=float)[..., None]
-    shape = np.broadcast_shapes(center.shape, radius.shape)[:-1] + (n - 1,)
-    t = np.arccosh(1.0 + rng.random(shape) * (np.cosh(radius) - 1.0))
-    direction = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
-    pts = exp_array(center, direction * (0.5 * t * (1.0 - abs2(center))))
-    return np.concatenate([np.broadcast_to(center, shape[:-1] + (1,)), pts], axis=-1)
-
-
 def key_theorem_margin(cfg: KeyConfig, analytic_sup: float) -> float:
     """Margin of the contraction inequality for one verified configuration.
 
@@ -274,8 +252,8 @@ def _key_margins(
     sup: np.ndarray,
 ) -> np.ndarray:
     """Chunk twin of key_theorem_margin on the Poincaré disk: f(x) = fx with
-    subgradient components g, and ``sup`` bounds f over B[xbar, delta]
-    (analytically or as the largest value on a net)."""
+    subgradient components g, and ``sup`` is the closed-form sup of f over
+    B[xbar, delta]."""
     d_xbar = distance_array(x, xbar)
     if np.any(d_xbar < 2.0 * delta * (1.0 - 1e-12)):
         raise HypothesisUnverified("d(x, xbar) < 2 delta for a sampled configuration")
@@ -581,12 +559,9 @@ def _two_busemann_value(x: np.ndarray) -> np.ndarray:
     return busemann_value_array(1.0, x) + busemann_value_array(-1.0, x)
 
 
-def _two_busemann_key_margins(
-    rng: np.random.Generator, k: int, net_points: int | None = None
-) -> tuple[np.ndarray, int]:
+def _two_busemann_key_margins(rng: np.random.Generator, k: int) -> tuple[np.ndarray, int]:
     """Two-Busemann configurations with xbar at the origin, whose ball
-    hypothesis is certified in closed form or, with ``net_points``, on a net
-    of each ball."""
+    hypothesis is certified in closed form."""
 
     def draw(m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         x = _sample_points(rng, m, 2.5)
@@ -600,26 +575,17 @@ def _two_busemann_key_margins(
         return (t >= 0.1) & (reach > 0.0) & (delta >= 1e-6), (x, delta, lam)
 
     (x, delta, lam), rejected = _accepted(draw, k)
-    if net_points is None:
-        # sup of f over B[0, delta] in closed form (polar expression).
-        sup = np.log1p(np.sinh(delta) ** 2)
-    else:
-        # One net per ball, NET_BLOCK balls at a time to bound the memory.
-        sup = np.concatenate([
-            _two_busemann_value(_ball_net(0j, block, net_points, rng)).max(axis=-1)
-            for block in np.split(delta, range(NET_BLOCK, k, NET_BLOCK))
-        ])
+    # sup of f over B[0, delta] in closed form (polar expression).
+    sup = np.log1p(np.sinh(delta) ** 2)
     g = busemann_gradient_array(1.0, x) + busemann_gradient_array(-1.0, x)
     return _key_margins(x, 0j, _two_busemann_value(x), g, delta, lam, sup), rejected
 
 
 def suite_key_theorem(n: int, seed: int, tol: float) -> list[InequalityReport]:
-    """Contraction-inequality margins over verified configurations of the
-    anchored-distance and two-Busemann objectives, plus a smaller net-checked
-    batch exercising the finite-net hypothesis path."""
+    """Contraction-inequality margins over n // 2 anchored-distance and
+    n - n // 2 two-Busemann configurations, each verified by a closed-form sup."""
     half = n // 2
     rest = n - half
-    net_n = max(50, min(200, n // 50))
     return [
         fuzz(
             _distance_key_margins,
@@ -636,14 +602,6 @@ def suite_key_theorem(n: int, seed: int, tol: float) -> list[InequalityReport]:
             tol,
             "key-theorem-two-busemann",
             hypothesis_mode="analytic",
-        ),
-        fuzz(
-            partial(_two_busemann_key_margins, net_points=300),
-            net_n,
-            seed + 2,
-            tol,
-            "key-theorem-two-busemann-net",
-            hypothesis_mode="net-checked",
         ),
     ]
 
@@ -748,7 +706,7 @@ SUITES = {
     ),
     "key-theorem": Suite(
         suite_key_theorem, 10_000, "configurations, split over the distance and two-Busemann checks",
-        2, 1e-10, "all three contraction checks",
+        2, 1e-10, "both contraction checks",
     ),
     "per-step": Suite(
         suite_per_step, 2000, "steps of the harvest run", 1, 1e-10,

@@ -32,7 +32,6 @@ from hypersub.verify import (
     HypothesisUnverified,
     KeyConfig,
     TriangleSample,
-    _ball_net,
     _key_margins,
     _law_of_cosines_margins,
     _triangles,
@@ -202,14 +201,3 @@ def test_key_margins_reject_a_failed_hypothesis(broken, message):
     cols[broken][1] = {"delta": 0.6 * d[1], "sup": d[1], "g": 0j}[broken]
     with pytest.raises(HypothesisUnverified, match=message):
         margins()
-
-
-def test_ball_net_stays_in_its_balls():
-    centers = np.array([0j, 0.3 + 0.4j, -0.7j])
-    radii = np.array([0.5, 1.0, 2.0])
-    net = _ball_net(centers, radii, 300, np.random.default_rng(63))
-    assert net.shape == (3, 300)
-    assert np.array_equal(net[:, 0], centers)
-    d = distance_array(centers[:, None], net)
-    assert np.all(d <= radii[:, None] * (1.0 + 1e-12))
-    assert np.all(d[:, 1:].max(axis=1) > 0.9 * radii)
