@@ -26,6 +26,7 @@ from .solver import (
     SolveConfig,
     atomic_write,
     run,
+    stop_threshold,
     write_trace_csv,
     write_trace_json,
 )
@@ -106,10 +107,12 @@ def _atomic_json(path: Path, payload: dict) -> None:
 
 
 def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace, wall_s: float, write_s: float) -> dict:
-    """The summary of a solve. ``drift_count`` and ``min_boundary_gap``
-    (smallest 1 - |z|, None on the plane) range over the recorded iterates;
-    ``wall_s`` is the wall time of run(), ``write_s`` that of writing the
-    trace JSON and CSV."""
+    """The summary of a solve. ``stop_threshold`` is the STOP threshold the
+    run applied, set from the first record's subgradient norm (None when no
+    iterate was recorded). ``drift_count`` and ``min_boundary_gap`` (smallest
+    1 - |z|, None on the plane) range over the recorded iterates; ``wall_s``
+    is the wall time of run(), ``write_s`` that of writing the trace JSON and
+    CSV."""
     steps = trace.termination.step
     if steps > 0:
         sum_lam, sum_lam_sq = partial_sums(cfg.schedule, steps - 1)
@@ -119,6 +122,7 @@ def solve_summary(name: str, cfg: SolveConfig, trace: RunTrace, wall_s: float, w
         "name": name,
         "termination": trace.termination.kind,
         "termination_step": steps,
+        "stop_threshold": stop_threshold(trace.records[0].grad_norm) if trace.records else None,
         "best_value": trace.summary["best_value"],
         "best_gap": trace.summary["best_gap"],
         "final_dist_to_s": trace.summary["final_dist_to_s"],

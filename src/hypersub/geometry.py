@@ -175,6 +175,66 @@ class Manifold:
         t = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho)
         return d, w0 * (t * (1.0 - abs2(p)) / (2.0 * rho))
 
+    def term_sum_z(self, z: complex, terms: tuple) -> tuple[float, complex]:
+        """The ordered sum of ``terms`` at ``z`` and its subgradient components.
+
+        A hinge term ``(a, r, w)`` adds w * max(0, d(z, a) - r), with the zero
+        subgradient where d <= r and w times the unit one, -log_z(a) / d,
+        elsewhere. An opaque term ``(w, fn)`` adds w times ``fn(self, z)``.
+        The hinge repeats the formula of ``distance_log_z`` inline, sharing
+        conj(z) and 1 - |z|^2 across the terms, with the same roundings. The
+        sums start at -0.0, the exact additive identity, so one hinge of
+        weight 1 returns its own (f, g) bit for bit.
+        """
+        total = gx = gy = -0.0
+        flat = self.flat
+        if not flat:
+            zc = z.conjugate()
+            s = 1.0 - abs2(z)
+            kappa = self.kappa
+            atanh = math.atanh
+        for term in terms:
+            if len(term) == 2:
+                w, fn = term
+                f, g = fn(self, z)
+                total += w * f
+                gx += w * g.real
+                gy += w * g.imag
+                continue
+            a, r, w = term
+            v = a - z
+            if flat:
+                d = abs(v)
+                inside = d <= r
+            else:
+                num = abs(v)
+                inside = num == 0.0
+                if not inside:
+                    den = 1.0 - zc * a
+                    rho = num / abs(den)
+                    d = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho) / kappa
+                    inside = d <= r
+            if inside:
+                # The zero subgradient, added as w * 0.0 like any other value.
+                zero = w * 0.0
+                total += zero
+                gx += zero
+                gy += zero
+                continue
+            if not flat:
+                w0 = v / den
+                rho = abs(w0)
+                if rho == 0.0:
+                    v = 0j
+                else:
+                    t = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho)
+                    v = w0 * (t * s / (2.0 * rho))
+            c = -1.0 / d
+            total += w * (d - r)
+            gx += w * (v.real * c)
+            gy += w * (v.imag * c)
+        return total, complex(gx, gy)
+
     def distance_z(self, p: complex, q: complex) -> float:
         return self.distance_log_z(p, q)[0]
 

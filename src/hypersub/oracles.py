@@ -208,18 +208,14 @@ def two_busemann_oracle() -> SubgradientOracle:
 
 # -- distance-based oracles -----------------------------------------------------
 
-def _hinge_fn(center: DiskPoint, r: float) -> Callable[[Manifold, complex], tuple[float, complex]]:
-    """fn of max(0, d(p, center) - r), with the zero subgradient where d <= r
-    and the unit one, -log_p(center) / d, elsewhere; r = 0 gives d(p, center)."""
-    a = center.z
+def _term_sum_fn(terms: tuple) -> Callable[[Manifold, complex], tuple[float, complex]]:
+    """fn of the sum ``m.term_sum_z(z, terms)``. The terms ride on fn as
+    ``fn.terms``, so that ``weighted_sum`` can inline a lone hinge of weight 1."""
 
     def fn(m: Manifold, z: complex) -> tuple[float, complex]:
-        d, v = m.distance_log_z(z, a)
-        if d <= r:
-            return 0.0, 0j
-        c = -1.0 / d
-        return d - r, complex(v.real * c, v.imag * c)
+        return m.term_sum_z(z, terms)
 
+    fn.terms = terms
     return fn
 
 
@@ -227,7 +223,7 @@ def distance_oracle(anchor: DiskPoint) -> SubgradientOracle:
     """f(p) = d(p, anchor); coercive with the single minimizer ``anchor``."""
     return SubgradientOracle(
         f"distance:anchor={format_complex(anchor.z)}",
-        _hinge_fn(anchor, 0.0),
+        _term_sum_fn(((anchor.z, 0.0, 1.0),)),
         known_min=0.0,
         solution_set=SolutionSet.single_point(anchor),
     )
@@ -240,7 +236,7 @@ def ball_hinge_oracle(center: DiskPoint, r: float) -> SubgradientOracle:
         raise ValueError("hinge radius must be positive")
     return SubgradientOracle(
         f"ball-hinge:center={format_complex(center.z)},r={r!r}",
-        _hinge_fn(center, r),
+        _term_sum_fn(((center.z, r, 1.0),)),
         known_min=0.0,
         solution_set=SolutionSet.closed_ball(center, r),
     )
@@ -261,22 +257,20 @@ def weighted_sum(
         raise ValueError("need at least one oracle")
     if any(not w > 0.0 for w in weights):
         raise ValueError("weights must be positive")
-    parts = [(oracle.fn, w) for oracle, w in zip(oracles, weights)]
-
-    def fn(m: Manifold, z: complex) -> tuple[float, complex]:
-        total = 0.0
-        gx = 0.0
-        gy = 0.0
-        for part, w in parts:
-            f, g = part(m, z)
-            total += w * f
-            gx += w * g.real
-            gy += w * g.imag
-        return total, complex(gx, gy)
-
+    terms = []
+    for oracle, w in zip(oracles, weights):
+        # A part that is one hinge of weight 1 is inlined as a hinge of weight
+        # w, which rounds as w * (its f, g) did. Any other part, a nested sum
+        # too, stays opaque: w1 * (w2 * f) does not round like (w1 * w2) * f.
+        inner = getattr(oracle.fn, "terms", ())
+        if len(inner) == 1 and len(inner[0]) == 3 and inner[0][2] == 1.0:
+            a, r, _ = inner[0]
+            terms.append((a, r, w))
+        else:
+            terms.append((w, oracle.fn))
     return SubgradientOracle(
         name,
-        fn,
+        _term_sum_fn(tuple(terms)),
         known_min=known_min,
         solution_set=solution_set if solution_set is not None else SolutionSet.unknown(),
         disk_only=any(o.disk_only for o in oracles),

@@ -2,9 +2,9 @@
 
 One step moves from x to exp_x(lambda * s) where s is the negated subgradient
 normalized to unit manifold length. The driver stops when the subgradient
-norm falls to the stop threshold (the iterate is then a minimizer), when the
-iteration budget runs out, or on a numerical failure; the full iterate
-history is captured in a RunTrace.
+norm falls to the stop threshold, set relative to the first subgradient norm
+(the iterate is then a minimizer), when the iteration budget runs out, or on
+a numerical failure; the full iterate history is captured in a RunTrace.
 """
 
 from __future__ import annotations
@@ -47,10 +47,18 @@ SUBGRADIENT_ZERO = "subgradient-zero"
 MAX_ITERS = "max-iters"
 NUMERICAL_FAILURE = "numerical-failure"
 
-# The numerical zero of the STOP rule 0 in df(x), echoed in every trace as
+# The unit of the STOP rule's numerical zero, echoed in every trace as
 # "stop_grad_tol". A subgradient of norm g at x gives f(x) - f* <= g * d(x, S),
 # so an iterate where run() stops on it is a minimizer to machine precision.
 STOP_GRAD_TOL = 1e-12
+
+
+def stop_threshold(gn0: float) -> float:
+    """The STOP threshold of a run whose first subgradient norm is ``gn0``:
+    STOP_GRAD_TOL scaled to the binade [2^(e-1), 2^e) of gn0, so STOP_GRAD_TOL
+    itself for gn0 in [1, 2). A power-of-two scaling of f scales it exactly,
+    so the iterates of c * f and f agree bit for bit for c = 2^j."""
+    return math.ldexp(STOP_GRAD_TOL, math.frexp(gn0)[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,7 @@ def run(cfg: SolveConfig) -> RunTrace:
     # The loop runs on complex points and subgradient components; z stays
     # finite because exp_z raises on a non-finite endpoint.
     fn, step, norm_z, exp_z = oracle.fn, cfg.schedule.step, m.norm_z, m.exp_z
-    stop_grad_tol, max_iters, record_every = STOP_GRAD_TOL, cfg.max_iters, cfg.record_every
+    max_iters, record_every = cfg.max_iters, cfg.record_every
     isfinite = math.isfinite
     z = cfg.x0.z
     drift_in = False
@@ -176,8 +184,10 @@ def run(cfg: SolveConfig) -> RunTrace:
         except ValueError as exc:
             termination = Termination(NUMERICAL_FAILURE, k, f"step size failed: {exc}")
             break
+        if k == 0:
+            stop_tol = stop_threshold(gn)
         termination = None
-        if gn <= stop_grad_tol:
+        if gn <= stop_tol:
             termination = Termination(SUBGRADIENT_ZERO, k)
         elif k == max_iters:
             termination = Termination(MAX_ITERS, k)
@@ -398,16 +408,39 @@ def write_trace_json(trace: RunTrace, path: str | Path) -> None:
     atomic_write(Path(path), chain([head + _RECORDS_AT[:-2]], _json_records(trace), [tail + "\n"]))
 
 
+_CSV_ROW = "%d,%r,%r,%r,%r,%r,%s,%d\n"
+
+
+def _plain(v):
+    """A float subclass as a plain float, which %r writes by float.__repr__."""
+    return float(v) if isinstance(v, float) else v
+
+
+def _csv_rows(records: list[IterationRecord]) -> Iterator[str]:
+    """The CSV rows of the records. A float subclass, such as the numpy
+    float64 an oracle or a schedule may return, has a repr like
+    ``np.float64(0.5)``; it is written as a plain float, as json writes it.
+    The repr of a plain float or int holds no parenthesis, so only a row
+    that has one is formatted a second time."""
+    for r in records:
+        z, d = r.z, r.dist_to_s
+        text = _CSV_ROW % (
+            r.k, z.real, z.imag, r.f_value, r.grad_norm, r.lambda_k,
+            "" if d is None else repr(d), r.drift,
+        )
+        if "(" in text:
+            text = _CSV_ROW % (
+                r.k, z.real, z.imag, _plain(r.f_value), _plain(r.grad_norm), _plain(r.lambda_k),
+                "" if d is None else repr(_plain(d)), r.drift,
+            )
+        yield text
+
+
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
-    """Write the records as CSV_HEADER rows, streamed: floats by repr, an
-    absent distance as an empty field, the drift flag as 0 or 1."""
-    rows = (
-        "%d,%r,%r,%r,%r,%r,%s,%d\n"
-        % (r.k, r.z.real, r.z.imag, r.f_value, r.grad_norm, r.lambda_k,
-           "" if r.dist_to_s is None else repr(r.dist_to_s), r.drift)
-        for r in trace.records
-    )
-    atomic_write(Path(path), chain([",".join(CSV_HEADER) + "\n"], rows))
+    """Write the records as CSV_HEADER rows, streamed: numbers by repr (a
+    float subclass as a plain float), an absent distance as an empty field,
+    the drift flag as 0 or 1."""
+    atomic_write(Path(path), chain([",".join(CSV_HEADER) + "\n"], _csv_rows(trace.records)))
 
 
 _RECORD_KEY_SET = frozenset(_RECORD_KEYS)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hypersub.cli import main
-from hypersub.solver import Termination, load_trace
+from hypersub.solver import STOP_GRAD_TOL, Termination, load_trace, stop_threshold
 from hypersub.verify import SUITES
 
 REPO = Path(__file__).resolve().parents[1]
@@ -137,6 +137,27 @@ class TestSolve:
         assert summary["wall_s"] > 0.0
         assert summary["steps_per_s"] == summary["termination_step"] / summary["wall_s"]
         assert list(summary)[-1] == "write_s" and summary["write_s"] > 0.0
+
+    def test_summary_has_the_applied_stop_threshold(self, tmp_path):
+        # The first subgradient norm is 1.99, whose binade [1, 2) gives the
+        # threshold STOP_GRAD_TOL itself, as the trace echoes it.
+        assert main(["solve", str(CONFIGS / "two_busemann.cfg"), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "two_busemann.summary.json").read_text())
+        trace = load_trace(tmp_path / "two_busemann.trace.json")
+        assert summary["stop_threshold"] == trace.config["stop_grad_tol"] == STOP_GRAD_TOL
+
+    def test_tiny_curvature_busemann_is_no_false_minimizer(self, tmp_path):
+        # The Busemann subgradient on scaled:kappa=1e-12 has norm 1e-12, which
+        # an absolute threshold of 1e-12 reported as a minimizer at k = 0.
+        text = (
+            "name = flatish\nmanifold = scaled:kappa=1e-12\noracle = busemann:eta=1.0+0.0i\n"
+            "schedule = harmonic:c=1\nx0 = 0.0+0.9i\nmax_iters = 50\n"
+        )
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "flatish.summary.json").read_text())
+        trace = load_trace(tmp_path / "flatish.trace.json")
+        assert (summary["termination"], summary["termination_step"]) == ("max-iters", 50)
+        assert summary["stop_threshold"] == stop_threshold(trace.records[0].grad_norm) < 1e-23
 
     def test_summary_counts_drift_at_the_boundary(self, tmp_path):
         # The Busemann run of tests/test_golden.py that reaches the radial clamp.

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -272,6 +273,96 @@ class TestWeightedSum:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             weighted_sum([two_busemann_oracle()], [1.0, 2.0])
+
+
+def reference_sum(m, z, hinges):
+    """The sum of w * max(0, d(z, a) - r) over the hinges (a, r, w) and its
+    subgradient, built part by part from distance_log_z and added from -0.0."""
+    total = gx = gy = -0.0
+    for a, r, w in hinges:
+        d, v = m.distance_log_z(z, a)
+        if d <= r:
+            f, g = 0.0, 0j
+        else:
+            c = -1.0 / d
+            f, g = d - r, complex(v.real * c, v.imag * c)
+        total += w * f
+        gx += w * g.real
+        gy += w * g.imag
+    return total, complex(gx, gy)
+
+
+def hinge_oracle(a, r):
+    p = DiskPoint.from_complex(a, check=False)
+    return distance_oracle(p) if r == 0.0 else ball_hinge_oracle(p, r)
+
+
+MANIFOLDS = [M, scaled_disk(0.5), scaled_disk(2.0), EUCLIDEAN_PLANE]
+MANIFOLD_IDS = ["poincare", "scaled05", "scaled2", "plane"]
+coordinates = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
+points = st.builds(complex, coordinates, coordinates)
+hinges = st.lists(
+    st.tuples(points, st.one_of(st.just(0.0), st.floats(1e-3, 3.0)), st.floats(1e-3, 1e3)),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestTermSum:
+    """Manifold.term_sum_z repeats the formula of distance_log_z inline; these
+    pin the two copies against each other bit for bit, signed zeros included."""
+
+    @given(st.sampled_from(MANIFOLDS), hinges, points, st.booleans())
+    def test_matches_the_sum_of_distance_log_z_parts(self, m, parts, z, at_anchor):
+        if at_anchor:
+            z = parts[0][0]
+        want = repr(reference_sum(m, z, parts))
+        assert repr(m.term_sum_z(z, tuple(parts))) == want
+        combo = weighted_sum([hinge_oracle(a, r) for a, r, _ in parts], [w for _, _, w in parts])
+        assert repr(combo.fn(m, z)) == want
+
+    @pytest.mark.parametrize("m", MANIFOLDS, ids=MANIFOLD_IDS)
+    @pytest.mark.parametrize("r", [0.0, 0.4])
+    @pytest.mark.parametrize(
+        "z",
+        [complex(0.5, 0.0), complex(-0.5, -0.0), complex(0.0, 0.5), complex(-0.0, -0.5),
+         complex(0.0, 0.0), complex(-0.0, -0.0), 0.2 + 0.3j, 0.05 - 0.1j, 0.1 - 0.05j],
+    )
+    def test_lone_oracle_is_its_own_hinge(self, m, r, z):
+        # 0.1 - 0.05j is the anchor; 0.05 - 0.1j lies inside the ball of radius 0.4.
+        a = 0.1 - 0.05j
+        d, v = m.distance_log_z(z, a)
+        if d <= r:
+            want = (0.0, 0j)
+        else:
+            c = -1.0 / d
+            want = (d - r, complex(v.real * c, v.imag * c))
+        assert repr(hinge_oracle(a, r).fn(m, z)) == repr(want)
+
+    def test_wrapped_part_is_called(self):
+        part = distance_oracle(DiskPoint(0.2, 0.1))
+        other = ball_hinge_oracle(DiskPoint(-0.3, 0.0), 0.2)
+        calls = []
+
+        def traced(m, z):
+            calls.append(z)
+            return part.fn(m, z)
+
+        wrapped = weighted_sum([dataclasses.replace(part, fn=traced), other], [2.0, 0.5])
+        z = -0.3 + 0.4j
+        assert repr(wrapped.fn(M, z)) == repr(weighted_sum([part, other], [2.0, 0.5]).fn(M, z))
+        assert calls == [z]
+
+    @pytest.mark.parametrize("m", MANIFOLDS, ids=MANIFOLD_IDS)
+    def test_nested_sum_is_its_weight_times_the_inner_sum(self, m):
+        inner = weighted_sum(
+            [distance_oracle(DiskPoint(0.2, 0.1)), ball_hinge_oracle(DiskPoint(-0.3, 0.0), 0.2)],
+            [0.3, 1.7],
+        )
+        outer = weighted_sum([inner], [3.1])
+        for z in (0.5j, -0.4 + 0.1j, -0.3 + 0j):
+            f, g = inner.fn(m, z)
+            assert repr(outer.fn(m, z)) == repr((3.1 * f, complex(3.1 * g.real, 3.1 * g.imag)))
 
 
 class TestSolutionSet:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hypersub.geometry import (
     EUCLIDEAN_PLANE,
@@ -28,6 +29,7 @@ from hypersub.solver import (
     STOP_GRAD_TOL,
     ConfigError,
     IterationRecord,
+    MAX_ITERS,
     MissingFStar,
     MissingSolutionPoint,
     SUBGRADIENT_ZERO,
@@ -38,6 +40,7 @@ from hypersub.solver import (
     load_trace,
     min_gap_series,
     run,
+    stop_threshold,
     write_trace_csv,
     write_trace_json,
 )
@@ -272,6 +275,42 @@ class TestRun:
         with pytest.raises(TypeError):
             SolveConfig(**fields, stop_grad_tol=STOP_GRAD_TOL)
 
+    def test_stop_threshold_is_relative_to_the_binade_of_the_first_norm(self):
+        assert stop_threshold(1.0) == stop_threshold(1.99) == STOP_GRAD_TOL
+        assert stop_threshold(2.0) == 2.0 * STOP_GRAD_TOL
+        assert stop_threshold(0.75) == stop_threshold(0.0) == 0.5 * STOP_GRAD_TOL
+        assert stop_threshold(1e-13) == math.ldexp(STOP_GRAD_TOL, -44)
+
+    def test_tiny_weight_is_no_false_minimizer(self):
+        # Every subgradient off the anchor has norm 1e-13, below the absolute
+        # 1e-12 that once reported x0, 2.51 from the anchor, as a minimizer.
+        oracle = weighted_sum([distance_oracle(DiskPoint(0.3, 0.2))], [1e-13])
+        trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(-0.5, -0.5), 50))
+        assert trace.termination == Termination(MAX_ITERS, 50)
+
+    @given(
+        st.sampled_from([M, scaled_disk(0.5), EUCLIDEAN_PLANE]),
+        st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+        st.integers(-60, 60),
+    )
+    def test_power_of_two_weights_give_the_same_iterates(self, m, weights, j):
+        # The method steps along -g/|g|, so it is invariant under f -> 2^j f;
+        # with the STOP threshold scaled too, the runs agree bit for bit.
+        parts = [distance_oracle(DiskPoint(0.3, 0.2)), distance_oracle(DiskPoint(-0.5, 0.1)),
+                 ball_hinge_oracle(DiskPoint(0.1, -0.4), 0.3)]
+
+        def solve(ws):
+            return run(SolveConfig(m, weighted_sum(parts, ws), harmonic(1.0), DiskPoint(0.6, 0.5), 200))
+
+        base = solve(weights)
+        scaled = solve([math.ldexp(w, j) for w in weights])
+        assert scaled.termination == base.termination
+        assert len(scaled.records) == len(base.records)
+        for a, b in zip(base.records, scaled.records):
+            assert repr(b.z) == repr(a.z)
+            assert b.f_value == math.ldexp(a.f_value, j)
+            assert b.grad_norm == math.ldexp(a.grad_norm, j)
+
     def test_flat_plane_takes_points_off_the_disk(self):
         anchor = DiskPoint.plane(2.0, 0.0)
         cfg = SolveConfig(EUCLIDEAN_PLANE, distance_oracle(anchor), table([0.5]),
@@ -456,6 +495,16 @@ class TestSerialization:
         write_trace_csv(run(cfg), a)
         write_trace_csv(run(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_numpy_floats_are_written_as_json_writes_them(self, tmp_path):
+        oracle = SubgradientOracle("np", lambda m, z: (np.float64(abs(z)), z))
+        trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.3, 0.2), 3))
+        write_trace_csv(trace, tmp_path / "n.csv")
+        write_trace_json(trace, tmp_path / "n.json")
+        rows = [line.split(",") for line in (tmp_path / "n.csv").read_text().splitlines()[1:]]
+        records = json.loads((tmp_path / "n.json").read_text())["records"]
+        assert [row[3] for row in rows] == [repr(r["f"]) for r in records]
+        assert rows[0][3] == "0.3605551275463989"
 
     def test_empty_dist_field_for_unknown_set(self, tmp_path):
         cfg = SolveConfig(M, constant_oracle(), harmonic(1.0), DiskPoint(0.1, 0.0), 2)
