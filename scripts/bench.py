@@ -5,10 +5,13 @@
 
 For each workload listed in BENCHMARK.json this runs perfbench/run.py of the
 same checkout, unchanged and one process at a time: once per seed with
-``--trace 0`` (the end-to-end metrics), then once with ``--trace 1`` (the
-per-layer rows). The file holds the machine block of each run, every run's
-one-line result, the median of each end-to-end metric per workload over the
-seeds, and the line count of src/. Each ``--trace 0`` run also keeps the
+``--trace 0`` (the end-to-end metrics), then once per seed with ``--trace 1``
+(the per-layer rows). The file holds the machine block of each run, every
+run's one-line result, the median of each end-to-end metric per workload over
+the seeds, the median of each per-layer row in reference units
+(``median_per_layer``) over the seeds, and the line count of src/. A single
+traced pass is one sample, and its rows can move either way from one file to
+the next on noise alone. Each ``--trace 0`` run also keeps the
 median time of every phase of its timed section (``phases_ref`` in
 reference-loop units, ``phases_s`` in seconds), so the split of a workload
 between, say, ``run()``, the trace writers and ``load_trace`` can be read from
@@ -34,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from calibrate import reference_seconds  # noqa: E402
 
-SEEDS = (0, 1, 2)  # workload seeds of the --trace 0 runs; the --trace 1 run uses the first
+SEEDS = (0, 1, 2)  # workload seeds of the --trace 0 and of the --trace 1 runs
 SECONDS = 30.0  # run length of each perfbench run
 REF_RUNS = 5  # reference-loop runs just before and just after each --trace 1 run
 SECONDS_PER_UNIT = {"s": 1.0, "us": 1e-6}
@@ -87,6 +90,15 @@ def medians(runs: list[dict], workloads: list[str], metrics: list[str]) -> dict:
     return out
 
 
+def median_per_layer(runs: list[dict], workloads: list[str]) -> dict:
+    """The median over the seeds of each ``per_layer_ref`` row, per workload."""
+    out = {}
+    for w in workloads:
+        rows = [r["per_layer_ref"] for r in runs if r["workload"] == w and r["trace"] == 1]
+        out[w] = {name: statistics.median(row[name] for row in rows) for name in rows[0]}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
@@ -97,8 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     metrics = [m["name"] for m in spec["end_to_end"]]
     runs = []
     for w in workloads:
-        for trace, seeds in ((0, SEEDS), (1, SEEDS[:1])):
-            for seed in seeds:
+        for trace in (0, 1):
+            for seed in SEEDS:
                 print(f"bench: {w} seed {seed} trace {trace}", file=sys.stderr, flush=True)
                 runs.append(run_once(w, seed, trace))
     bench = {
@@ -107,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": SECONDS,
         "src_lines": src_lines(ROOT),
         "median_end_to_end": medians(runs, workloads, metrics),
+        "median_per_layer": median_per_layer(runs, workloads),
         "runs": runs,
     }
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(bench, indent=1) + "\n")

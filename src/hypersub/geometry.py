@@ -148,31 +148,39 @@ class Manifold:
     # The ``_z`` forms take points z = x + iy and tangent components
     # v = vx + i vy as complex numbers; the solver and the oracles call them.
 
-    def distance_log_z(self, p: complex, q: complex) -> tuple[float, complex]:
-        """``distance_z(p, q)`` and the components of ``log(p, q)``, forming
-        q - p and 1 - conj(p) q once. The distance takes the modulus ratio and
-        the log the modulus of the complex quotient; each keeps its own rounding."""
+    def distance_z(self, p: complex, q: complex) -> float:
+        """The distance between the points ``p`` and ``q``."""
         dq = q - p
         if self.flat:
-            return abs(dq), dq
+            return abs(dq)
         # 2*atanh(|p-q| / |1 - conj(p) q|) equals the usual
         # arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))) but keeps full relative
         # accuracy for nearby points.
         num = abs(dq)
         if num == 0.0:
-            return 0.0, 0j
-        den = 1.0 - p.conjugate() * q
-        atanh = math.atanh
+            return 0.0
         # rho >= 1 is only reachable through rounding at the very boundary.
-        rho = num / abs(den)
-        d = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho) / self.kappa
-        w0 = dq / den
+        rho = num / abs(1.0 - p.conjugate() * q)
+        return 2.0 * math.atanh(_BELOW_ONE if rho >= 1.0 else rho) / self.kappa
+
+    def distance_log_z(self, p: complex, q: complex) -> tuple[float, complex]:
+        """``distance_z(p, q)`` and the components of ``log(p, q)``. The
+        distance takes the modulus ratio and the log the modulus of the complex
+        quotient; each keeps its own rounding."""
+        d = self.distance_z(p, q)
+        dq = q - p
+        if self.flat:
+            return d, dq
+        if dq == 0.0:
+            # Before the quotient: 1 - conj(p) q is 0 for a point on the circle.
+            return d, 0j
+        w0 = dq / (1.0 - p.conjugate() * q)
         rho = abs(w0)
         if rho == 0.0:
             return d, 0j
         # Euclidean components are kappa-independent: the manifold norm and
         # the manifold distance pick up the same 1/kappa.
-        t = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho)
+        t = 2.0 * math.atanh(_BELOW_ONE if rho >= 1.0 else rho)
         return d, w0 * (t * (1.0 - abs2(p)) / (2.0 * rho))
 
     def term_sum_z(self, z: complex, terms: tuple) -> tuple[float, complex]:
@@ -234,9 +242,6 @@ class Manifold:
             gx += w * (v.real * c)
             gy += w * (v.imag * c)
         return total, complex(gx, gy)
-
-    def distance_z(self, p: complex, q: complex) -> float:
-        return self.distance_log_z(p, q)[0]
 
     def distance(self, p: DiskPoint, q: DiskPoint) -> float:
         return self.distance_z(p.z, q.z)

@@ -15,8 +15,9 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -86,9 +87,10 @@ class SolveConfig:
             raise ConfigError("oracle", f"{self.oracle.name} is defined on disk models only")
 
 
-@dataclass(frozen=True, slots=True)
-class IterationRecord:
-    """One recorded iterate; ``z`` is the point x + iy as a complex number."""
+class IterationRecord(NamedTuple):
+    """One recorded iterate; ``z`` is the point x + iy as a complex number.
+    A tuple, so it is immutable, unpacks in field order and is changed with
+    ``_replace``."""
 
     k: int
     z: complex
@@ -166,6 +168,7 @@ def run(cfg: SolveConfig) -> RunTrace:
     # The loop runs on complex points and subgradient components; z stays
     # finite because exp_z raises on a non-finite endpoint.
     fn, step, norm_z, exp_z = oracle.fn, cfg.schedule.step, m.norm_z, m.exp_z
+    record, distance_to = IterationRecord._make, sset.distance_to
     max_iters, record_every = cfg.max_iters, cfg.record_every
     isfinite = math.isfinite
     z = cfg.x0.z
@@ -200,7 +203,7 @@ def run(cfg: SolveConfig) -> RunTrace:
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
         if termination is not None or k % record_every == 0:
-            records.append(IterationRecord(k, z, f, gn, lam, sset.distance_to(m, z), drift_in))
+            records.append(record((k, z, f, gn, lam, distance_to(m, z), drift_in)))
         if termination is not None:
             break
         z, drift_in = z_next, drift_next
@@ -372,23 +375,36 @@ def _json_scalar(v) -> str:
 
 
 # One record as json.dumps(indent=2) lays it out, an object two containers deep,
-# after its separator.
+# after its separator, with a %s slot for each value's JSON text. _RECORD_ROW
+# is the same layout with %r slots for k and the six floats.
 _RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
 _RECORD_JSON = ",\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    }"
+_RECORD_ROW = _RECORD_JSON % ("%r", "%r", "%r", "%r", "%r", "%r", "%s", "%s")
+_JSON_BOOL = ("false", "true")
 _RECORDS_AT = '\n  "records": []'
 
 
 def _json_records(trace: RunTrace) -> Iterator[str]:
     """The records array as json.dumps(indent=2) lays it out, as a member of
-    the top-level object, row by row."""
+    the top-level object, row by row. A row of an exact int k, an exact bool
+    drift and exact finite floats, dist_to_s a float or None, is formatted
+    by one template; any other row (NaN, an infinity, a float subclass) goes
+    through _json_scalar, value by value."""
     s = _json_scalar
     first = True
-    for r in trace.records:
-        z = r.z
-        text = _RECORD_JSON % (
-            s(r.k), s(z.real), s(z.imag), s(r.f_value),
-            s(r.grad_norm), s(r.lambda_k), s(r.dist_to_s), s(r.drift),
-        )
+    for k, z, f, gn, lam, d, drift in trace.records:
+        x, y = z.real, z.imag
+        if (
+            type(k) is int
+            and type(drift) is bool
+            and type(x) is type(y) is type(f) is type(gn) is type(lam) is float
+            and (d is None or type(d) is float)
+            # Finite: x - x is 0.0 for a finite x and NaN for NaN or an infinity.
+            and x - x + y - y + f - f + gn - gn + lam - lam + (0.0 if d is None else d - d) == 0.0
+        ):
+            text = _RECORD_ROW % (k, x, y, f, gn, lam, "null" if d is None else repr(d), _JSON_BOOL[drift])
+        else:
+            text = _RECORD_JSON % (s(k), s(x), s(y), s(f), s(gn), s(lam), s(d), s(drift))
         if first:
             text, first = "[" + text[1:], False
         yield text
@@ -422,16 +438,12 @@ def _csv_rows(records: list[IterationRecord]) -> Iterator[str]:
     ``np.float64(0.5)``; it is written as a plain float, as json writes it.
     The repr of a plain float or int holds no parenthesis, so only a row
     that has one is formatted a second time."""
-    for r in records:
-        z, d = r.z, r.dist_to_s
-        text = _CSV_ROW % (
-            r.k, z.real, z.imag, r.f_value, r.grad_norm, r.lambda_k,
-            "" if d is None else repr(d), r.drift,
-        )
+    for k, z, f, gn, lam, d, drift in records:
+        text = _CSV_ROW % (k, z.real, z.imag, f, gn, lam, "" if d is None else repr(d), drift)
         if "(" in text:
             text = _CSV_ROW % (
-                r.k, z.real, z.imag, _plain(r.f_value), _plain(r.grad_norm), _plain(r.lambda_k),
-                "" if d is None else repr(_plain(d)), r.drift,
+                k, z.real, z.imag, _plain(f), _plain(gn), _plain(lam),
+                "" if d is None else repr(_plain(d)), drift,
             )
         yield text
 
@@ -444,19 +456,38 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
 
 
 _RECORD_KEY_SET = frozenset(_RECORD_KEYS)
+_record_values = itemgetter(*_RECORD_KEYS)
+# The JSON types of the record keys other than the coordinates x and y, and
+# how a fault names them. Any number is taken where a float is, NaN and the
+# infinities included, as the writer emits them; a bool is no number here.
+_NUMBER = (float, int)
+_RECORD_TYPES = {
+    "k": ((int,), "an integer"),
+    "f": (_NUMBER, "a number"),
+    "grad_norm": (_NUMBER, "a number"),
+    "lambda": (_NUMBER, "a number"),
+    "dist_to_s": ((float, int, type(None)), "a number or null"),
+    "drift": ((bool,), "true or false"),
+}
 
 
 def _record_from_json(obj: dict):
-    """json object_hook: an object with exactly the record keys and numeric
-    x and y becomes an IterationRecord as it is parsed; any other object stays
-    a dict."""
+    """json object_hook: an object with exactly the record keys, numeric x
+    and y, and the other values of their JSON types (_RECORD_TYPES) becomes
+    an IterationRecord as it is parsed; any other object stays a dict."""
     if obj.keys() == _RECORD_KEY_SET:
-        x, y = obj["x"], obj["y"]
-        if type(x) in (float, int) and type(y) in (float, int):
-            return IterationRecord(
-                obj["k"], complex(x, y), obj["f"], obj["grad_norm"], obj["lambda"],
-                obj["dist_to_s"], bool(obj["drift"]),
-            )
+        k, x, y, f, gn, lam, d, drift = _record_values(obj)
+        if (
+            type(k) is int
+            and type(drift) is bool
+            and type(x) in _NUMBER
+            and type(y) in _NUMBER
+            and type(f) in _NUMBER
+            and type(gn) in _NUMBER
+            and type(lam) in _NUMBER
+            and (d is None or type(d) in _NUMBER)
+        ):
+            return IterationRecord._make((k, complex(x, y), f, gn, lam, d, drift))
     return obj
 
 
@@ -470,7 +501,11 @@ def _record_fault(obj) -> str:
     extra = [key for key in obj if key not in _RECORD_KEY_SET]
     if extra:
         return f"has extra key(s) {', '.join(extra)}"
-    return f"has a non-numeric coordinate: x = {obj['x']!r}, y = {obj['y']!r}"
+    x, y = obj["x"], obj["y"]
+    if not (type(x) in _NUMBER and type(y) in _NUMBER):
+        return f"has a non-numeric coordinate: x = {x!r}, y = {y!r}"
+    key = next(key for key, (types, _) in _RECORD_TYPES.items() if type(obj[key]) not in types)
+    return f'has "{key}" = {obj[key]!r}, not {_RECORD_TYPES[key][1]}'
 
 
 def load_trace(path: str | Path) -> RunTrace:
@@ -479,8 +514,10 @@ def load_trace(path: str | Path) -> RunTrace:
     Each record object becomes an IterationRecord while the text is parsed,
     so the record dicts are never all alive at once. A record's point is read
     back as ``complex(x, y)``, with no disk-bound check, so traces from the
-    flat model reload cleanly. A record with a missing or extra key or a
-    non-numeric coordinate raises ValueError naming its index.
+    flat model reload cleanly. A record with a missing or extra key, or a
+    value not of its key's JSON type (an integer k, numbers for x, y, f,
+    grad_norm and lambda, a number or null for dist_to_s, a bool drift),
+    raises ValueError naming its index and the key.
     """
     raw = json.loads(Path(path).read_text(), object_hook=_record_from_json)
     records = raw["records"]

@@ -15,10 +15,13 @@ import functools
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hypersub.cli import build_solve_config, read_config
 from hypersub.geometry import EUCLIDEAN_PLANE, POINCARE_DISK, DiskPoint, scaled_disk
@@ -33,6 +36,7 @@ from hypersub.oracles import (
 )
 from hypersub.schedules import harmonic, power_law, sqrt_harmonic
 from hypersub.solver import (
+    IterationRecord,
     MissingFStar,
     MissingSolutionPoint,
     SolveConfig,
@@ -204,7 +208,7 @@ def short_run(oracle):
 def with_odd_scalars():
     trace = short_run(constant(2.0, 0.0, SolutionSet.single_point(DiskPoint(0.0, 0.0))))
     r = trace.records[1]
-    odd = replace(r, f_value=math.nan, grad_norm=-math.inf, lambda_k=Tagged(0.5), dist_to_s=math.inf)
+    odd = r._replace(f_value=math.nan, grad_norm=-math.inf, lambda_k=Tagged(0.5), dist_to_s=math.inf)
     return replace(trace, records=[trace.records[0], odd, *trace.records[2:]])
 
 
@@ -241,6 +245,52 @@ def test_json_writer_matches_json_dumps(name, tmp_path):
     trace = EDGE_TRACES[name]()
     expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     assert written(write_trace_json, trace, tmp_path) == expected.encode()
+
+
+# Finite floats over the whole range: signed zeros, subnormals, the extremes
+# and integral values, which repr writes with a trailing ".0".
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 1e-7]
+finite_floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+# Values json writes its own way: NaN, the infinities and float subclasses.
+odd_floats = (
+    st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.builds(Tagged, finite_floats)
+    | st.builds(np.float64, finite_floats)
+)
+
+
+@st.composite
+def records(draw):
+    # A row of an int k, a bool drift and finite floats, which the writer
+    # formats by its fast row, or one with an odd value in one drawn field,
+    # which must take the fallback: a float that json writes its own way, a
+    # bool k or an int drift.
+    row = {key: draw(finite_floats) for key in ("x", "y", "f", "grad_norm", "lambda", "dist_to_s")}
+    row.update(k=draw(st.integers(0, 2**63)), drift=draw(st.booleans()))
+    if draw(st.booleans()):
+        row["dist_to_s"] = None
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([key for key, v in row.items() if v is not None]))
+        odd = {"k": st.booleans(), "drift": st.integers(0, 1)}.get(key, odd_floats)
+        row[key] = draw(odd)
+    return IterationRecord(
+        row["k"], complex(row["x"], row["y"]), row["f"], row["grad_norm"], row["lambda"],
+        row["dist_to_s"], row["drift"],
+    )
+
+
+@functools.cache
+def base_trace():
+    return short_run(constant(1.0, 0.0, SolutionSet.single_point(DiskPoint(0.0, 0.0))))
+
+
+@given(st.lists(records(), max_size=6))
+def test_json_writer_rows_match_json_dumps(rows):
+    trace = replace(base_trace(), records=rows)
+    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        assert written(write_trace_json, trace, Path(tmp)) == expected.encode()
 
 
 def test_trace_in_the_earlier_layout_loads(tmp_path):
