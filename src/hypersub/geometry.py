@@ -19,8 +19,6 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass, field
 
-import numpy as np
-
 # exp() clamps radially to BOUNDARY_CLAMP when the result lands within
 # DRIFT_EPS of the unit circle; the caller sees a drift flag.
 DRIFT_EPS = 1e-15
@@ -70,9 +68,6 @@ class DiskPoint:
         """Unconstrained point for the Euclidean plane model."""
         return cls(x, y, check=False)
 
-    def abs2(self) -> float:
-        return self.x * self.x + self.y * self.y
-
 
 ORIGIN = DiskPoint(0.0, 0.0)
 
@@ -110,9 +105,9 @@ class Tangent:
         return Tangent(self.base, self.vx * factor, self.vy * factor)
 
 
-def abs2(z: complex | np.ndarray) -> float | np.ndarray:
-    """|z|^2 as x*x + y*y, the rounding of ``DiskPoint.abs2``, for a complex
-    number or array."""
+def abs2(z: complex) -> float:
+    """|z|^2 as x*x + y*y, the rounding of the disk-bound check of
+    ``DiskPoint``; elementwise on a numpy complex array too."""
     return z.real * z.real + z.imag * z.imag
 
 
@@ -142,7 +137,7 @@ class Manifold:
             raise ValueError("the Poincaré disk has kappa = 1")
 
     def contains(self, p: DiskPoint) -> bool:
-        return self.flat or p.abs2() < 1.0
+        return self.flat or abs2(p.z) < 1.0
 
     # -- metric ------------------------------------------------------------
     # The ``_z`` forms take points z = x + iy and tangent components
@@ -163,36 +158,16 @@ class Manifold:
         rho = num / abs(1.0 - p.conjugate() * q)
         return 2.0 * math.atanh(_BELOW_ONE if rho >= 1.0 else rho) / self.kappa
 
-    def distance_log_z(self, p: complex, q: complex) -> tuple[float, complex]:
-        """``distance_z(p, q)`` and the components of ``log(p, q)``. The
-        distance takes the modulus ratio and the log the modulus of the complex
-        quotient; each keeps its own rounding."""
-        d = self.distance_z(p, q)
-        dq = q - p
-        if self.flat:
-            return d, dq
-        if dq == 0.0:
-            # Before the quotient: 1 - conj(p) q is 0 for a point on the circle.
-            return d, 0j
-        w0 = dq / (1.0 - p.conjugate() * q)
-        rho = abs(w0)
-        if rho == 0.0:
-            return d, 0j
-        # Euclidean components are kappa-independent: the manifold norm and
-        # the manifold distance pick up the same 1/kappa.
-        t = 2.0 * math.atanh(_BELOW_ONE if rho >= 1.0 else rho)
-        return d, w0 * (t * (1.0 - abs2(p)) / (2.0 * rho))
-
     def term_sum_z(self, z: complex, terms: tuple) -> tuple[float, complex]:
         """The ordered sum of ``terms`` at ``z`` and its subgradient components.
 
         A hinge term ``(a, r, w)`` adds w * max(0, d(z, a) - r), with the zero
         subgradient where d <= r and w times the unit one, -log_z(a) / d,
         elsewhere. An opaque term ``(w, fn)`` adds w times ``fn(self, z)``.
-        The hinge repeats the formula of ``distance_log_z`` inline, sharing
-        conj(z) and 1 - |z|^2 across the terms, with the same roundings. The
-        sums start at -0.0, the exact additive identity, so one hinge of
-        weight 1 returns its own (f, g) bit for bit.
+        The hinge repeats the formulas of ``distance_z`` and ``log_z`` inline,
+        sharing conj(z) and 1 - |z|^2 across the terms, with the same
+        roundings. The sums start at -0.0, the exact additive identity, so one
+        hinge of weight 1 returns its own (f, g) bit for bit.
         """
         total = gx = gy = -0.0
         flat = self.flat
@@ -252,7 +227,7 @@ class Manifold:
         dot = u.vx * v.vx + u.vy * v.vy
         if self.flat:
             return dot
-        lam = 2.0 / (1.0 - u.base.abs2())
+        lam = 2.0 / (1.0 - abs2(u.base.z))
         return dot * (lam / self.kappa) ** 2
 
     def norm_z(self, p: complex, v: complex) -> float:
@@ -317,19 +292,42 @@ class Manifold:
             return p
         return DiskPoint.from_complex(self.exp_z(p.z, v.v)[0], check=not self.flat)
 
+    def log_z(self, p: complex, q: complex) -> complex:
+        """The components of the tangent at ``p`` with ``exp_z(p, .) = q`` and
+        manifold norm ``distance_z(p, q)``. The distance takes the modulus
+        ratio and the log the modulus of the complex quotient; each keeps its
+        own rounding."""
+        dq = q - p
+        if self.flat:
+            return dq
+        if dq == 0.0:
+            # Before the quotient: 1 - conj(p) q is 0 for a point on the circle.
+            return 0j
+        w0 = dq / (1.0 - p.conjugate() * q)
+        rho = abs(w0)
+        if rho == 0.0:
+            return 0j
+        # Euclidean components are kappa-independent: the manifold norm and
+        # the manifold distance pick up the same 1/kappa.
+        t = 2.0 * math.atanh(_BELOW_ONE if rho >= 1.0 else rho)
+        return w0 * (t * (1.0 - abs2(p)) / (2.0 * rho))
+
     def log(self, p: DiskPoint, q: DiskPoint) -> Tangent:
         """The tangent at ``p`` with ``exp(p, log(p, q)) = q`` and manifold
         norm equal to ``distance(p, q)``."""
-        return Tangent.from_complex(p, self.distance_log_z(p.z, q.z)[1])
+        return Tangent.from_complex(p, self.log_z(p.z, q.z))
 
     # -- derived quantities --------------------------------------------------
 
-    def distance_to_x_axis(self, p: DiskPoint) -> float:
-        """Distance from ``p`` to the diameter (-1, 1) x {0} (to the x-axis
-        in the flat model)."""
+    def distance_to_x_axis_z(self, z: complex) -> float:
+        """Distance from the point ``z`` to the diameter (-1, 1) x {0} (to the
+        x-axis in the flat model)."""
         if self.flat:
-            return abs(p.y)
-        return math.asinh(2.0 * abs(p.y) / (1.0 - p.abs2())) / self.kappa
+            return abs(z.imag)
+        return math.asinh(2.0 * abs(z.imag) / (1.0 - abs2(z))) / self.kappa
+
+    def distance_to_x_axis(self, p: DiskPoint) -> float:
+        return self.distance_to_x_axis_z(p.z)
 
     def x_axis_projection(self, p: DiskPoint) -> DiskPoint:
         """Nearest point of the x-axis diameter to ``p``."""
@@ -339,7 +337,7 @@ class Manifold:
             return ORIGIN
         # The foot s solves x s^2 - (1+|p|^2) s + x = 0; its two roots have
         # product 1, so take the reciprocal of the stable large root.
-        n = p.abs2()
+        n = abs2(p.z)
         s_big = ((1.0 + n) + math.sqrt((1.0 + n) ** 2 - 4.0 * p.x * p.x)) / (2.0 * p.x)
         return DiskPoint(1.0 / s_big, 0.0)
 
@@ -350,63 +348,3 @@ EUCLIDEAN_PLANE = Manifold("euclidean-plane", 0.0)
 
 def scaled_disk(kappa: float) -> Manifold:
     return Manifold("scaled-disk", kappa)
-
-
-# -- array forms -----------------------------------------------------------------
-#
-# Elementwise twins of the Poincaré-disk (kappa = 1) operations above, on complex
-# arrays: points are z = x + iy and tangents their Euclidean components v. They
-# use the scalar formulas, which stay the reference they are tested against.
-
-
-def distance_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Twin of ``POINCARE_DISK.distance``: 2 atanh(|q-p| / |1 - conj(p) q|)."""
-    rho = np.abs(q - p) / np.abs(1.0 - np.conj(p) * q)
-    return 2.0 * np.arctanh(np.minimum(rho, np.nextafter(1.0, 0.0)))
-
-
-def inner_array(p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Twin of ``POINCARE_DISK.inner`` for tangents u, v at p."""
-    lam = 2.0 / (1.0 - abs2(p))
-    return (u.real * v.real + u.imag * v.imag) * lam**2
-
-
-def norm_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Twin of ``POINCARE_DISK.norm`` for a tangent v at p."""
-    return 2.0 * np.abs(v) / (1.0 - abs2(p))
-
-
-def angle_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Twin of ``Manifold.angle``: the Euclidean angle in [0, pi]."""
-    nu = np.abs(u)
-    nv = np.abs(v)
-    if not (np.all(nu > 0.0) and np.all(nv > 0.0)):
-        raise ZeroVector("angle of a zero tangent is undefined")
-    c = (u.real * v.real + u.imag * v.imag) / (nu * nv)
-    return np.arccos(np.clip(c, -1.0, 1.0))
-
-
-def exp_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Twin of ``POINCARE_DISK.exp``, with the same radial clamp to
-    ``BOUNDARY_CLAMP`` within ``DRIFT_EPS`` of the unit circle."""
-    p, v = np.broadcast_arrays(p, v)
-    a = np.abs(v)
-    moving = a > 0.0
-    t = 2.0 * a / (1.0 - abs2(p))
-    ur = np.divide(v, a, out=np.zeros_like(v), where=moving) * np.tanh(0.5 * t)
-    w = (ur + p) / (1.0 + np.conj(p) * ur)
-    if not np.all(np.isfinite(w)):
-        raise ResultOutsideDisk("exp produced a non-finite point")
-    aw = np.abs(w)
-    w = np.where(aw >= 1.0 - DRIFT_EPS, w * (BOUNDARY_CLAMP / aw), w)
-    return np.where(moving, w, p)
-
-
-def log_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Twin of ``POINCARE_DISK.log``: the tangent components at p toward q."""
-    w0 = (q - p) / (1.0 - np.conj(p) * q)
-    rho = np.abs(w0)
-    d = 2.0 * np.arctanh(np.minimum(rho, np.nextafter(1.0, 0.0)))
-    scale = np.divide(d * (1.0 - abs2(p)), 2.0 * rho, out=np.zeros_like(rho), where=rho > 0.0)
-    return w0 * scale
-

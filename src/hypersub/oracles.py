@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
-
-import numpy as np
 
 from .geometry import (
     ORIGIN,
@@ -48,6 +47,11 @@ class SolutionSet:
     point: DiskPoint | None = None  # a point of S; the origin on the x-axis
     radius: float = 0.0
 
+    @cached_property
+    def point_z(self) -> complex:
+        """``point`` as the complex number x + iy, built once for distance_to."""
+        return self.point.z
+
     @classmethod
     def single_point(cls, p: DiskPoint) -> "SolutionSet":
         return cls(SINGLE_POINT, p)
@@ -70,11 +74,11 @@ class SolutionSet:
         """d(z, S) for a point given as the complex number z = x + iy, with no
         disk-bound check (``run()`` passes x0 and exp_z outputs); None if S is unknown."""
         if self.kind == SINGLE_POINT:
-            return m.distance_z(z, self.point.z)
+            return m.distance_z(z, self.point_z)
         if self.kind == X_AXIS:
-            return m.distance_to_x_axis(DiskPoint(z.real, z.imag, check=False))
+            return m.distance_to_x_axis_z(z)
         if self.kind == CLOSED_BALL:
-            return max(0.0, m.distance_z(z, self.point.z) - self.radius)
+            return max(0.0, m.distance_z(z, self.point_z) - self.radius)
         return None
 
     def nearest_point(self, m: Manifold, p: DiskPoint) -> DiskPoint | None:
@@ -139,28 +143,6 @@ def busemann_value(eta: complex, x: DiskPoint) -> float:
 def busemann_gradient(eta: complex, p: DiskPoint) -> Tangent:
     """Poincaré gradient (1-|p|^2)/2 * (p-eta)/(1-eta conj(p)); unit norm."""
     return Tangent.from_complex(p, _busemann_gradient(_unit(eta), p.z))
-
-
-def _unit_array(eta: np.ndarray) -> np.ndarray:
-    a = np.abs(eta)
-    if not np.all(np.isfinite(a) & (a > 0.0)):
-        raise ValueError("boundary directions must be nonzero complex numbers")
-    if np.any(np.abs(a - 1.0) > 1e-9):
-        raise ValueError("boundary directions must be unit")
-    return eta / a
-
-
-def busemann_value_array(eta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Elementwise twin of ``busemann_value`` on complex arrays of boundary
-    directions and points."""
-    e = _unit_array(eta)
-    return np.log(np.abs(x - e) ** 2) - np.log1p(-abs2(x))
-
-
-def busemann_gradient_array(eta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Elementwise twin of ``busemann_gradient``, as tangent components."""
-    e = _unit_array(eta)
-    return 0.5 * (1.0 - abs2(p)) * (p - e) / (1.0 - e * np.conj(p))
 
 
 def _require_disk(m: Manifold, what: str) -> None:

@@ -19,8 +19,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .geometry import DiskPoint, Manifold
 from .oracles import SubgradientOracle, format_complex, parse_complex
 from .schedules import StepSchedule, parse_schedule
@@ -58,7 +56,8 @@ def stop_threshold(gn0: float) -> float:
     """The STOP threshold of a run whose first subgradient norm is ``gn0``:
     STOP_GRAD_TOL scaled to the binade [2^(e-1), 2^e) of gn0, so STOP_GRAD_TOL
     itself for gn0 in [1, 2). A power-of-two scaling of f scales it exactly,
-    so the iterates of c * f and f agree bit for bit for c = 2^j."""
+    so the iterates of c * f and f agree bit for bit for c = 2^j. For a
+    subnormal gn0 it underflows to 0.0, and only a zero subgradient stops."""
     return math.ldexp(STOP_GRAD_TOL, math.frexp(gn0)[1] - 1)
 
 
@@ -161,7 +160,8 @@ def run(cfg: SolveConfig) -> RunTrace:
     sset = oracle.solution_set
     f_star = oracle.known_min
     x_star = sset.nearest_point(m, cfg.x0)
-    d0 = m.distance(cfg.x0, x_star) if x_star is not None else None
+    # The distance every record's dist_to_s takes, so records[0] agrees.
+    d0 = sset.distance_to(m, cfg.x0.z)
 
     records: list[IterationRecord] = []
 
@@ -196,10 +196,15 @@ def run(cfg: SolveConfig) -> RunTrace:
             termination = Termination(MAX_ITERS, k)
         else:
             # Scale component by component, in the rounding of Tangent.scaled:
-            # first by -1/|g|, then by the step size.
+            # first by -1/|g|, then by the step size. For a subnormal |g|,
+            # 1/|g| overflows, and the components are divided by |g| instead.
             c = -1.0 / gn
+            if isfinite(c):
+                v = complex(g.real * c * lam, g.imag * c * lam)
+            else:
+                v = complex(-g.real / gn * lam, -g.imag / gn * lam)
             try:
-                z_next, drift_next = exp_z(z, complex(g.real * c * lam, g.imag * c * lam))
+                z_next, drift_next = exp_z(z, v)
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
         if termination is not None or k % record_every == 0:
@@ -260,6 +265,8 @@ def complexity_bound_report(
     a+b, then a) satisfying every recorded N. The steps are those of the
     schedule rebuilt from the trace's config echo.
     """
+    import numpy as np  # here, not at the top: the solver module loads without numpy
+
     if not (a > 0.0 and b > 0.0):
         raise ValueError("constants must be positive")
     if trace.f_star is None:
@@ -315,19 +322,7 @@ def trace_to_dict(trace: RunTrace) -> dict:
         "f_star": trace.f_star,
         "x_star": None if trace.x_star is None else format_complex(trace.x_star.z),
         "dist_x0_to_solution": trace.dist_x0_to_solution,
-        "records": [
-            {
-                "k": r.k,
-                "x": r.z.real,
-                "y": r.z.imag,
-                "f": r.f_value,
-                "grad_norm": r.grad_norm,
-                "lambda": r.lambda_k,
-                "dist_to_s": r.dist_to_s,
-                "drift": r.drift,
-            }
-            for r in trace.records
-        ],
+        "records": [_record_dict(*r) for r in trace.records],
         "termination": {
             "kind": trace.termination.kind,
             "step": trace.termination.step,
@@ -357,29 +352,18 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _json_scalar(v) -> str:
-    """``v`` as json.dumps writes it, without its call overhead for a finite
-    float, an int and the three constants."""
-    if type(v) is float:
-        if v - v == 0.0:  # finite; json writes nan and inf its own way
-            return repr(v)
-    elif v is None:
-        return "null"
-    elif v is True:
-        return "true"
-    elif v is False:
-        return "false"
-    elif type(v) is int:
-        return repr(v)
-    return json.dumps(v)
+def _record_dict(k, z, f, gn, lam, d, drift) -> dict:
+    """A record as the JSON object of its trace."""
+    return dict(zip(_RECORD_KEYS, (k, z.real, z.imag, f, gn, lam, d, drift)))
 
 
 # One record as json.dumps(indent=2) lays it out, an object two containers deep,
-# after its separator, with a %s slot for each value's JSON text. _RECORD_ROW
-# is the same layout with %r slots for k and the six floats.
+# after its separator, with %r slots for k and the six floats and %s slots for
+# the JSON text of dist_to_s and drift.
 _RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
-_RECORD_JSON = ",\n    {" + ",".join(f'\n      "{key}": %s' for key in _RECORD_KEYS) + "\n    }"
-_RECORD_ROW = _RECORD_JSON % ("%r", "%r", "%r", "%r", "%r", "%r", "%s", "%s")
+_RECORD_ROW = ",\n    {" + ",".join(
+    f'\n      "{key}": {slot}' for key, slot in zip(_RECORD_KEYS, ("%r",) * 6 + ("%s", "%s"))
+) + "\n    }"
 _JSON_BOOL = ("false", "true")
 _RECORDS_AT = '\n  "records": []'
 
@@ -388,9 +372,8 @@ def _json_records(trace: RunTrace) -> Iterator[str]:
     """The records array as json.dumps(indent=2) lays it out, as a member of
     the top-level object, row by row. A row of an exact int k, an exact bool
     drift and exact finite floats, dist_to_s a float or None, is formatted
-    by one template; any other row (NaN, an infinity, a float subclass) goes
-    through _json_scalar, value by value."""
-    s = _json_scalar
+    by one template; any other row (NaN, an infinity, a float subclass) is
+    written by json.dumps itself, indented to its depth."""
     first = True
     for k, z, f, gn, lam, d, drift in trace.records:
         x, y = z.real, z.imag
@@ -404,7 +387,8 @@ def _json_records(trace: RunTrace) -> Iterator[str]:
         ):
             text = _RECORD_ROW % (k, x, y, f, gn, lam, "null" if d is None else repr(d), _JSON_BOOL[drift])
         else:
-            text = _RECORD_JSON % (s(k), s(x), s(y), s(f), s(gn), s(lam), s(d), s(drift))
+            row = json.dumps(_record_dict(k, z, f, gn, lam, d, drift), indent=2)
+            text = ",\n    " + row.replace("\n", "\n    ")
         if first:
             text, first = "[" + text[1:], False
         yield text
@@ -457,24 +441,41 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
 
 _RECORD_KEY_SET = frozenset(_RECORD_KEYS)
 _record_values = itemgetter(*_RECORD_KEYS)
-# The JSON types of the record keys other than the coordinates x and y, and
-# how a fault names them. Any number is taken where a float is, NaN and the
+# The JSON types of the keys of a record, of the top level of a trace and of
+# its termination object, in the order they are checked, with how a fault
+# names them. Any number is taken where a float is, NaN and the
 # infinities included, as the writer emits them; a bool is no number here.
 _NUMBER = (float, int)
+_NULL = type(None)
 _RECORD_TYPES = {
     "k": ((int,), "an integer"),
+    "x": (_NUMBER, "a number"),
+    "y": (_NUMBER, "a number"),
     "f": (_NUMBER, "a number"),
     "grad_norm": (_NUMBER, "a number"),
     "lambda": (_NUMBER, "a number"),
-    "dist_to_s": ((float, int, type(None)), "a number or null"),
+    "dist_to_s": ((float, int, _NULL), "a number or null"),
     "drift": ((bool,), "true or false"),
+}
+_TRACE_TYPES = {
+    "config": ((dict,), "an object"),
+    "f_star": ((float, int, _NULL), "a number or null"),
+    "x_star": ((str, _NULL), "a string or null"),
+    "dist_x0_to_solution": ((float, int, _NULL), "a number or null"),
+    "records": ((list,), "an array"),
+    "termination": ((dict,), "an object"),
+}
+_TERMINATION_TYPES = {
+    "kind": ((str,), "a string"),
+    "step": ((int, _NULL), "an integer or null"),
+    "reason": ((str, _NULL), "a string or null"),
 }
 
 
 def _record_from_json(obj: dict):
-    """json object_hook: an object with exactly the record keys, numeric x
-    and y, and the other values of their JSON types (_RECORD_TYPES) becomes
-    an IterationRecord as it is parsed; any other object stays a dict."""
+    """json object_hook: an object with exactly the record keys, each value
+    of its JSON type (_RECORD_TYPES), becomes an IterationRecord as it is
+    parsed; any other object stays a dict."""
     if obj.keys() == _RECORD_KEY_SET:
         k, x, y, f, gn, lam, d, drift = _record_values(obj)
         if (
@@ -491,21 +492,24 @@ def _record_from_json(obj: dict):
     return obj
 
 
-def _record_fault(obj) -> str:
-    """What keeps a parsed record object from being an IterationRecord."""
+def _key_fault(obj, types: dict) -> str | None:
+    """What keeps the parsed JSON value ``obj`` from being an object with
+    every key of ``types``, each holding a value of its JSON type; None if
+    nothing does."""
     if type(obj) is not dict:
         return f"is not an object: {obj!r}"
-    missing = [key for key in _RECORD_KEYS if key not in obj]
+    missing = [key for key in types if key not in obj]
     if missing:
         return f"misses key(s) {', '.join(missing)}"
-    extra = [key for key in obj if key not in _RECORD_KEY_SET]
-    if extra:
-        return f"has extra key(s) {', '.join(extra)}"
-    x, y = obj["x"], obj["y"]
-    if not (type(x) in _NUMBER and type(y) in _NUMBER):
-        return f"has a non-numeric coordinate: x = {x!r}, y = {y!r}"
-    key = next(key for key, (types, _) in _RECORD_TYPES.items() if type(obj[key]) not in types)
-    return f'has "{key}" = {obj[key]!r}, not {_RECORD_TYPES[key][1]}'
+    key = next((key for key, (allowed, _) in types.items() if type(obj[key]) not in allowed), None)
+    return None if key is None else f'has "{key}" = {obj[key]!r}, not {types[key][1]}'
+
+
+def _record_fault(obj) -> str:
+    """What keeps a parsed record object from being an IterationRecord."""
+    return _key_fault(obj, _RECORD_TYPES) or "has extra key(s) " + ", ".join(
+        key for key in obj if key not in _RECORD_KEY_SET
+    )
 
 
 def load_trace(path: str | Path) -> RunTrace:
@@ -514,22 +518,33 @@ def load_trace(path: str | Path) -> RunTrace:
     Each record object becomes an IterationRecord while the text is parsed,
     so the record dicts are never all alive at once. A record's point is read
     back as ``complex(x, y)``, with no disk-bound check, so traces from the
-    flat model reload cleanly. A record with a missing or extra key, or a
-    value not of its key's JSON type (an integer k, numbers for x, y, f,
-    grad_norm and lambda, a number or null for dist_to_s, a bool drift),
-    raises ValueError naming its index and the key.
+    flat model reload cleanly. A key that is missing or holds a value not of
+    its JSON type (_RECORD_TYPES, _TRACE_TYPES, _TERMINATION_TYPES), an extra
+    record key and an x_star that is no complex number raise ValueError
+    naming the key and any record's index.
     """
     raw = json.loads(Path(path).read_text(), object_hook=_record_from_json)
+    fault = _key_fault(raw, _TRACE_TYPES)
+    if fault:
+        raise ValueError(f"{path}: trace {fault}")
+    fault = _key_fault(raw["termination"], _TERMINATION_TYPES)
+    if fault:
+        raise ValueError(f'{path}: "termination" {fault}')
     records = raw["records"]
     for i, r in enumerate(records):
         if type(r) is not IterationRecord:
             raise ValueError(f"{path}: record {i} {_record_fault(r)}")
     x_star = raw["x_star"]
+    if x_star is not None:
+        try:
+            x_star = DiskPoint.from_complex(parse_complex(x_star), check=False)
+        except ValueError:
+            raise ValueError(f'{path}: trace has "x_star" = {x_star!r}, not a point') from None
     term = raw["termination"]
     return RunTrace(
         config=raw["config"],
         f_star=raw["f_star"],
-        x_star=None if x_star is None else DiskPoint.from_complex(parse_complex(x_star), check=False),
+        x_star=x_star,
         dist_x0_to_solution=raw["dist_x0_to_solution"],
         records=records,
         termination=Termination(term["kind"], term["step"], term["reason"]),

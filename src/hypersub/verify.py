@@ -6,7 +6,7 @@ streams are chunked with per-chunk seeds.
 
 The scalar margins (``law_of_cosines_margin``, ``key_theorem_margin``) are
 the reference; the bundled suites evaluate whole chunks at once with their
-array twins, built on the array forms in ``geometry`` and ``oracles``. Each
+array twins, built on the array forms of the disk kernel below. Each
 key-theorem ball hypothesis is certified by a closed-form sup of f.
 """
 
@@ -21,22 +21,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import (
+    BOUNDARY_CLAMP,
+    DRIFT_EPS,
     ORIGIN,
     POINCARE_DISK,
     DiskPoint,
     Manifold,
-    angle_array,
-    distance_array,
-    exp_array,
-    inner_array,
-    log_array,
-    norm_array,
+    ResultOutsideDisk,
+    ZeroVector,
+    abs2,
 )
 from .oracles import (
     SubgradientOracle,
     ball_hinge_oracle,
-    busemann_gradient_array,
-    busemann_value_array,
     distance_oracle,
     two_busemann_oracle,
 )
@@ -62,6 +59,88 @@ class DegenerateTriangle(ValueError):
 
 class HypothesisUnverified(Exception):
     """A key-theorem configuration failed its hypothesis check."""
+
+
+# -- array forms -----------------------------------------------------------------
+#
+# Elementwise twins of the Poincaré-disk (kappa = 1) operations of ``geometry``
+# and of the Busemann functions of ``oracles``, on complex arrays: points are
+# z = x + iy and tangents their Euclidean components v. They use the scalar
+# formulas, which stay the reference they are tested against.
+
+
+def distance_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.distance``: 2 atanh(|q-p| / |1 - conj(p) q|)."""
+    rho = np.abs(q - p) / np.abs(1.0 - np.conj(p) * q)
+    return 2.0 * np.arctanh(np.minimum(rho, np.nextafter(1.0, 0.0)))
+
+
+def inner_array(p: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.inner`` for tangents u, v at p."""
+    lam = 2.0 / (1.0 - abs2(p))
+    return (u.real * v.real + u.imag * v.imag) * lam**2
+
+
+def norm_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.norm`` for a tangent v at p."""
+    return 2.0 * np.abs(v) / (1.0 - abs2(p))
+
+
+def angle_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``Manifold.angle``: the Euclidean angle in [0, pi]."""
+    nu = np.abs(u)
+    nv = np.abs(v)
+    if not (np.all(nu > 0.0) and np.all(nv > 0.0)):
+        raise ZeroVector("angle of a zero tangent is undefined")
+    c = (u.real * v.real + u.imag * v.imag) / (nu * nv)
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def exp_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.exp``, with the same radial clamp to
+    ``BOUNDARY_CLAMP`` within ``DRIFT_EPS`` of the unit circle."""
+    p, v = np.broadcast_arrays(p, v)
+    a = np.abs(v)
+    moving = a > 0.0
+    t = 2.0 * a / (1.0 - abs2(p))
+    ur = np.divide(v, a, out=np.zeros_like(v), where=moving) * np.tanh(0.5 * t)
+    w = (ur + p) / (1.0 + np.conj(p) * ur)
+    if not np.all(np.isfinite(w)):
+        raise ResultOutsideDisk("exp produced a non-finite point")
+    aw = np.abs(w)
+    w = np.where(aw >= 1.0 - DRIFT_EPS, w * (BOUNDARY_CLAMP / aw), w)
+    return np.where(moving, w, p)
+
+
+def log_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Twin of ``POINCARE_DISK.log``: the tangent components at p toward q."""
+    w0 = (q - p) / (1.0 - np.conj(p) * q)
+    rho = np.abs(w0)
+    d = 2.0 * np.arctanh(np.minimum(rho, np.nextafter(1.0, 0.0)))
+    scale = np.divide(d * (1.0 - abs2(p)), 2.0 * rho, out=np.zeros_like(rho), where=rho > 0.0)
+    return w0 * scale
+
+
+def _unit_array(eta: np.ndarray) -> np.ndarray:
+    a = np.abs(eta)
+    if not np.all(np.isfinite(a) & (a > 0.0)):
+        raise ValueError("boundary directions must be nonzero complex numbers")
+    if np.any(np.abs(a - 1.0) > 1e-9):
+        raise ValueError("boundary directions must be unit")
+    return eta / a
+
+
+def busemann_value_array(eta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise twin of ``busemann_value`` on complex arrays of boundary
+    directions and points."""
+    e = _unit_array(eta)
+    return np.log(np.abs(x - e) ** 2) - np.log1p(-abs2(x))
+
+
+def busemann_gradient_array(eta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Elementwise twin of ``busemann_gradient``, as tangent components."""
+    e = _unit_array(eta)
+    return 0.5 * (1.0 - abs2(p)) * (p - e) / (1.0 - e * np.conj(p))
 
 
 # -- sampling -----------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The array forms used by the verify suites against their scalar twins, on
 the same seeded points."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypersub
 from hypersub.geometry import (
     BOUNDARY_CLAMP,
     ORIGIN,
@@ -13,18 +16,10 @@ from hypersub.geometry import (
     DiskPoint,
     Tangent,
     ZeroVector,
-    angle_array,
-    distance_array,
-    exp_array,
-    inner_array,
-    log_array,
-    norm_array,
 )
 from hypersub.oracles import (
     busemann_gradient,
-    busemann_gradient_array,
     busemann_value,
-    busemann_value_array,
     distance_oracle,
     two_busemann_oracle,
 )
@@ -35,8 +30,16 @@ from hypersub.verify import (
     _key_margins,
     _law_of_cosines_margins,
     _triangles,
+    angle_array,
+    busemann_gradient_array,
+    busemann_value_array,
+    distance_array,
+    exp_array,
+    inner_array,
     key_theorem_margin,
     law_of_cosines_margin,
+    log_array,
+    norm_array,
     sample_point,
 )
 
@@ -201,3 +204,27 @@ def test_key_margins_reject_a_failed_hypothesis(broken, message):
     cols[broken][1] = {"delta": 0.6 * d[1], "sup": d[1], "g": 0j}[broken]
     with pytest.raises(HypothesisUnverified, match=message):
         margins()
+
+
+def module_level_imports(module: str) -> set[str]:
+    """The modules a hypersub module imports outside any function body."""
+    tree = ast.parse((Path(hypersub.__file__).parent / f"{module}.py").read_text())
+    names, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("module", ["geometry", "oracles", "schedules", "solver"])
+def test_numpy_is_imported_at_module_level_by_verify_alone(module):
+    def numpy_names(names):
+        return {n for n in names if n == "numpy" or n.startswith("numpy.")}
+
+    assert numpy_names(module_level_imports("verify")) == {"numpy"}
+    assert numpy_names(module_level_imports(module)) == set()

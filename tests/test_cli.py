@@ -159,6 +159,17 @@ class TestSolve:
         assert (summary["termination"], summary["termination_step"]) == ("max-iters", 50)
         assert summary["stop_threshold"] == stop_threshold(trace.records[0].grad_norm) < 1e-23
 
+    def test_subnormal_first_subgradient_takes_its_steps(self, tmp_path, capsys):
+        # At 0.5 + 5e-324i the first subgradient norm is subnormal: -1/|g|
+        # overflowed, and the run ended numerical-failure at k = 0. Its STOP
+        # threshold underflows to 0.0, so only a zero subgradient would stop it.
+        text = (CONFIGS / "two_busemann.cfg").read_text().replace("x0 = 0.0+0.9i", "x0 = 0.5+5e-324i")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "two_busemann: max-iters after 10000 iterations\n"
+        summary = json.loads((tmp_path / "two_busemann.summary.json").read_text())
+        assert summary["stop_threshold"] == 0.0
+        assert summary["final_dist_to_s"] == pytest.approx(1e-4, rel=1e-6)
+
     def test_summary_counts_drift_at_the_boundary(self, tmp_path):
         # The Busemann run of tests/test_golden.py that reaches the radial clamp.
         text = (

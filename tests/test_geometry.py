@@ -122,7 +122,7 @@ class TestFlat:
 
 
 def _distance_reference(m, p, q):
-    """Manifold.distance_z as written before distance_log_z existed."""
+    """Manifold.distance_z written out on its own, as the reference."""
     if m.flat:
         return abs(q - p)
     num = abs(q - p)
@@ -135,7 +135,7 @@ def _distance_reference(m, p, q):
 
 
 def _log_reference(m, p, q):
-    """The components of Manifold.log as written before distance_log_z existed."""
+    """The components of Manifold.log written out on their own, as the reference."""
     if m.flat:
         return q - p
     w0 = (q - p) / (1.0 - p.conjugate() * q)
@@ -168,7 +168,7 @@ class TestDistanceLog:
     @pytest.mark.parametrize("m", [M, scaled_disk(0.5), scaled_disk(3.0), EUCLIDEAN_PLANE])
     def test_matches_the_separate_formulas_bit_for_bit(self, m):
         for p, q in self.pairs(m, seed=11):
-            got = m.distance_log_z(p, q)
+            got = (m.distance_z(p, q), m.log_z(p, q))
             want = (_distance_reference(m, p, q), _log_reference(m, p, q))
             assert _bits(*got) == _bits(*want), (p, q)
             log = m.log(DiskPoint.from_complex(p, check=False), DiskPoint.from_complex(q, check=False))
@@ -179,8 +179,10 @@ class TestDistanceLog:
         # both ratios, the distance's and the log's, reach the clamp
         assert any(abs(q - p) / abs(1.0 - p.conjugate() * q) >= 1.0 for p, q in pairs)
         assert any(abs((q - p) / (1.0 - p.conjugate() * q)) >= 1.0 for p, q in pairs)
-        assert M.distance_log_z(0.3 - 0.2j, 0.3 - 0.2j) == (0.0, 0j)
-        assert EUCLIDEAN_PLANE.distance_log_z(3.0 + 4.0j, 0j) == (5.0, -3.0 - 4.0j)
+        p = 0.3 - 0.2j
+        assert (M.distance_z(p, p), M.log_z(p, p)) == (0.0, 0j)
+        plane, q = EUCLIDEAN_PLANE, 3.0 + 4.0j
+        assert (plane.distance_z(q, 0j), plane.log_z(q, 0j)) == (5.0, -3.0 - 4.0j)
 
 
 class TestExpLog:

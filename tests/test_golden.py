@@ -101,7 +101,8 @@ DIGESTS = {
     "flat_distance": "dfdf2a1db7b37b62274035feff5ca05445072403bae19f578fa494695132b96d",
     "flat_weighted_sum": "f962db8035b8d972966a7366d2c531ae80ebb27f2d69092229670ffc256b2455",
     "scaled05_busemann": "de5e3e0bba093eecef96bc755adcd723b0242120df5bb6825ce896274350d4dc",
-    "scaled2_ball_hinge": "9302a844efad39f03cf57583281ebf4a4f5d4999ca105ea1b5a43bb2e475ad94",
+    # dist_x0_to_solution is the d(x0, S) of records[0], 2.2067317722138067.
+    "scaled2_ball_hinge": "fcbcd4ac41388fc4939acb877765682be237c498e9e12c4621a5f38ea2ab8b54",
     # The bundled config is the disk example under another name.
     "two_busemann_cfg": "fcd33cfaf4e06653e38e97fb0f67cb8dd0962a9227b74f7534e380a642b85140",
 }
@@ -129,7 +130,7 @@ REPORT_DIGESTS = {
     "flat_distance": "85e33b4214a52d62afa6544bd7d94c8a20117d23308caf2e26d744ff12749504",
     "flat_weighted_sum": NO_F_STAR,
     "scaled05_busemann": NO_F_STAR,
-    "scaled2_ball_hinge": "94526eb5437e416ff1b543ff83d08edc75d541515401b0a13b8f59ad12215aaf",
+    "scaled2_ball_hinge": "a70aac700b35c65a99333225391c8d9058f2af8134da4efefff73302a91fb545",
     "two_busemann_cfg": "617a6d9bc6973bc723e1dcde2b4991dfea5d07e396cd2e3554e33a327e3c669f",
 }
 
@@ -167,6 +168,12 @@ def test_run_is_byte_identical(name, tmp_path):
     assert sha256(text.encode()) == DIGESTS[name]
     data = written(write_trace_json, trace, tmp_path)
     assert data == (json.dumps(trace_to_dict(trace), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dist_x0_to_solution_is_the_first_records(name):
+    trace = traced(name)
+    assert trace.dist_x0_to_solution == trace.records[0].dist_to_s
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -321,6 +321,26 @@ class TestRun:
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.5), 3))
         assert "seed" not in trace.config
 
+    @pytest.mark.parametrize(
+        "m", [M, scaled_disk(0.5), scaled_disk(2.0), EUCLIDEAN_PLANE],
+        ids=["poincare", "scaled05", "scaled2", "plane"],
+    )
+    def test_dist_x0_to_solution_is_the_first_records(self, m):
+        # One d(x0, S) path: the trace's and records[0]'s agree to the bit, for
+        # random starts against the x-axis and random closed balls.
+        rng = np.random.default_rng(18)
+
+        def point(cap):
+            if m.flat:
+                return DiskPoint.plane(*rng.uniform(-5.0, 5.0, 2))
+            return sample_point(rng, cap)
+
+        for _ in range(200):
+            ball = SolutionSet.closed_ball(point(1.5), rng.uniform(0.05, 1.0))
+            for sset in (SolutionSet.x_axis(), ball):
+                trace = run(SolveConfig(m, constant_oracle(solution_set=sset), harmonic(1.0), point(4.0), 1))
+                assert trace.dist_x0_to_solution == trace.records[0].dist_to_s
+
     def test_dist_to_s_omitted_for_unknown_sets(self):
         cfg = SolveConfig(M, constant_oracle(), harmonic(1.0), DiskPoint(0.3, 0.0), 10)
         trace = run(cfg)
@@ -542,9 +562,9 @@ class TestSerialization:
         [
             (lambda r: r.pop("lambda"), "misses key(s) lambda"),
             (lambda r: r.update(extra=1.0), "has extra key(s) extra"),
-            (lambda r: r.update(x="0.1"), "has a non-numeric coordinate"),
-            (lambda r: r.update(y=None), "has a non-numeric coordinate"),
-            (lambda r: r.update(x=True), "has a non-numeric coordinate"),
+            (lambda r: r.update(x="0.1"), "has \"x\" = '0.1', not a number"),
+            (lambda r: r.update(y=None), 'has "y" = None, not a number'),
+            (lambda r: r.update(x=True), 'has "x" = True, not a number'),
             (lambda r: r.update(k=1.5), 'has "k" = 1.5, not an integer'),
             (lambda r: r.update(k=True), 'has "k" = True, not an integer'),
             (lambda r: r.update(f="1.0"), "has \"f\" = '1.0', not a number"),
@@ -568,6 +588,42 @@ class TestSerialization:
         edit(raw["records"][3])
         path.write_text(json.dumps(raw, indent=2))
         with pytest.raises(ValueError, match=re.escape(f"record 3 {fault}")):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit,fault",
+        [
+            (lambda t: t.update(f_star="zero"), "trace has \"f_star\" = 'zero', not a number or null"),
+            (lambda t: t.update(termination=None), 'trace has "termination" = None, not an object'),
+            (lambda t: t.update(x_star=5), 'trace has "x_star" = 5, not a string or null'),
+            (lambda t: t.update(config=None), 'trace has "config" = None, not an object'),
+            (lambda t: t.update(x_star="north"), "trace has \"x_star\" = 'north', not a point"),
+            (lambda t: t.update(dist_x0_to_solution=True), 'trace has "dist_x0_to_solution" = True, not a number'),
+            (lambda t: t.update(records={}), 'trace has "records" = {}, not an array'),
+            (lambda t: t.pop("config"), "trace misses key(s) config"),
+            (lambda t: t["termination"].update(kind=1), '"termination" has "kind" = 1, not a string'),
+            (lambda t: t["termination"].update(step=1.0), '"termination" has "step" = 1.0, not an integer'),
+            (lambda t: t["termination"].pop("reason"), '"termination" misses key(s) reason'),
+        ],
+        ids=[
+            "string-f-star", "null-termination", "int-x-star", "null-config", "bad-x-star",
+            "bool-dist", "object-records", "missing-config", "int-kind", "float-step", "missing-reason",
+        ],
+    )
+    def test_load_trace_names_a_faulty_top_level_key(self, tmp_path, edit, fault):
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        write_trace_json(trace, path)
+        raw = json.loads(path.read_text())
+        edit(raw)
+        path.write_text(json.dumps(raw, indent=2))
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            load_trace(path)
+
+    def test_load_trace_needs_an_object(self, tmp_path):
+        path = tmp_path / "t.trace.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match=re.escape("trace is not an object: []")):
             load_trace(path)
 
     def test_load_trace_takes_every_json_number(self, tmp_path):
