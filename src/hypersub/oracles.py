@@ -192,7 +192,7 @@ def two_busemann_oracle() -> SubgradientOracle:
 
 def _term_sum_fn(terms: tuple) -> Callable[[Manifold, complex], tuple[float, complex]]:
     """fn of the sum ``m.term_sum_z(z, terms)``. The terms ride on fn as
-    ``fn.terms``, so that ``weighted_sum`` can inline a lone hinge of weight 1."""
+    ``fn.terms``, so that ``weighted_sum`` can inline a lone term of weight 1."""
 
     def fn(m: Manifold, z: complex) -> tuple[float, complex]:
         return m.term_sum_z(z, terms)
@@ -241,15 +241,16 @@ def weighted_sum(
         raise ValueError("weights must be positive")
     terms = []
     for oracle, w in zip(oracles, weights):
-        # A part that is one hinge of weight 1 is inlined as a hinge of weight
-        # w, which rounds as w * (its f, g) did. Any other part, a nested sum
-        # too, stays opaque: w1 * (w2 * f) does not round like (w1 * w2) * f.
+        # A part that is one term of weight 1 is inlined as that term of
+        # weight w, which rounds as w * (its f, g) did. Any other part, a
+        # nested sum too, stays opaque: w1 * (w2 * f) does not round like
+        # (w1 * w2) * f.
         inner = getattr(oracle.fn, "terms", ())
-        if len(inner) == 1 and len(inner[0]) == 3 and inner[0][2] == 1.0:
+        if len(inner) == 1 and inner[0][2] == 1.0:
             a, r, _ = inner[0]
             terms.append((a, r, w))
         else:
-            terms.append((w, oracle.fn))
+            terms.append((oracle.fn, None, w))
     return SubgradientOracle(
         name,
         _term_sum_fn(tuple(terms)),

@@ -9,6 +9,7 @@ a numerical failure; the full iterate history is captured in a RunTrace.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .geometry import DiskPoint, Manifold
+from .geometry import BOUNDARY_CLAMP, DRIFT_EPS, DiskPoint, Manifold
 from .oracles import SubgradientOracle, format_complex, parse_complex
 from .schedules import StepSchedule, parse_schedule
 
@@ -166,24 +167,35 @@ def run(cfg: SolveConfig) -> RunTrace:
     records: list[IterationRecord] = []
 
     # The loop runs on complex points and subgradient components; z stays
-    # finite because exp_z raises on a non-finite endpoint.
-    fn, step, norm_z, exp_z = oracle.fn, cfg.schedule.step, m.norm_z, m.exp_z
+    # finite because every endpoint is checked. A step's norm and exp are the
+    # formulas of norm_z and exp_z written out, sharing 1 - |z|^2; a step that
+    # exp_z ends early or fails (v zero or not finite, a non-finite endpoint)
+    # goes to exp_z itself. tests/test_solver.py pins the two copies.
+    fn, lam_at, step, exp_z = oracle.fn, cfg.schedule.fn, cfg.schedule.step, m.exp_z
+    flat, kappa = m.flat, m.kappa
     record, distance_to = IterationRecord._make, sset.distance_to
     max_iters, record_every = cfg.max_iters, cfg.record_every
-    isfinite = math.isfinite
+    hypot, tanh, isfinite, isfinite_c = math.hypot, math.tanh, math.isfinite, cmath.isfinite
+    near_circle = 1.0 - DRIFT_EPS
     z = cfg.x0.z
     drift_in = False
     k = 0
     while True:
         f, g = fn(m, z)
-        gn = norm_z(z, g)
+        if flat:
+            gn = hypot(g.real, g.imag)
+        else:
+            s = 1.0 - (z.real * z.real + z.imag * z.imag)
+            gn = 2.0 * hypot(g.real, g.imag) / (s * kappa)
         if not (isfinite(f) and isfinite(gn)):
             # Records up to the failure are kept; the failing iterate itself
             # is not serialized (it would put non-finite floats in the JSON).
             termination = Termination(NUMERICAL_FAILURE, k, "non-finite value or subgradient")
             break
         try:
-            lam = step(k)
+            lam = lam_at(k)
+            if not lam > 0.0:
+                lam = step(k)  # raises the schedule's own rejection
         except ValueError as exc:
             termination = Termination(NUMERICAL_FAILURE, k, f"step size failed: {exc}")
             break
@@ -204,7 +216,23 @@ def run(cfg: SolveConfig) -> RunTrace:
             else:
                 v = complex(-g.real / gn * lam, -g.imag / gn * lam)
             try:
-                z_next, drift_next = exp_z(z, v)
+                if flat:
+                    w = z + v
+                elif v:
+                    a = abs(v)
+                    t = 2.0 * a / s
+                    u = v / a
+                    r = tanh(0.5 * t)
+                    w = (u * r + z) / (1.0 + z.conjugate() * u * r)
+                # w is read only for a nonzero v, for which it was just computed.
+                if v and isfinite_c(w):
+                    z_next, drift_next = w, False
+                    if not flat:
+                        a = abs(w)
+                        if a >= near_circle:
+                            z_next, drift_next = w * (BOUNDARY_CLAMP / a), True
+                else:
+                    z_next, drift_next = exp_z(z, v)
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
         if termination is not None or k % record_every == 0:
@@ -242,7 +270,9 @@ class ComplexityReport:
 
     ``rows`` holds (N, lhs, rhs, satisfied) for the supplied (A, B);
     ``fit_a``/``fit_b`` are the smallest grid pair making the bound hold at
-    every recorded N, or None when no grid pair works.
+    every recorded N, or None when no grid pair works. A trace with no
+    records certifies nothing: its rows are empty, ``satisfied_all`` is
+    False and both fits are None.
     """
 
     a: float
@@ -296,14 +326,15 @@ def complexity_bound_report(
     oks = gaps_arr <= vals
     rows = list(zip(ks, gaps, vals.tolist(), oks.tolist()))
 
-    grid = [10.0 ** e for e in range(-3, 5)]
+    # With no records there is no N for a pair to hold at, so none fits.
+    grid = [10.0 ** e for e in range(-3, 5)] if ks else []
     passing = [(ca + cb, ca, cb) for ca in grid for cb in grid if np.all(gaps_arr <= rhs(ca, cb))]
     _, fit_a, fit_b = min(passing, default=(None, None, None))
     return ComplexityReport(
         a=a,
         b=b,
         rows=rows,
-        satisfied_all=bool(oks.all()),
+        satisfied_all=bool(ks) and bool(oks.all()),
         fit_a=fit_a,
         fit_b=fit_b,
     )

@@ -3,9 +3,11 @@
 Everything here is deliberately built on other code paths than the library:
 mpmath arbitrary precision for limit definitions and closed forms, scipy
 minimization for distances-to-sets, math.fsum for series. The library is
-never called from this module.
+never called from this module, but by ``reference_run``, which rebuilds the
+solver's loop on the library's single-point forms.
 """
 
+import itertools
 import math
 
 import mpmath as mp
@@ -92,3 +94,47 @@ def fsum_partial_sums(fn, n: int) -> tuple[float, float]:
     """(sum lambda_k, sum lambda_k^2) for k = 0..n by math.fsum."""
     vals = [fn(k) for k in range(n + 1)]
     return math.fsum(vals), math.fsum(v * v for v in vals)
+
+
+def reference_run(cfg) -> tuple[list[tuple], tuple]:
+    """The records and the termination of ``run(cfg)``, from the method's loop
+    written on the single-point forms: one call each of ``Manifold.norm_z``,
+    ``Manifold.exp_z`` and ``StepSchedule.step`` per step. Records are tuples
+    in the field order of IterationRecord, and the termination is the tuple
+    (kind, step, reason)."""
+    from hypersub.solver import stop_threshold
+
+    m, fn, step = cfg.manifold, cfg.oracle.fn, cfg.schedule.step
+    sset = cfg.oracle.solution_set
+    z, drift_in, records = cfg.x0.z, False, []
+    for k in itertools.count():
+        f, g = fn(m, z)
+        gn = m.norm_z(z, g)
+        if not (math.isfinite(f) and math.isfinite(gn)):
+            return records, ("numerical-failure", k, "non-finite value or subgradient")
+        try:
+            lam = step(k)
+        except ValueError as exc:
+            return records, ("numerical-failure", k, f"step size failed: {exc}")
+        if k == 0:
+            stop_tol = stop_threshold(gn)
+        end = None
+        if gn <= stop_tol:
+            end = ("subgradient-zero", k, None)
+        elif k == cfg.max_iters:
+            end = ("max-iters", k, None)
+        else:
+            c = -1.0 / gn
+            if math.isfinite(c):
+                v = complex(g.real * c * lam, g.imag * c * lam)
+            else:
+                v = complex(-g.real / gn * lam, -g.imag / gn * lam)
+            try:
+                z_next, drift_next = m.exp_z(z, v)
+            except (ValueError, ArithmeticError) as exc:
+                end = ("numerical-failure", k, f"step failed: {exc}")
+        if end is not None or k % cfg.record_every == 0:
+            records.append((k, z, f, gn, lam, sset.distance_to(m, z), drift_in))
+        if end is not None:
+            return records, end
+        z, drift_in = z_next, drift_next

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from reference import reference_run
 
 from hypersub.geometry import (
     EUCLIDEAN_PLANE,
@@ -24,7 +25,15 @@ from hypersub.oracles import (
     two_busemann_oracle,
     weighted_sum,
 )
-from hypersub.schedules import harmonic, partial_sums, sqrt_harmonic, table
+from hypersub.schedules import (
+    StepSchedule,
+    harmonic,
+    log_inverse,
+    partial_sums,
+    power_law,
+    sqrt_harmonic,
+    table,
+)
 from hypersub.solver import (
     STOP_GRAD_TOL,
     ConfigError,
@@ -347,6 +356,120 @@ class TestRun:
         assert all(r.dist_to_s is None for r in trace.records)
 
 
+def assert_runs_alike(cfg) -> None:
+    """run(cfg) equals reference_run(cfg): the repr of every record field,
+    signed zeros included, and the termination's kind, step and reason."""
+    trace = run(cfg)
+    records, end = reference_run(cfg)
+    t = trace.termination
+    assert [tuple(map(repr, r)) for r in trace.records] == [tuple(map(repr, r)) for r in records]
+    assert (t.kind, t.step, t.reason) == end
+
+
+# kappa = 3 is no power of two, so a norm that divides by s and kappa in
+# another order rounds differently there.
+MODELS = [M, scaled_disk(0.5), scaled_disk(2.0), scaled_disk(3.0), EUCLIDEAN_PLANE]
+coordinates = st.floats(-0.69, 0.69)
+points = st.builds(complex, coordinates, coordinates)
+scales = st.floats(0.05, 2.0)
+schedules = st.one_of(
+    st.builds(harmonic, scales),
+    st.builds(sqrt_harmonic, scales),
+    st.builds(power_law, scales, st.floats(0.55, 1.0)),
+    st.builds(log_inverse, scales),
+    st.builds(table, st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4)),
+)
+hinge_terms = st.lists(
+    st.tuples(points, st.one_of(st.just(0.0), st.floats(0.05, 1.0)), st.floats(0.1, 10.0)),
+    min_size=1,
+    max_size=3,
+)
+directions = st.floats(0.0, 2.0 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+
+
+def hinge_sum(m, terms, opaque, w_opaque):
+    """The distances (r = 0) and ball hinges of ``terms`` plus an opaque part,
+    with the solution set of the first term."""
+    def point(a):
+        return DiskPoint.from_complex(a, check=not m.flat)
+
+    parts = [distance_oracle(point(a)) if r == 0.0 else ball_hinge_oracle(point(a), r) for a, r, _ in terms]
+    a, r, _ = terms[0]
+    sset = SolutionSet.single_point(point(a)) if r == 0.0 else SolutionSet.closed_ball(point(a), r)
+    return weighted_sum(parts + [opaque], [w for _, _, w in terms] + [w_opaque], solution_set=sset)
+
+
+@st.composite
+def problems(draw):
+    m = draw(st.sampled_from(MODELS))
+    kind = draw(st.sampled_from(["hinges"] if m.flat else ["hinges", "busemann", "two-busemann"]))
+    if kind == "hinges":
+        # A Busemann part on the disks; on the plane, a nested sum, which
+        # weighted_sum keeps opaque as well.
+        if m.flat:
+            opaque = weighted_sum([distance_oracle(DiskPoint.plane(draw(coordinates), draw(coordinates)))], [2.0])
+        else:
+            opaque = busemann_oracle(draw(directions))
+        oracle = hinge_sum(m, draw(hinge_terms), opaque, draw(st.floats(0.1, 10.0)))
+    elif kind == "busemann":
+        oracle = busemann_oracle(draw(directions))
+    else:
+        oracle = two_busemann_oracle()
+    x0 = draw(points)
+    x0 = DiskPoint.plane(x0.real, x0.imag) if m.flat else DiskPoint.from_complex(x0)
+    return SolveConfig(m, oracle, draw(schedules), x0, 150, record_every=draw(st.integers(1, 7)))
+
+
+def raising(k):
+    raise ValueError(f"no step at k={k}")
+
+
+class TestRunMatchesTheReferenceLoop:
+    """run() writes the step's norm and exp out inline and takes lambda_k from
+    schedule.fn; reference_run is the loop on norm_z, exp_z and
+    StepSchedule.step. They must agree record for record, bit for bit."""
+
+    @given(problems())
+    def test_on_every_model_oracle_kind_and_schedule_family(self, cfg):
+        assert_runs_alike(cfg)
+
+    def test_through_the_drift_clamp(self):
+        cfg = SolveConfig(scaled_disk(0.5), busemann_oracle(complex(0.6, 0.8)), sqrt_harmonic(1.0),
+                          DiskPoint(-0.3, 0.1), 3000)
+        assert sum(r.drift for r in run(cfg).records) == 3
+        assert_runs_alike(cfg)
+
+    def test_from_a_subnormal_first_subgradient(self):
+        cfg = SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.5, 5e-324), 200)
+        assert math.isinf(-1.0 / run(cfg).records[0].grad_norm)
+        assert_runs_alike(cfg)
+
+    @pytest.mark.parametrize("m", MODELS, ids=["poincare", "scaled05", "scaled2", "scaled3", "plane"])
+    @pytest.mark.parametrize("lam", [5e-324, 1e308])
+    def test_steps_that_exp_z_ends_or_fails(self, m, lam):
+        # On the disk and on scaled 0.5, 5e-324 scales the step to zero,
+        # where exp_z returns z itself.
+        cfg = SolveConfig(m, distance_oracle(DiskPoint(0.1, 0.2)), table([lam]), DiskPoint(0.05, 0.01), 20)
+        assert_runs_alike(cfg)
+
+    def test_a_step_that_exp_z_rejects(self):
+        # kappa = 4 near the origin: the components of a 1e308 step overflow.
+        cfg = SolveConfig(scaled_disk(4.0), distance_oracle(DiskPoint(0.1, 0.2)), table([1e308]),
+                          DiskPoint(0.05, 0.01), 20)
+        t = run(cfg).termination
+        assert (t.kind, t.step) == ("numerical-failure", 0)
+        assert t.reason.startswith("step failed: tangent components must be finite")
+        assert_runs_alike(cfg)
+
+    @pytest.mark.parametrize("fn", [lambda k: 0.0, lambda k: 0.1 if k < 3 else -0.0, raising])
+    def test_a_schedule_that_returns_no_step(self, fn):
+        schedule = StepSchedule("custom", fn, False, False, False)
+        cfg = SolveConfig(M, two_busemann_oracle(), schedule, DiskPoint(0.0, 0.5), 20)
+        t = run(cfg).termination
+        assert (t.kind, t.reason[:18]) == ("numerical-failure", "step size failed: ")
+        assert_runs_alike(cfg)
+
+
 class TestIterationRecord:
     def test_frozen_and_slotted(self):
         r = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 3)).records[1]
@@ -421,6 +544,16 @@ class TestComplexityReport:
         for a, b in [(1e-6, 1e-6), (1.0, 1.0), (100.0, 0.01)]:
             rep = complexity_bound_report(trace, a, b)
             assert rep.satisfied_all
+
+    def test_a_trace_with_no_records_certifies_nothing(self):
+        def fn(m, z):
+            return math.nan, 1 + 0j
+
+        oracle = SubgradientOracle("nan", fn, known_min=0.0, solution_set=SolutionSet.single_point(ORIGIN))
+        trace = run(SolveConfig(M, oracle, harmonic(1.0), DiskPoint(0.2, 0.0), 10))
+        assert (trace.termination.kind, trace.termination.step, trace.records) == ("numerical-failure", 0, [])
+        rep = complexity_bound_report(trace)
+        assert (rep.rows, rep.satisfied_all, rep.fit_a, rep.fit_b) == ([], False, None, None)
 
     def test_missing_solution_point(self):
         def fn(m, z):
