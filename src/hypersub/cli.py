@@ -16,8 +16,8 @@ import sys
 import time
 from pathlib import Path
 
-from .geometry import EUCLIDEAN_PLANE, POINCARE_DISK, DiskPoint, Manifold, scaled_disk
-from .oracles import make_oracle, parse_complex, parse_spec, two_busemann_oracle
+from .geometry import EUCLIDEAN_PLANE, POINCARE_DISK, Manifold, scaled_disk
+from .oracles import make_oracle, parse_point, parse_spec, two_busemann_oracle
 from .schedules import harmonic, parse_schedule, partial_sums
 from .solver import (
     NUMERICAL_FAILURE,
@@ -40,12 +40,11 @@ EXIT_REPRODUCTION = 5
 
 
 def parse_manifold(spec: str) -> Manifold:
-    name, params = parse_spec(
-        spec, "manifold", {"poincare": {}, "euclidean": {}, "scaled": {"kappa": None}}
-    )
-    if name == "scaled":
-        return scaled_disk(float(params["kappa"]))
-    return POINCARE_DISK if name == "poincare" else EUCLIDEAN_PLANE
+    return parse_spec(spec, "manifold", {
+        "poincare": (lambda: POINCARE_DISK, {}),
+        "euclidean": (lambda: EUCLIDEAN_PLANE, {}),
+        "scaled": (scaled_disk, {"kappa": (float, None)}),
+    })
 
 
 # The SolveConfig field each config key sets, with the parser of its text;
@@ -54,7 +53,7 @@ FIELD_PARSERS = {
     "manifold": parse_manifold,
     "oracle": make_oracle,
     "schedule": parse_schedule,
-    "x0": lambda text: DiskPoint.from_complex(parse_complex(text), check=False),
+    "x0": parse_point,
     "max_iters": int,
     "record_every": int,
 }

@@ -173,15 +173,17 @@ def busemann_oracle(eta: complex) -> SubgradientOracle:
 def two_busemann_oracle() -> SubgradientOracle:
     """Sum of the Busemann functions of the rays toward +1 and -1.
 
-    Nonnegative, zero exactly on the x-axis diameter; its gradient on the
-    y-axis points along the axis toward the origin.
+    f = log(|z^2 - 1|^2 / (1 - |z|^2)^2) = log1p(q^2), q = 2y / (1 - |z|^2), as
+    |z^2 - 1|^2 = (1 - |z|^2)^2 + 4y^2; nonnegative in that form, and zero
+    exactly on the x-axis diameter. Its gradient on the y-axis points along
+    the axis toward the origin.
     """
 
     def fn(m: Manifold, z: complex) -> tuple[float, complex]:
         _require_disk(m, "the two-Busemann oracle")
-        value = _busemann_value(1.0, z) + _busemann_value(-1.0, z)
+        q = 2.0 * z.imag / (1.0 - abs2(z))
         g = _busemann_gradient(1.0, z) + _busemann_gradient(-1.0, z)
-        return value, g * _disk_gradient_scale(m)
+        return math.log1p(q * q), g * _disk_gradient_scale(m)
 
     return SubgradientOracle(
         "two-busemann", fn, known_min=0.0, solution_set=SolutionSet.x_axis(), disk_only=True
@@ -263,14 +265,19 @@ def weighted_sum(
 # -- registry (CLI-facing) -------------------------------------------------------
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' notation ('0.9i', '-0.5', '0.0+0.9i', ...)."""
+    """Parse 'a+bi' notation ('0.9i', '-0.5', '0.0+0.9i', '-inf+0.5i', ...)."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
     try:
-        return complex(s.replace("i", "j"))
+        return complex(s[:-1] + "j" if s.endswith("i") else s)
     except ValueError:
         raise ValueError(f"cannot parse complex number {text!r}") from None
+
+
+def parse_point(text: str) -> DiskPoint:
+    """A point from 'a+bi' text, not checked against any model's carrier."""
+    return DiskPoint.from_complex(parse_complex(text), check=False)
 
 
 def format_complex(z: complex) -> str:
@@ -279,35 +286,39 @@ def format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def parse_spec(
-    spec: str, what: str, signatures: dict[str, dict[str, str | None]]
-) -> tuple[str, dict[str, str]]:
-    """Split a ``name:key=value,...`` spec into its name and parameters.
+def parse_spec(spec: str, what: str, table: dict[str, tuple[Callable, dict]]):
+    """Build the object a ``name:key=value,...`` spec names.
 
-    ``signatures`` maps each accepted name to its parameters and their
-    default text (None marks a required parameter); the returned parameters
-    include the defaults. Every error is a ValueError quoting ``spec``.
+    ``table`` maps each accepted name to its builder and its parameters, each
+    parameter to a text parser and a default text (None marks a required
+    one). Every parameter is parsed and the builder called by keyword. A
+    syntax or parse error is a ValueError quoting ``spec`` and naming the
+    parameter; a builder's own ValueError passes through unchanged.
     """
     name, _, body = spec.partition(":")
     name = name.strip()
-    if name not in signatures:
+    if name not in table:
         raise ValueError(f"unknown {what} {name!r} in {spec!r}")
-    signature = signatures[name]
-    params: dict[str, str] = {}
+    builder, signature = table[name]
+    texts: dict[str, str] = {}
     for item in body.split(",") if body else []:
         key, eq, value = item.partition("=")
         key = key.strip()
         if not eq:
             raise ValueError(f"malformed {what} parameter {item!r} in {spec!r}")
-        if key not in signature or key in params:
+        if key not in signature or key in texts:
             raise ValueError(f"unexpected or repeated {what} parameter {key!r} in {spec!r}")
-        params[key] = value.strip()
-    for key, default in signature.items():
-        if key not in params:
-            if default is None:
-                raise ValueError(f"{what} {name!r} needs parameter {key!r} in {spec!r}")
-            params[key] = default
-    return name, params
+        texts[key] = value.strip()
+    params = {}
+    for key, (parse, default) in signature.items():
+        text = texts.get(key, default)
+        if text is None:
+            raise ValueError(f"{what} {name!r} needs parameter {key!r} in {spec!r}")
+        try:
+            params[key] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"bad {what} parameter {key}={text!r} in {spec!r}: {exc}") from None
+    return builder(**params)
 
 
 def make_oracle(spec: str) -> SubgradientOracle:
@@ -317,21 +328,9 @@ def make_oracle(spec: str) -> SubgradientOracle:
     ``distance:anchor=...``, ``busemann:eta=...``. Points are not checked
     against the disk here; ``SolveConfig`` checks them against its manifold.
     """
-    name, params = parse_spec(
-        spec,
-        "oracle",
-        {
-            "two-busemann": {},
-            "ball-hinge": {"center": None, "r": None},
-            "distance": {"anchor": None},
-            "busemann": {"eta": None},
-        },
-    )
-    if name == "two-busemann":
-        return two_busemann_oracle()
-    if name == "ball-hinge":
-        center = DiskPoint.from_complex(parse_complex(params["center"]), check=False)
-        return ball_hinge_oracle(center, float(params["r"]))
-    if name == "distance":
-        return distance_oracle(DiskPoint.from_complex(parse_complex(params["anchor"]), check=False))
-    return busemann_oracle(parse_complex(params["eta"]))
+    return parse_spec(spec, "oracle", {
+        "two-busemann": (two_busemann_oracle, {}),
+        "ball-hinge": (ball_hinge_oracle, {"center": (parse_point, None), "r": (float, None)}),
+        "distance": (distance_oracle, {"anchor": (parse_point, None)}),
+        "busemann": (busemann_oracle, {"eta": (parse_complex, None)}),
+    })

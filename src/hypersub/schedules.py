@@ -100,22 +100,12 @@ def parse_schedule(spec: str) -> StepSchedule:
             return table([float(v) for v in body.split(",") if v.strip()])
         except ValueError as exc:
             raise ValueError(f"bad step table {spec!r}: {exc}") from None
-    name, params = parse_spec(
-        spec,
-        "schedule",
-        {
-            "harmonic": {"c": "1.0"},
-            "powerlaw": {"c": "1.0", "alpha": "0.75"},
-            "sqrt": {"c": "1.0"},
-            "loginv": {"c": "1.0"},
-        },
-    )
-    try:
-        values = {key: float(text) for key, text in params.items()}
-    except ValueError:
-        raise ValueError(f"bad schedule parameter in {spec!r}") from None
-    family = {"harmonic": harmonic, "powerlaw": power_law, "sqrt": sqrt_harmonic, "loginv": log_inverse}
-    return family[name](**values)
+    return parse_spec(spec, "schedule", {
+        "harmonic": (harmonic, {"c": (float, "1.0")}),
+        "powerlaw": (power_law, {"c": (float, "1.0"), "alpha": (float, "0.75")}),
+        "sqrt": (sqrt_harmonic, {"c": (float, "1.0")}),
+        "loginv": (log_inverse, {"c": (float, "1.0")}),
+    })
 
 
 def partial_sums(s: StepSchedule, n: int) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .geometry import BOUNDARY_CLAMP, DRIFT_EPS, DiskPoint, Manifold
-from .oracles import SubgradientOracle, format_complex, parse_complex
+from .oracles import SubgradientOracle, format_complex, parse_point
 from .schedules import StepSchedule, parse_schedule
 
 
@@ -568,7 +568,7 @@ def load_trace(path: str | Path) -> RunTrace:
     x_star = raw["x_star"]
     if x_star is not None:
         try:
-            x_star = DiskPoint.from_complex(parse_complex(x_star), check=False)
+            x_star = parse_point(x_star)
         except ValueError:
             raise ValueError(f'{path}: trace has "x_star" = {x_star!r}, not a point') from None
     term = raw["termination"]

@@ -635,7 +635,8 @@ def _distance_key_margins(rng: np.random.Generator, k: int) -> tuple[np.ndarray,
 
 
 def _two_busemann_value(x: np.ndarray) -> np.ndarray:
-    return busemann_value_array(1.0, x) + busemann_value_array(-1.0, x)
+    q = 2.0 * x.imag / (1.0 - abs2(x))
+    return np.log1p(q * q)
 
 
 def _two_busemann_key_margins(rng: np.random.Generator, k: int) -> tuple[np.ndarray, int]:

@@ -48,6 +48,15 @@ def mobius_derivative(c: complex, u: complex, z: complex) -> complex:
     return u * (1 - abs(c) ** 2) / (1 + c.conjugate() * u * z) ** 2
 
 
+def mp_two_busemann(p: complex, dps: int = 60) -> float:
+    """The sum of the Busemann functions toward +1 and -1 at p,
+    log(|p - 1|^2 |p + 1|^2 / (1 - |p|^2)^2), evaluated with dps digits."""
+    with mp.workdps(dps):
+        z = mp.mpc(p)
+        ratio = mp.fabs(z - 1) ** 2 * mp.fabs(z + 1) ** 2 / (1 - mp.fabs(z) ** 2) ** 2
+        return float(mp.log(ratio))
+
+
 def two_busemann_polar(p: complex) -> float:
     """The worked-example objective in polar form, log(1 + sinh^2 t sin^2 theta),
     with t = 2 atanh|p| the Poincaré distance to the origin and theta the

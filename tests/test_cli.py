@@ -108,6 +108,15 @@ class TestSolve:
         assert main(["solve", cfg]) == 2
         assert "x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x0", ["inf", "-inf+0.5i"])
+    def test_infinite_x0_is_named_as_not_finite(self, tmp_path, capsys, x0):
+        # Only a trailing i marks the imaginary part; 'inf' is not 'jnf'.
+        cfg = write_cfg(tmp_path, GOOD.replace("0.0+0.5i", x0))
+        code = main(["solve", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: x0 " in err and "must be finite" in err
+
     def test_underflowing_step_exits_3_with_its_trace(self, tmp_path, capsys):
         text = GOOD.replace("harmonic:c=1", "harmonic:c=5e-324")
         assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 3

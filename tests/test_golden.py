@@ -5,9 +5,10 @@ two trace writers, and tabulates its ``complexity_bound_report``; the sha256
 of each result is compared with a digest recorded from an earlier
 implementation.
 The cases cover every branch the step dispatches on: the Poincaré disk, the
-scaled disk at kappa above and below 1, and the flat plane; a zero-subgradient
-stop and a spent budget; recording every step and every n-th step; and the
-radial clamp at the boundary. A change in the order of any floating-point
+scaled disk at kappa above and below 1 and at a kappa that is not a power of
+two, and the flat plane; a zero-subgradient stop and a spent budget;
+recording every step and every n-th step; and the radial clamp at the
+boundary. A change in the order of any floating-point
 operation on the hot path changes some digest.
 """
 
@@ -87,6 +88,12 @@ CASES = {
         scaled_disk(2.0), ball_hinge_oracle(DiskPoint(0.1, 0.2), 1e-3), power_law(0.2, 0.75),
         DiskPoint(-0.95, 0.2), 5000,
     ),
+    # A curvature that is not a power of two, so dividing by kappa in another
+    # order rounds differently; the budget is spent, so every step is taken.
+    "scaled3_distance": lambda: SolveConfig(
+        scaled_disk(3.0), distance_oracle(DiskPoint(0.3, -0.2)), harmonic(0.5),
+        DiskPoint(-0.6, 0.5), 2000,
+    ),
     # Runs out to the boundary, where the radial clamp engages.
     "scaled05_busemann": lambda: SolveConfig(
         scaled_disk(0.5), busemann_oracle(complex(0.6, 0.8)), sqrt_harmonic(1.0),
@@ -96,28 +103,31 @@ CASES = {
 
 DIGESTS = {
     "ball_hinge_cfg": "92677edcb561ce37405c32c18abd460cd0279868ffaff019c3e7f91b186829db",
-    "disk_example_1e4": "fcd33cfaf4e06653e38e97fb0f67cb8dd0962a9227b74f7534e380a642b85140",
+    "disk_example_1e4": "12ad72b70a897c4d351c6acd6a47cae33e35fee01ff4caefd65b578ce1b0312a",
     "fermat_weber_2e4": "87c2d9c267ea06dc2e93843b89f3e223010ed1d5217894093f9278a7d0b57e8b",
     "flat_distance": "dfdf2a1db7b37b62274035feff5ca05445072403bae19f578fa494695132b96d",
     "flat_weighted_sum": "f962db8035b8d972966a7366d2c531ae80ebb27f2d69092229670ffc256b2455",
     "scaled05_busemann": "de5e3e0bba093eecef96bc755adcd723b0242120df5bb6825ce896274350d4dc",
+    "scaled3_distance": "8a9b99ea8e470f56e3568fcd7c95a435fa8c395855d8cf7a06406841f8fd332d",
     # dist_x0_to_solution is the d(x0, S) of records[0], 2.2067317722138067.
     "scaled2_ball_hinge": "fcbcd4ac41388fc4939acb877765682be237c498e9e12c4621a5f38ea2ab8b54",
-    # The bundled config is the disk example under another name.
-    "two_busemann_cfg": "fcd33cfaf4e06653e38e97fb0f67cb8dd0962a9227b74f7534e380a642b85140",
+    # The bundled config is the disk example under another name. Its pins
+    # were taken again when f became log1p(q^2), which changed every f.
+    "two_busemann_cfg": "12ad72b70a897c4d351c6acd6a47cae33e35fee01ff4caefd65b578ce1b0312a",
 }
 
 
 # Recorded from the csv.writer implementation of write_trace_csv.
 CSV_DIGESTS = {
     "ball_hinge_cfg": "60850d44f65634a37846a62e0bb86f5687d329bc5b84e395367a6184a9c62534",
-    "disk_example_1e4": "1a898e0720850c3691b9d4024571f4e0da90f39749348e89ee2f73d8857d90cc",
+    "disk_example_1e4": "2b49e47dc76762adfe9f896b360b4bff092bc318d11686ba3560392dbbb657c1",
     "fermat_weber_2e4": "eae0d8f14133ae57ebf691cb1a86391a289d7025542d57489b6aa6ce96f9be31",
     "flat_distance": "028d0e520e2f56f92bbe83de6cc48ae31ad5c98fba02b5932de5fb6d1adddc96",
     "flat_weighted_sum": "89e24632f9a09040d9681c232cda7aa06d9d13587f995c50a6fe364de66f3428",
     "scaled05_busemann": "36eaae26d21acdaad96e6e47c82e23f7d8c672ecbee39945768c4488ac24dc0d",
+    "scaled3_distance": "fa30ec5a52403995378465d6f99607e074cfeaae9b211480e7c198e37788c6ef",
     "scaled2_ball_hinge": "777e302d4f34a99560ce62bcfe49ad3b92b3bfb8d3be08cb67a09f8c3fd8230b",
-    "two_busemann_cfg": "1a898e0720850c3691b9d4024571f4e0da90f39749348e89ee2f73d8857d90cc",
+    "two_busemann_cfg": "2b49e47dc76762adfe9f896b360b4bff092bc318d11686ba3560392dbbb657c1",
 }
 
 # sha256 of repr(complexity_bound_report(trace)), recorded from the
@@ -125,13 +135,14 @@ CSV_DIGESTS = {
 NO_F_STAR = "MissingFStar: the oracle did not declare its minimum value"
 REPORT_DIGESTS = {
     "ball_hinge_cfg": "0445d313fe04dc541172ce7d307fbfc617bf0727c520db0e7d15fb34550f9bba",
-    "disk_example_1e4": "617a6d9bc6973bc723e1dcde2b4991dfea5d07e396cd2e3554e33a327e3c669f",
+    "disk_example_1e4": "1be767621a01424486c804db261334a027aad7cb91bddc844c1fe68c8a75de35",
     "fermat_weber_2e4": NO_F_STAR,
     "flat_distance": "85e33b4214a52d62afa6544bd7d94c8a20117d23308caf2e26d744ff12749504",
     "flat_weighted_sum": NO_F_STAR,
     "scaled05_busemann": NO_F_STAR,
+    "scaled3_distance": "3ede99544e38c724ef0da29098c8fe08deb1c05580be39bf650e10b77e7db486",
     "scaled2_ball_hinge": "a70aac700b35c65a99333225391c8d9058f2af8134da4efefff73302a91fb545",
-    "two_busemann_cfg": "617a6d9bc6973bc723e1dcde2b4991dfea5d07e396cd2e3554e33a327e3c669f",
+    "two_busemann_cfg": "1be767621a01424486c804db261334a027aad7cb91bddc844c1fe68c8a75de35",
 }
 
 

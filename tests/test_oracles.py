@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hypersub.geometry import (
     EUCLIDEAN_PLANE,
@@ -30,9 +30,11 @@ from hypersub.oracles import (
     two_busemann_oracle,
     weighted_sum,
 )
+from hypersub.cli import parse_manifold
+from hypersub.schedules import parse_schedule
 from hypersub.verify import sample_point
 
-from reference import mp_busemann_limit, two_busemann_polar
+from reference import mp_busemann_limit, mp_two_busemann, two_busemann_polar
 
 M = POINCARE_DISK
 
@@ -168,6 +170,36 @@ class TestTwoBusemann:
                 assert f < 1e-12
             if f < 1e-12:
                 assert abs(p.y) < 1e-6
+
+    @given(
+        st.one_of(
+            # Near the x-axis, down to subnormal heights, where the two
+            # Busemann terms nearly cancel.
+            st.tuples(st.floats(-0.999, 0.999), st.floats(-1e-6, 1e-6)),
+            # Near the circle, in every direction.
+            st.tuples(st.floats(1.0 - 1e-3, 1.0 - 1e-12), st.floats(-math.pi, math.pi)).map(
+                lambda rt: (rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1]))
+            ),
+        )
+    )
+    @example((0.5, 5e-324))
+    def test_value_is_nonnegative(self, xy):
+        x, y = xy
+        assume(x * x + y * y < 1.0)
+        assert two_busemann_oracle().value(M, DiskPoint(x, y)) >= 0.0
+
+    @given(
+        st.floats(-0.94, 0.94),
+        st.floats(-12.0, -3.0),
+        st.sampled_from([1.0, -1.0]),
+    )
+    def test_value_near_the_axis_matches_mpmath(self, x, log_y, sign):
+        # f is about 4y^2 / (1 - x^2)^2 here; a sum of two logs of size
+        # |log((1 - x) / (1 + x))| loses it to cancellation.
+        z = complex(x, sign * 10.0**log_y)
+        want = mp_two_busemann(z)
+        got = two_busemann_oracle().value(M, DiskPoint(z.real, z.imag))
+        assert abs(got - want) <= 1e-13 * want
 
     def test_subgradient_inequality(self):
         assert subgradient_slacks(M, two_busemann_oracle(), 2000, seed=28) >= -1e-9
@@ -448,12 +480,43 @@ class TestRegistry:
             make_oracle(spec)
 
     def test_spec_grammar(self):
-        signatures = {"a": {"x": None, "y": "2"}, "b": {}}
-        assert parse_spec(" a : x = 1 ", "thing", signatures) == ("a", {"x": "1", "y": "2"})
-        assert parse_spec("b", "thing", signatures) == ("b", {})
+        table = {
+            "a": (lambda **params: ("a", params), {"x": (str, None), "y": (str, "2")}),
+            "b": (lambda **params: ("b", params), {}),
+        }
+        assert parse_spec(" a : x = 1 ", "thing", table) == ("a", {"x": "1", "y": "2"})
+        assert parse_spec("b", "thing", table) == ("b", {})
         for bad in ("c", "a", "a:y=1", "a:x=1,z=2", "a:x=1,x=2", "a:x", "b:x=1"):
             with pytest.raises(ValueError, match="thing"):
-                parse_spec(bad, "thing", signatures)
+                parse_spec(bad, "thing", table)
+
+    @pytest.mark.parametrize(
+        "build,spec,param",
+        [
+            (make_oracle, "ball-hinge:center=0.0+0.0i,r=abc", "r='abc'"),
+            (make_oracle, "distance:anchor=zz", "anchor='zz'"),
+            (parse_manifold, "scaled:kappa=abc", "kappa='abc'"),
+            (parse_schedule, "sqrt:c=x", "c='x'"),
+            (parse_schedule, "powerlaw:c=1.0,alpha=x", "alpha='x'"),
+        ],
+    )
+    def test_bad_parameter_is_named_with_its_spec(self, build, spec, param):
+        with pytest.raises(ValueError) as exc:
+            build(spec)
+        assert repr(spec) in str(exc.value) and param in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "build,spec,message",
+        [
+            (make_oracle, "ball-hinge:center=0.0+0.0i,r=-1", "hinge radius must be positive"),
+            (parse_manifold, "scaled:kappa=-1", "disk models need a finite kappa > 0, got -1.0"),
+            (parse_schedule, "sqrt:c=0", "schedule scale must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_builder_error_keeps_its_text(self, build, spec, message):
+        with pytest.raises(ValueError) as exc:
+            build(spec)
+        assert str(exc.value) == message
 
     def test_busemann_oracles_are_disk_only(self):
         assert two_busemann_oracle().disk_only and busemann_oracle(1.0).disk_only
