@@ -87,17 +87,25 @@ def read_config(path: Path) -> dict[str, str]:
     return entries
 
 
-def build_solve_config(entries: dict[str, str]) -> tuple[str, Path, SolveConfig]:
-    def parse(key: str):
-        try:
-            return FIELD_PARSERS[key](entries[key])
-        except ValueError as exc:
-            raise ConfigError(key, f"{entries[key]!r} is rejected: {exc}") from None
+def _parse_field(key: str, text: str):
+    """``FIELD_PARSERS[key](text)``; a ValueError becomes a ConfigError of
+    ``key`` that quotes ``text`` once. A parse error already quotes it and
+    stands as it is; a builder's error, which does not, follows the quoted
+    text."""
+    try:
+        return FIELD_PARSERS[key](text)
+    except ValueError as exc:
+        reason = str(exc)
+        if repr(text) not in reason:
+            reason = f"{text!r} is rejected: {reason}"
+        raise ConfigError(key, reason) from None
 
+
+def build_solve_config(entries: dict[str, str]) -> tuple[str, Path, SolveConfig]:
     name = entries["name"]
     if not name or Path(name).name != name:
         raise ConfigError("name", f"must be a plain file name, got {name!r}")
-    cfg = SolveConfig(**{key: parse(key) for key in FIELD_PARSERS if key in entries})
+    cfg = SolveConfig(**{key: _parse_field(key, entries[key]) for key in FIELD_PARSERS if key in entries})
     return name, Path(entries.get("out_dir", ".")), cfg
 
 
@@ -211,10 +219,7 @@ def reproduce_assertions(trace: RunTrace) -> list[str]:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     try:
-        x0 = FIELD_PARSERS["x0"](args.x0)
-    except ValueError as exc:
-        raise ConfigError("--x0", f"{args.x0!r} is rejected: {exc}") from None
-    try:
+        x0 = _parse_field("x0", args.x0)
         cfg = SolveConfig(POINCARE_DISK, two_busemann_oracle(), harmonic(1.0), x0, args.steps)
     except ConfigError as exc:
         raise ConfigError({"x0": "--x0", "max_iters": "--steps"}[exc.key], exc.reason) from None

@@ -163,58 +163,45 @@ class Manifold:
 
         A hinge term ``(a, r, w)`` adds w * max(0, d(z, a) - r), with the zero
         subgradient where d <= r and w times the unit one, -log_z(a) / d,
-        elsewhere. An opaque term ``(fn, None, w)`` adds w times ``fn(self, z)``.
-        The hinge repeats the formulas of ``distance_z`` and ``log_z`` inline,
-        sharing conj(z) and 1 - |z|^2 across the terms, with the same
-        roundings; the model is tested once per call, not once per term. The
-        sums start at -0.0, the exact additive identity, so one hinge of
-        weight 1 returns its own (f, g) bit for bit.
+        elsewhere; r = 0 is the distance to ``a``. An opaque term
+        ``(fn, None, w)`` adds w times ``fn(self, z)``. The hinge repeats the
+        formulas of ``distance_z`` and ``log_z`` inline, sharing conj(z) and
+        1 - |z|^2 across the terms, with the same roundings. The sums start
+        at -0.0, the exact additive identity, so one hinge of weight 1
+        returns its own (f, g) bit for bit.
         """
         total = gx = gy = -0.0
-        if self.flat:
-            for a, r, w in terms:
-                if r is None:
-                    f, g = a(self, z)
-                    fx, fy = g.real, g.imag
-                else:
-                    v = a - z
-                    d = abs(v)
-                    # The zero subgradient is added as w * 0.0 like any other
-                    # value; a NaN d is no d <= r and gives a NaN sum.
-                    f = fx = fy = 0.0
-                    if not d <= r:
-                        c = -1.0 / d
-                        f, fx, fy = d - r, v.real * c, v.imag * c
-                total += w * f
-                gx += w * fx
-                gy += w * fy
-            return total, complex(gx, gy)
-        zc = z.conjugate()
-        s = 1.0 - abs2(z)
-        kappa = self.kappa
-        atanh = math.atanh
+        flat = self.flat
+        if not flat:
+            zc = z.conjugate()
+            s = 1.0 - abs2(z)
+            kappa = self.kappa
+            atanh = math.atanh
         for a, r, w in terms:
             if r is None:
                 f, g = a(self, z)
                 fx, fy = g.real, g.imag
             else:
+                # d and the log are |v| and v on the plane, and at z = a.
                 v = a - z
-                num = abs(v)
-                f = fx = fy = 0.0
-                if num != 0.0:
+                d = abs(v)
+                if not flat and d != 0.0:
                     den = 1.0 - zc * a
-                    rho = num / abs(den)
+                    rho = d / abs(den)
                     d = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho) / kappa
-                    if not d <= r:
-                        w0 = v / den
-                        rho = abs(w0)
-                        if rho == 0.0:
-                            v = 0j
-                        else:
-                            t = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho)
-                            v = w0 * (t * s / (2.0 * rho))
-                        c = -1.0 / d
-                        f, fx, fy = d - r, v.real * c, v.imag * c
+                    w0 = v / den
+                    rho = abs(w0)
+                    if rho == 0.0:
+                        v = 0j
+                    else:
+                        t = 2.0 * atanh(_BELOW_ONE if rho >= 1.0 else rho)
+                        v = w0 * (t * s / (2.0 * rho))
+                # A NaN d is no d <= r and gives a NaN sum.
+                if d <= r:
+                    f = fx = fy = 0.0
+                else:
+                    c = -1.0 / d
+                    f, fx, fy = d - r, v.real * c, v.imag * c
             total += w * f
             gx += w * fx
             gy += w * fy

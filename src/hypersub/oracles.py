@@ -33,7 +33,6 @@ class LengthMismatch(ValueError):
 
 # -- solution-set descriptors -------------------------------------------------
 
-SINGLE_POINT = "single-point"
 X_AXIS = "x-axis"
 CLOSED_BALL = "closed-ball"
 UNKNOWN = "unknown"
@@ -49,12 +48,13 @@ class SolutionSet:
 
     @cached_property
     def point_z(self) -> complex:
-        """``point`` as the complex number x + iy, built once for distance_to."""
+        """``point`` as the complex number x + iy, built once."""
         return self.point.z
 
     @classmethod
     def single_point(cls, p: DiskPoint) -> "SolutionSet":
-        return cls(SINGLE_POINT, p)
+        """The point ``p`` as the closed ball of radius 0 around it."""
+        return cls.closed_ball(p, 0.0)
 
     @classmethod
     def x_axis(cls) -> "SolutionSet":
@@ -62,8 +62,8 @@ class SolutionSet:
 
     @classmethod
     def closed_ball(cls, center: DiskPoint, radius: float) -> "SolutionSet":
-        if not radius > 0.0:
-            raise ValueError("ball radius must be positive")
+        if not radius >= 0.0:
+            raise ValueError("ball radius must be nonnegative")
         return cls(CLOSED_BALL, center, radius)
 
     @classmethod
@@ -73,8 +73,6 @@ class SolutionSet:
     def distance_to(self, m: Manifold, z: complex) -> float | None:
         """d(z, S) for a point given as the complex number z = x + iy, with no
         disk-bound check (``run()`` passes x0 and exp_z outputs); None if S is unknown."""
-        if self.kind == SINGLE_POINT:
-            return m.distance_z(z, self.point_z)
         if self.kind == X_AXIS:
             return m.distance_to_x_axis_z(z)
         if self.kind == CLOSED_BALL:
@@ -82,16 +80,22 @@ class SolutionSet:
         return None
 
     def nearest_point(self, m: Manifold, p: DiskPoint) -> DiskPoint | None:
-        if self.kind == SINGLE_POINT:
-            return self.point
+        """The point of S nearest to ``p``, None if S is unknown. Outside a ball
+        it is exp_z(c, (r/d) log_z(c, p)), scaled componentwise; where r/d is 0
+        (r = 0, or d overflowed and the log would not be finite) the center."""
         if self.kind == X_AXIS:
             return m.x_axis_projection(p)
         if self.kind == CLOSED_BALL:
-            d = m.distance(p, self.point)
+            c = self.point_z
+            d = m.distance_z(p.z, c)
             if d <= self.radius:
                 return p
-            v = m.log(self.point, p)
-            return m.exp(self.point, v.scaled(self.radius / d))
+            s = self.radius / d
+            if s == 0.0:
+                return self.point
+            v = m.log_z(c, p.z)
+            w, _ = m.exp_z(c, complex(v.real * s, v.imag * s))
+            return DiskPoint.from_complex(w, check=not m.flat)
         return None
 
 
@@ -203,14 +207,21 @@ def _term_sum_fn(terms: tuple) -> Callable[[Manifold, complex], tuple[float, com
     return fn
 
 
-def distance_oracle(anchor: DiskPoint) -> SubgradientOracle:
-    """f(p) = d(p, anchor); coercive with the single minimizer ``anchor``."""
+def _hinge_oracle(name: str, center: DiskPoint, r: float) -> SubgradientOracle:
+    """f(p) = max(0, d(p, center) - r) as the one hinge term of weight 1,
+    with S the closed ball B[center, r]."""
     return SubgradientOracle(
-        f"distance:anchor={format_complex(anchor.z)}",
-        _term_sum_fn(((anchor.z, 0.0, 1.0),)),
+        name,
+        _term_sum_fn(((center.z, r, 1.0),)),
         known_min=0.0,
-        solution_set=SolutionSet.single_point(anchor),
+        solution_set=SolutionSet.closed_ball(center, r),
     )
+
+
+def distance_oracle(anchor: DiskPoint) -> SubgradientOracle:
+    """f(p) = d(p, anchor), the hinge of radius 0; coercive with the single
+    minimizer ``anchor``."""
+    return _hinge_oracle(f"distance:anchor={format_complex(anchor.z)}", anchor, 0.0)
 
 
 def ball_hinge_oracle(center: DiskPoint, r: float) -> SubgradientOracle:
@@ -218,12 +229,7 @@ def ball_hinge_oracle(center: DiskPoint, r: float) -> SubgradientOracle:
     (a valid choice there, and the one that triggers the STOP rule)."""
     if not r > 0.0:
         raise ValueError("hinge radius must be positive")
-    return SubgradientOracle(
-        f"ball-hinge:center={format_complex(center.z)},r={r!r}",
-        _term_sum_fn(((center.z, r, 1.0),)),
-        known_min=0.0,
-        solution_set=SolutionSet.closed_ball(center, r),
-    )
+    return _hinge_oracle(f"ball-hinge:center={format_complex(center.z)},r={r!r}", center, r)
 
 
 def weighted_sum(

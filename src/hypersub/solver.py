@@ -15,8 +15,9 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -501,6 +502,9 @@ _TERMINATION_TYPES = {
     "step": ((int, _NULL), "an integer or null"),
     "reason": ((str, _NULL), "a string or null"),
 }
+# The config echo's keys that complexity_bound_report reads.
+_CONFIG_TYPES = {"manifold": ((dict,), "an object"), "schedule": ((str,), "a string")}
+_MANIFOLD_TYPES = {"kappa": (_NUMBER, "a number")}
 
 
 def _record_from_json(obj: dict):
@@ -550,21 +554,31 @@ def load_trace(path: str | Path) -> RunTrace:
     so the record dicts are never all alive at once. A record's point is read
     back as ``complex(x, y)``, with no disk-bound check, so traces from the
     flat model reload cleanly. A key that is missing or holds a value not of
-    its JSON type (_RECORD_TYPES, _TRACE_TYPES, _TERMINATION_TYPES), an extra
-    record key and an x_star that is no complex number raise ValueError
-    naming the key and any record's index.
+    its JSON type (_RECORD_TYPES, _TRACE_TYPES, _TERMINATION_TYPES, and the
+    config echo's _CONFIG_TYPES and _MANIFOLD_TYPES), an extra record key, a
+    record k that is negative or not above the k before it, and an x_star
+    that is no complex number raise ValueError naming the key and any
+    record's index.
     """
     raw = json.loads(Path(path).read_text(), object_hook=_record_from_json)
-    fault = _key_fault(raw, _TRACE_TYPES)
-    if fault:
-        raise ValueError(f"{path}: trace {fault}")
-    fault = _key_fault(raw["termination"], _TERMINATION_TYPES)
-    if fault:
-        raise ValueError(f'{path}: "termination" {fault}')
+    # Each object is checked after the one that holds it.
+    for where, keys, types in (
+        ("trace", (), _TRACE_TYPES),
+        ('"termination"', ("termination",), _TERMINATION_TYPES),
+        ('"config"', ("config",), _CONFIG_TYPES),
+        ('"config"."manifold"', ("config", "manifold"), _MANIFOLD_TYPES),
+    ):
+        fault = _key_fault(reduce(getitem, keys, raw), types)
+        if fault:
+            raise ValueError(f"{path}: {where} {fault}")
     records = raw["records"]
+    k_min = 0
     for i, r in enumerate(records):
         if type(r) is not IterationRecord:
             raise ValueError(f"{path}: record {i} {_record_fault(r)}")
+        if r.k < k_min:
+            raise ValueError(f'{path}: record {i} has "k" = {r.k}, not at least {k_min}')
+        k_min = r.k + 1
     x_star = raw["x_star"]
     if x_star is not None:
         try:

@@ -127,6 +127,42 @@ class TestSolve:
         summary = json.loads((tmp_path / "good.summary.json").read_text())
         assert summary["n_records"] == 1
 
+    @pytest.mark.parametrize("oracle", ["ball-hinge:center=-1e308+0.0i,r=0.3", "distance:anchor=-1e308+0.0i"])
+    def test_overflowing_distance_exits_3_with_its_trace(self, tmp_path, capsys, oracle):
+        # d(x0, S) overflows to inf on the plane: the nearest point of S is
+        # the center, and the infinite value ends the run at k = 0.
+        text = GOOD.replace("poincare", "euclidean").replace("two-busemann", oracle)
+        text = text.replace("0.0+0.5i", "1e308+0.0i")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 3
+        assert "numerical failure: non-finite value or subgradient" in capsys.readouterr().err
+        raw = json.loads((tmp_path / "good.trace.json").read_text())
+        assert raw["termination"]["kind"] == "numerical-failure" and raw["termination"]["step"] == 0
+        assert raw["x_star"] == "-1e+308+0.0i"
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            (
+                "two-busemann",
+                "ball-hinge:center=0.0+0.0i,r=abc",
+                "oracle bad oracle parameter r='abc' in 'ball-hinge:center=0.0+0.0i,r=abc': "
+                "could not convert string to float: 'abc'",
+            ),
+            (
+                "two-busemann",
+                "ball-hinge:center=0.0+0.0i,r=-1",
+                "oracle 'ball-hinge:center=0.0+0.0i,r=-1' is rejected: hinge radius must be positive",
+            ),
+            ("max_iters = 10", "max_iters = abc", "max_iters invalid literal for int() with base 10: 'abc'"),
+        ],
+        ids=["unparsed-parameter", "builder-error", "unparsed-int"],
+    )
+    def test_config_error_quotes_its_text_once(self, tmp_path, capsys, old, new, message):
+        text = GOOD.replace(old, new)
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_underflowing_step_counts_its_one_step(self, tmp_path, capsys):
         # Step 0 is 5e-324 and step 1 underflows: one step was taken, although
         # only the iterate before it is recorded.
@@ -508,6 +544,10 @@ class TestReproduce:
     def test_bad_x0_is_config_error(self, capsys):
         assert main(["reproduce-example", "--x0", "2.0+0.0i"]) == 2
         assert "x0" in capsys.readouterr().err
+
+    def test_unparsed_x0_is_quoted_once(self, tmp_path, capsys):
+        assert main(["reproduce-example", "--x0", "zz", "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: --x0 cannot parse complex number 'zz'\n"
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_nonpositive_steps_is_config_error(self, tmp_path, capsys, steps):

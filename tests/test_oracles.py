@@ -438,11 +438,31 @@ class TestSolutionSet:
     def test_single_point(self):
         a = DiskPoint(0.3, -0.2)
         only = SolutionSet.single_point(a)
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            p = sample_point(rng, 2.5)
-            assert only.nearest_point(M, p) == a
-            assert only.distance_to(M, p.z) == M.distance(p, a)
+        for m in (M, scaled_disk(0.5), scaled_disk(3.0), EUCLIDEAN_PLANE):
+            rng = np.random.default_rng(43)
+            for _ in range(50):
+                p = sample_point(rng, 2.5)
+                assert only.nearest_point(m, p) == a
+                assert only.distance_to(m, p.z) == m.distance(p, a)
+
+    @pytest.mark.parametrize("m", [*MANIFOLDS, scaled_disk(3.0)], ids=[*MANIFOLD_IDS, "scaled3"])
+    def test_closed_ball_nearest_point_rounds_as_the_tangent_composition(self, m):
+        # The complex-number forms round as exp(c, log(c, p).scaled(r / d)) on
+        # DiskPoint and Tangent objects, bit for bit.
+        rng = np.random.default_rng(44)
+        center = sample_point(rng, 1.0)
+        seen = 0
+        for r in (1e-9, 0.05, 0.4, 1.3):
+            ball = SolutionSet.closed_ball(center, r)
+            for _ in range(100):
+                p = sample_point(rng, 3.0)
+                d = m.distance(p, center)
+                if d <= r:
+                    continue
+                seen += 1
+                want = m.exp(center, m.log(center, p).scaled(r / d))
+                assert repr(ball.nearest_point(m, p)) == repr(want)
+        assert seen > 250
 
     def test_unknown_set_has_no_answer(self):
         unknown = SolutionSet.unknown()

@@ -737,10 +737,16 @@ class TestSerialization:
             (lambda t: t["termination"].update(kind=1), '"termination" has "kind" = 1, not a string'),
             (lambda t: t["termination"].update(step=1.0), '"termination" has "step" = 1.0, not an integer'),
             (lambda t: t["termination"].pop("reason"), '"termination" misses key(s) reason'),
+            (lambda t: t["config"].pop("schedule"), '"config" misses key(s) schedule'),
+            (lambda t: t["config"].update(schedule=1), '"config" has "schedule" = 1, not a string'),
+            (lambda t: t["config"].update(manifold=None), '"config" has "manifold" = None, not an object'),
+            (lambda t: t["config"]["manifold"].update(kappa="one"),
+             '"config"."manifold" has "kappa" = \'one\', not a number'),
         ],
         ids=[
             "string-f-star", "null-termination", "int-x-star", "null-config", "bad-x-star",
             "bool-dist", "object-records", "missing-config", "int-kind", "float-step", "missing-reason",
+            "missing-schedule", "int-schedule", "null-manifold", "string-kappa",
         ],
     )
     def test_load_trace_names_a_faulty_top_level_key(self, tmp_path, edit, fault):
@@ -751,6 +757,24 @@ class TestSerialization:
         edit(raw)
         path.write_text(json.dumps(raw, indent=2))
         with pytest.raises(ValueError, match=re.escape(fault)):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "index,k,k_min",
+        [(0, -5, 0), (3, 2, 3), (3, 1, 3), (-1, 5, 640)],
+        ids=["negative", "repeated", "decreasing", "last-below-earlier"],
+    )
+    def test_load_trace_needs_steps_from_0_that_increase(self, tmp_path, index, k, k_min):
+        # complexity_bound_report indexes its prefix sums by each record's k.
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 10_000))
+        assert trace.records[-1].k == 640
+        path = tmp_path / "t.trace.json"
+        write_trace_json(trace, path)
+        raw = json.loads(path.read_text())
+        raw["records"][index]["k"] = k
+        path.write_text(json.dumps(raw, indent=2))
+        i = index % len(raw["records"])
+        with pytest.raises(ValueError, match=re.escape(f'record {i} has "k" = {k}, not at least {k_min}')):
             load_trace(path)
 
     def test_load_trace_needs_an_object(self, tmp_path):
