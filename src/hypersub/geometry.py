@@ -144,10 +144,14 @@ class Manifold:
     # v = vx + i vy as complex numbers; the solver and the oracles call them.
 
     def distance_z(self, p: complex, q: complex) -> float:
-        """The distance between the points ``p`` and ``q``."""
+        """The distance between the points ``p`` and ``q``; inf on the plane
+        when |q - p| is beyond the float range."""
         dq = q - p
         if self.flat:
-            return abs(dq)
+            try:
+                return abs(dq)
+            except OverflowError:  # finite components whose modulus is not
+                return math.inf
         # 2*atanh(|p-q| / |1 - conj(p) q|) equals the usual
         # arccosh(1 + 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))) but keeps full relative
         # accuracy for nearby points.
@@ -184,7 +188,10 @@ class Manifold:
             else:
                 # d and the log are |v| and v on the plane, and at z = a.
                 v = a - z
-                d = abs(v)
+                try:
+                    d = abs(v)
+                except OverflowError:  # on the plane only: as in distance_z
+                    d = math.inf
                 if not flat and d != 0.0:
                     den = 1.0 - zc * a
                     rho = d / abs(den)

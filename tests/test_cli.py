@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import stat
 import subprocess
@@ -138,6 +139,18 @@ class TestSolve:
         raw = json.loads((tmp_path / "good.trace.json").read_text())
         assert raw["termination"]["kind"] == "numerical-failure" and raw["termination"]["step"] == 0
         assert raw["x_star"] == "-1e+308+0.0i"
+
+    def test_distance_whose_modulus_overflows_exits_3_with_its_trace(self, tmp_path, capsys):
+        # Both components of x0 - anchor are finite, but |x0 - anchor| is
+        # beyond the float range: d(x0, S) and f(x0) are inf, not an OverflowError.
+        text = GOOD.replace("poincare", "euclidean").replace("two-busemann", "distance:anchor=0.0+0.0i")
+        text = text.replace("0.0+0.5i", "1.5e308+1.5e308i")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 3
+        assert "numerical failure: non-finite value or subgradient" in capsys.readouterr().err
+        raw = json.loads((tmp_path / "good.trace.json").read_text())
+        assert raw["termination"]["kind"] == "numerical-failure" and raw["termination"]["step"] == 0
+        assert (raw["x_star"], raw["dist_x0_to_solution"], raw["records"]) == ("0.0+0.0i", math.inf, [])
+        assert (tmp_path / "good.trace.csv").exists()
 
     @pytest.mark.parametrize(
         "old,new,message",

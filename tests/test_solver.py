@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -34,6 +36,7 @@ from hypersub.schedules import (
     sqrt_harmonic,
     table,
 )
+import hypersub.solver as solver
 from hypersub.solver import (
     STOP_GRAD_TOL,
     ConfigError,
@@ -242,6 +245,16 @@ class TestRun:
         assert trace.termination.kind == "numerical-failure"
         assert trace.termination.reason == "non-finite value or subgradient"
         assert trace.records and all(r.point.x >= 0.3 for r in trace.records)
+
+    def test_distance_whose_modulus_overflows_inside_fn_is_a_numerical_failure(self):
+        # S is unknown, so the first |x0 - anchor| beyond the float range is
+        # the one the oracle takes; it is an infinite f, not an OverflowError.
+        anchors = [DiskPoint(0.0, 0.0, check=False), DiskPoint(1.0, 0.0, check=False)]
+        oracle = weighted_sum([distance_oracle(a) for a in anchors], [1.0, 1.0])
+        x0 = DiskPoint(1.5e308, 1.5e308, check=False)
+        trace = run(SolveConfig(EUCLIDEAN_PLANE, oracle, table([0.1]), x0, 10))
+        assert trace.termination == Termination("numerical-failure", 0, "non-finite value or subgradient")
+        assert (trace.records, trace.x_star, trace.dist_x0_to_solution) == ([], None, None)
 
     def test_x0_outside_disk_rejected(self):
         with pytest.raises(ValueError):
@@ -833,3 +846,99 @@ class TestStreamedWriters:
             writer(dataclasses.replace(long_trace, records=records), path)
         assert path.read_text() == "earlier\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs, one None each."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+def forks_per_split_write():
+    """1 where the process may run on 2 CPUs, else 0: under ``taskset -c 0``
+    every write takes the serial path."""
+    return int(len(os.sched_getaffinity(0)) >= 2)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("writer", [write_trace_json, write_trace_csv], ids=["json", "csv"])
+class TestSplitWriters:
+    """A trace of at least _SPLIT_MIN_RECORDS records is formatted half in a
+    forked child when the process may run on 2 CPUs and has one thread."""
+
+    def test_split_writes_the_serial_bytes(self, long_trace, tmp_path, writer, forks, monkeypatch):
+        # Rows that miss the JSON template (NaN, an infinity, a numpy float)
+        # sit in both halves.
+        records = list(long_trace.records)
+        records[5] = records[5]._replace(f_value=math.nan, dist_to_s=None)
+        records[15_000] = records[15_000]._replace(f_value=np.float64(0.5), lambda_k=math.inf)
+        trace = dataclasses.replace(long_trace, records=records)
+        assert solver._SPLIT_MIN_RECORDS <= len(records)
+        affinity = os.sched_getaffinity(0)
+        writer(trace, tmp_path / "split")
+        assert len(forks) == forks_per_split_write()
+        assert_no_child_left()
+        assert os.sched_getaffinity(0) == affinity
+        monkeypatch.setattr(solver, "_SPLIT_MIN_RECORDS", len(records) + 1)
+        writer(trace, tmp_path / "serial")
+        assert len(forks) == forks_per_split_write()
+        assert (tmp_path / "split").read_bytes() == (tmp_path / "serial").read_bytes()
+
+    @pytest.mark.parametrize("bad", [5_000, 15_000], ids=["first-half", "second-half"])
+    def test_no_child_outlives_a_failed_write(self, long_trace, tmp_path, writer, forks, bad):
+        path = tmp_path / "t.trace"
+        path.write_text("earlier\n")
+        records = list(long_trace.records)
+        records[bad] = records[bad]._replace(k=object(), dist_to_s=object())
+        with pytest.raises(TypeError):
+            writer(dataclasses.replace(long_trace, records=records), path)
+        assert len(forks) == forks_per_split_write()
+        assert_no_child_left()
+        assert path.read_text() == "earlier\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("why", ["one-cpu", "second-thread"])
+    def test_no_fork_on_one_cpu_or_with_a_second_thread(
+        self, long_trace, tmp_path, writer, forks, monkeypatch, why
+    ):
+        if why == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "second-thread":
+            thread.start()
+        try:
+            writer(long_trace, tmp_path / "t.trace")
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+
+def test_a_consumer_that_stops_early_leaves_no_child(forks):
+    def rows(lo, hi):
+        return (f"{i}\n" for i in range(lo, hi))
+
+    n = 2 * solver._SPLIT_MIN_RECORDS
+    affinity = os.sched_getaffinity(0)
+    assert "".join(solver._split_rows(rows, n)) == "".join(rows(0, n))
+    parts = solver._split_rows(rows, n)
+    assert [next(parts) for _ in range(3)] == ["0\n", "1\n", "2\n"]
+    parts.close()
+    assert len(forks) == 2 * forks_per_split_write()
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == affinity
