@@ -4,11 +4,13 @@
     python3 scripts/pairs.py --parent HEAD~1 --workload fw-budget --pairs 10
 
 The parent's tree is exported with ``git archive`` into a temporary directory,
-so the repository is only read. Pair i (i = 1..N) runs
+and this checkout's working tree (its tracked files, and its untracked files
+that are not ignored) is copied beside it, so the repository is only read and
+both sides run from fresh directories of the same kind. Pair i (i = 1..N) runs
 
     perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-in the parent's tree and in this checkout, one process at a time, with S the
+in the parent's copy and in the checkout's, one process at a time, with S the
 ``run_seconds`` of BENCHMARK.json; the parent runs first in odd pairs and the
 checkout first in even ones. For each end-to-end metric of BENCHMARK.json the
 script prints every pair, each side's median and quartiles, and in how many
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +46,18 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def export_worktree(dest: Path) -> None:
+    """Copy this checkout's working tree under ``dest``: tracked files, and
+    untracked files that are not ignored. A tracked file deleted from the
+    working tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True).stdout
+    for name in set(listed.decode().split("\0")) - {""}:
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(ROOT / name, dest / name)
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -93,12 +108,13 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     runs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        parent_tree = Path(tmp)
+        parent_tree, checkout_tree = Path(tmp, "parent"), Path(tmp, "checkout")
         sha = export(args.parent, parent_tree)
+        export_worktree(checkout_tree)
         print(f"{args.workload}: pairs {args.pairs}, runs of {seconds} s, parent {args.parent} ({sha[:12]})"
               " against this checkout", flush=True)
         for i in range(1, args.pairs + 1):
-            sides = [("parent", parent_tree), ("checkout", ROOT)]
+            sides = [("parent", parent_tree), ("checkout", checkout_tree)]
             if i % 2 == 0:
                 sides.reverse()
             pair = {"pair": i, "seed": i, "first": sides[0][0]}

@@ -174,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ancestor = next(a for a in report_path.parents if a.exists())
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
         raise ConfigError("--report", f"cannot be written: {ancestor} is not a writable directory")
-    reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed, tol=args.tol)
+    reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed)
     for r in reports:
         print(
             f"{r.check}: n={r.n} violations={r.violations} "
@@ -273,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     counts = "; ".join(f"{name}: {s.counts}, default {s.n}" for name, s in suites.items())
     p_verify.add_argument("--n", type=int, default=None, help=f"sample count ({counts})")
     p_verify.add_argument("--seed", type=int, default=0)
-    governs = "; ".join(f"{name}: {s.governs}" for name, s in suites.items() if s.tol is not None)
-    rejecting = " and ".join([name for name, s in suites.items() if s.tol is None] + ["all"])
-    p_verify.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help=f"tolerance override ({governs}); {rejecting} reject it",
-    )
     p_verify.add_argument("--report", default=None, help="report JSON path")
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -110,8 +110,9 @@ def parse_schedule(spec: str) -> StepSchedule:
 
 def partial_sums(s: StepSchedule, n: int) -> tuple[float, float]:
     """(sum of lambda_k, sum of lambda_k^2) for k = 0..n, each correctly
-    rounded by math.fsum."""
+    rounded by math.fsum over a stream of the step sizes, so memory stays
+    flat in n."""
     if n < 0:
         raise ValueError("partial sum index must be >= 0")
-    lams = [s.fn(k) for k in range(n + 1)]
-    return math.fsum(lams), math.fsum(lam * lam for lam in lams)
+    sum_lam = math.fsum(map(s.fn, range(n + 1)))
+    return sum_lam, math.fsum(lam * lam for lam in map(s.fn, range(n + 1)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -491,15 +491,16 @@ def _histogram(values: Sequence[float]) -> dict:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    # The fields in the order of the report's JSON keys.
     check: str
     n: int
+    rejected: int  # draws the samplers discarded (skipped steps for per-step)
     violations: int
     worst_margin: float
     tolerance: float
     seed: int
     hypothesis_mode: str | None
     histogram: dict
-    rejected: int = 0  # draws the samplers discarded (skipped steps for per-step)
     # Wall time spent producing the report; None for a report built by hand.
     wall_s: float | None = field(default=None, compare=False)
 
@@ -508,19 +509,9 @@ class InequalityReport:
         return self.violations == 0
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "rejected": self.rejected,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "hypothesis_mode": self.hypothesis_mode,
-            "histogram": self.histogram,
-            "wall_s": self.wall_s,
-            "samples_per_s": None if not self.wall_s else self.n / self.wall_s,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["samples_per_s"] = None if not self.wall_s else self.n / self.wall_s
+        return out
 
 
 def report_margins(
@@ -596,14 +587,14 @@ def fuzz(
 # -- bundled suites --------------------------------------------------------------------
 
 
-def suite_law_of_cosines(n: int, seed: int, tol: float) -> list[InequalityReport]:
+def suite_law_of_cosines(n: int, seed: int) -> list[InequalityReport]:
     """Equality at the true curvature (kappa = 1) and the lower-bound
     direction at kappa = 2 on the same triangle distribution."""
     eq = fuzz(
         partial(_law_of_cosines_margins, 1.0),
         n,
         seed,
-        tol,
+        1e-9,
         "law-of-cosines-equality-k1",
         two_sided=True,
     )
@@ -661,7 +652,7 @@ def _two_busemann_key_margins(rng: np.random.Generator, k: int) -> tuple[np.ndar
     return _key_margins(x, 0j, _two_busemann_value(x), g, delta, lam, sup), rejected
 
 
-def suite_key_theorem(n: int, seed: int, tol: float) -> list[InequalityReport]:
+def suite_key_theorem(n: int, seed: int) -> list[InequalityReport]:
     """Contraction-inequality margins over n // 2 anchored-distance and
     n - n // 2 two-Busemann configurations, each verified by a closed-form sup."""
     half = n // 2
@@ -671,7 +662,7 @@ def suite_key_theorem(n: int, seed: int, tol: float) -> list[InequalityReport]:
             _distance_key_margins,
             half,
             seed,
-            tol,
+            1e-10,
             "key-theorem-distance",
             hypothesis_mode="analytic",
         ),
@@ -679,14 +670,14 @@ def suite_key_theorem(n: int, seed: int, tol: float) -> list[InequalityReport]:
             _two_busemann_key_margins,
             rest,
             seed + 1,
-            tol,
+            1e-10,
             "key-theorem-two-busemann",
             hypothesis_mode="analytic",
         ),
     ]
 
 
-def suite_per_step(steps: int, seed: int, tol: float) -> list[InequalityReport]:
+def suite_per_step(steps: int, seed: int) -> list[InequalityReport]:
     """Per-step margins harvested from a two-Busemann run, plus the exact
     division consistency between the two forms. The three checks share one
     harvest run, so each report carries the wall time of the whole suite."""
@@ -702,8 +693,8 @@ def suite_per_step(steps: int, seed: int, tol: float) -> list[InequalityReport]:
         consistency.append(m2 - m1 / math.sinh(s.lam))
     common = {"hypothesis_mode": "analytic", "rejected": skipped}
     reports = [
-        report_margins(m1s, tol, "per-step-cdelta", seed, **common),
-        report_margins(m2s, tol, "per-step-cdelta-divided", seed, **common),
+        report_margins(m1s, 1e-10, "per-step-cdelta", seed, **common),
+        report_margins(m2s, 1e-10, "per-step-cdelta-divided", seed, **common),
         report_margins(
             consistency, 1e-10, "per-step-consistency", seed, two_sided=True, **common
         ),
@@ -737,7 +728,7 @@ def _gradcheck_fd_margins(rng: np.random.Generator, k: int) -> tuple[np.ndarray,
     return fd - inner_array(p, busemann_gradient_array(eta, p), s), 0
 
 
-def suite_gradcheck(n: int, seed: int, tol_norm: float) -> list[InequalityReport]:
+def suite_gradcheck(n: int, seed: int) -> list[InequalityReport]:
     """Unit gradient norm and geodesic finite-difference agreement for
     Busemann functions."""
     return [
@@ -745,7 +736,7 @@ def suite_gradcheck(n: int, seed: int, tol_norm: float) -> list[InequalityReport
             _gradcheck_norm_margins,
             n,
             seed,
-            tol_norm,
+            1e-10,
             "busemann-unit-gradient-norm",
             two_sided=True,
         ),
@@ -762,55 +753,34 @@ def suite_gradcheck(n: int, seed: int, tol_norm: float) -> list[InequalityReport
 
 @dataclass(frozen=True)
 class Suite:
-    """A bundled suite and the rules for its flags.
+    """A bundled suite: ``fn(n, seed)`` runs it, ``n`` is the default of
+    ``--n``, ``counts`` what ``--n`` counts and ``min_n`` its least value.
+    The suite functions take no defaults, so this table is the only place a
+    suite's defaults are written; each check's tolerance is written at the
+    check."""
 
-    ``fn(n, seed, tol)`` runs it (``fn(n, seed)`` when ``tol`` is None, and
-    ``--tol`` is then rejected); ``n`` is the default of ``--n`` and
-    ``counts`` what ``--n`` counts; ``governs`` names the check ``--tol``
-    sets, whose default is ``tol``. The suite functions take no defaults, so
-    this table is the only place a suite's defaults are written.
-    """
-
-    fn: Callable[..., list[InequalityReport]]
+    fn: Callable[[int, int], list[InequalityReport]]
     n: int
     counts: str
     min_n: int
-    tol: float | None
-    governs: str = ""
 
 
 SUITES = {
-    "law-of-cosines": Suite(
-        suite_law_of_cosines, 100_000, "triangles per check", 1, 1e-9,
-        "the kappa=1 equality (the kappa=2 lower bound keeps 1e-12)",
-    ),
+    "law-of-cosines": Suite(suite_law_of_cosines, 100_000, "triangles per check", 1),
     "key-theorem": Suite(
-        suite_key_theorem, 10_000, "configurations, split over the distance and two-Busemann checks",
-        2, 1e-10, "both contraction checks",
+        suite_key_theorem, 10_000, "configurations, split over the distance and two-Busemann checks", 2
     ),
-    "per-step": Suite(
-        suite_per_step, 2000, "steps of the harvest run", 1, 1e-10,
-        "both per-step margins (the consistency check keeps 1e-10)",
-    ),
-    "sublevel": Suite(suite_sublevel, 64, "rays per oracle", 1, None),
-    "gradcheck": Suite(
-        suite_gradcheck, 1000, "samples per check", 1, 1e-10,
-        "the unit gradient norm (the finite difference keeps 1e-4)",
-    ),
+    "per-step": Suite(suite_per_step, 2000, "steps of the harvest run", 1),
+    "sublevel": Suite(suite_sublevel, 64, "rays per oracle", 1),
+    "gradcheck": Suite(suite_gradcheck, 1000, "samples per check", 1),
 }
 
 
-def run_suite(
-    name: str,
-    n: int | None = None,
-    seed: int = 0,
-    tol: float | None = None,
-) -> list[InequalityReport]:
-    """Run one named suite, or all of them; None picks each suite's default.
+def run_suite(name: str, n: int | None = None, seed: int = 0) -> list[InequalityReport]:
+    """Run one named suite, or all of them; ``n`` None picks each suite's default.
 
-    ``n``, ``seed`` and ``tol`` are checked against the table first
-    (ConfigError keyed by the flag): ``all`` needs the largest of the suites'
-    smallest ``n`` and rejects ``tol`` because sublevel does.
+    ``n`` and ``seed`` are checked against the table first (ConfigError keyed
+    by the flag): ``all`` needs the largest of the suites' smallest ``n``.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(name)
@@ -820,14 +790,7 @@ def run_suite(
         raise ConfigError("--n", f"must be >= {least} for {name}, got {n}")
     if seed < 0:
         raise ConfigError("--seed", f"must be >= 0, got {seed}")
-    if tol is not None and any(suite.tol is None for suite in suites):
-        raise ConfigError("--tol", f"is not accepted by {name}")
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise ConfigError("--tol", f"must be finite and >= 0, got {tol}")
     reports: list[InequalityReport] = []
     for suite in suites:
-        args = (suite.n if n is None else n, seed)
-        if suite.tol is not None:
-            args += (suite.tol if tol is None else tol,)
-        reports += suite.fn(*args)
+        reports += suite.fn(suite.n if n is None else n, seed)
     return reports

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -433,42 +434,60 @@ class TestVerify:
         assert code == 2
         assert "--n must be >= 2" in capsys.readouterr().err
 
-    def test_negative_tol_is_rejected(self, tmp_path, capsys):
-        code = main(["verify", "gradcheck", "--tol=-1e-9", "--report", str(tmp_path / "r.json")])
-        assert code == 2
-        assert "--tol" in capsys.readouterr().err
+    # Each report's exact-valued fields at --seed s, for s = 0 and 3, at the
+    # --n of UNTIMED_DIGESTS: (check, n, rejected, violations, tolerance,
+    # report seed - s, hypothesis_mode). The README's tolerance table is
+    # checked against the (check, tolerance) pairs.
+    EXACT_FIELDS = {
+        "law-of-cosines": [
+            ("law-of-cosines-equality-k1", 60, 0, 0, 1e-9, 0, None),
+            ("law-of-cosines-lower-bound-k2", 60, 0, 0, 1e-12, 1, None),
+        ],
+        "key-theorem": [
+            ("key-theorem-distance", 20, 0, 0, 1e-10, 0, "analytic"),
+            ("key-theorem-two-busemann", 20, 0, 0, 1e-10, 1, "analytic"),
+        ],
+        "per-step": [
+            ("per-step-cdelta", 291, 9, 0, 1e-10, 0, "analytic"),
+            ("per-step-cdelta-divided", 291, 9, 0, 1e-10, 0, "analytic"),
+            ("per-step-consistency", 291, 9, 0, 1e-10, 0, "analytic"),
+        ],
+        "sublevel": [
+            ("sublevel[distance:anchor=0.0+0.0i,a=1.0]", 8, 0, 0, 1e-6, 0, "rays"),
+            ("sublevel[ball-hinge:center=0.0+0.0i,r=0.3,a=1.0]", 8, 0, 0, 1e-6, 0, "rays"),
+        ],
+        "gradcheck": [
+            ("busemann-unit-gradient-norm", 50, 0, 0, 1e-10, 0, None),
+            ("busemann-finite-difference", 50, 0, 0, 1e-4, 1, None),
+        ],
+    }
 
-    def test_zero_tol_runs_at_zero(self, tmp_path):
-        report = tmp_path / "r.json"
-        code = main(["verify", "per-step", "--n", "300", "--tol", "0", "--report", str(report)])
-        assert code == 0
-        payload = json.loads(report.read_text())
-        assert [r["tolerance"] for r in payload["reports"][:2]] == [0.0, 0.0]
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("suite,n", list(UNTIMED_DIGESTS))
+    def test_exact_report_fields_are_pinned(self, tmp_path, suite, n, seed):
+        path = tmp_path / "r.json"
+        assert main(["verify", suite, "--n", str(n), "--seed", str(seed), "--report", str(path)]) == 0
+        keys = ("check", "n", "rejected", "violations", "tolerance", "seed", "hypothesis_mode")
+        got = [tuple(r[k] for k in keys) for r in json.loads(path.read_text())["reports"]]
+        want = [(*row[:5], seed + row[5], row[6]) for row in self.EXACT_FIELDS[suite]]
+        assert got == want
 
-    def test_gradcheck_tol_sets_the_unit_norm_tolerance(self, tmp_path):
-        report = tmp_path / "r.json"
-        code = main(["verify", "gradcheck", "--n", "200", "--tol", "1e-3", "--report", str(report)])
-        assert code == 0
-        payload = json.loads(report.read_text())
-        assert [r["tolerance"] for r in payload["reports"]] == [1e-3, 1e-4]
-
-    @pytest.mark.parametrize("suite", ["sublevel", "all"])
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
     def test_tol_rejected_where_no_check_takes_it(self, tmp_path, capsys, suite):
-        code = main(["verify", suite, "--n", "8", "--tol", "1e-3",
-                     "--report", str(tmp_path / "r.json")])
-        assert code == 2
-        assert "--tol is not accepted by" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
+        # Every tolerance is fixed at its check, so --tol is no flag of verify.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--n", "8", "--tol", "1e-3", "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_help_names_the_check_tol_governs(self, capsys, monkeypatch):
+    def test_help_names_what_n_counts(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for phrase in ("kappa=2 lower bound keeps 1e-12", "finite difference keeps 1e-4",
-                       "consistency check keeps 1e-10", "sublevel and all reject it"):
-            assert phrase in text
+        assert "--tol" not in text
         for name, suite in SUITES.items():  # what --n counts, from the suite table
             assert f"{name}: {suite.counts}, default {suite.n}" in text
 
@@ -476,6 +495,10 @@ class TestVerify:
         readme = (REPO / "README.md").read_text()
         for name, suite in SUITES.items():
             assert f"| `{name}` | {suite.counts} | {suite.n} | {suite.min_n} |" in readme
+        tolerance_row = re.compile(r"^\| `([a-z-]+)` \| `([^`]+)` \| ([0-9.e-]+) \|$")
+        table = [(m[1], m[2], float(m[3])) for m in map(tolerance_row.match, readme.splitlines()) if m]
+        assert table == [(suite, row[0], row[4]) for suite, rows in self.EXACT_FIELDS.items()
+                         for row in rows]
 
     def test_report_under_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
@@ -515,9 +538,9 @@ class TestVerify:
         import hypersub.cli as cli_mod
         from hypersub.verify import InequalityReport
 
-        def fake_suite(name, n=None, seed=0, tol=None):
+        def fake_suite(name, n=None, seed=0):
             return [
-                InequalityReport("forced", 1, 1, -1.0, 1e-9, 0, None, {"edges": [], "counts": []})
+                InequalityReport("forced", 1, 0, 1, -1.0, 1e-9, 0, None, {"edges": [], "counts": []})
             ]
 
         monkeypatch.setattr(cli_mod.verify_mod, "run_suite", fake_suite)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +115,18 @@ class TestPartialSums:
     def test_matches_fsum_reference(self):
         for s in (harmonic(0.7), sqrt_harmonic(1.3), power_law(1.0, 0.8)):
             assert partial_sums(s, 5000) == fsum_partial_sums(s.fn, 5000)
+
+    def test_memory_stays_flat_in_n(self):
+        # A list of 10^6 step sizes alone takes over 30 MB.
+        s = sqrt_harmonic(1.3)
+        tracemalloc.start()
+        try:
+            got = partial_sums(s, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got == fsum_partial_sums(s.fn, 10**6)
 
 
 class TestParse:

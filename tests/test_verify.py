@@ -398,11 +398,11 @@ class TestFuzz:
 
 class TestSuites:
     def test_law_of_cosines_small(self):
-        for report in suite_law_of_cosines(n=2000, seed=3, tol=1e-9):
+        for report in suite_law_of_cosines(n=2000, seed=3):
             assert report.violations == 0
 
     def test_key_theorem_small(self):
-        reports = suite_key_theorem(n=400, seed=3, tol=1e-10)
+        reports = suite_key_theorem(n=400, seed=3)
         assert {r.hypothesis_mode for r in reports} == {"analytic"}
         assert sum(r.n for r in reports) == 400  # --n counts every sample
         for report in reports:
@@ -410,7 +410,7 @@ class TestSuites:
             assert report.worst_margin >= -1e-10
 
     def test_per_step_suite(self):
-        for report in suite_per_step(steps=800, seed=0, tol=1e-10):
+        for report in suite_per_step(steps=800, seed=0):
             assert report.violations == 0
 
     def test_per_step_rejects_the_skipped_steps(self):
@@ -418,7 +418,7 @@ class TestSuites:
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 2000))
         skipped = len(trace.records) - 1 - len(samples)
         assert skipped > 0
-        assert [r.rejected for r in suite_per_step(steps=2000, seed=0, tol=1e-10)] == [skipped] * 3
+        assert [r.rejected for r in suite_per_step(steps=2000, seed=0)] == [skipped] * 3
 
     def test_sublevel_rejects_nothing(self):
         assert [r.rejected for r in suite_sublevel(n_rays=8, seed=0)] == [0, 0]
@@ -435,7 +435,7 @@ class TestSuites:
             assert report.violations == 0
 
     def test_gradcheck_suite(self):
-        for report in suite_gradcheck(n=300, seed=2, tol_norm=1e-10):
+        for report in suite_gradcheck(n=300, seed=2):
             assert report.violations == 0
 
     def test_unknown_suite_name(self):
@@ -448,12 +448,11 @@ class TestSuites:
             ("sublevel", {"n": 0}, "--n"),
             ("key-theorem", {"n": 1}, "--n"),
             ("all", {"n": 1}, "--n"),
-            ("sublevel", {"tol": 1e-3}, "--tol"),
-            ("all", {"tol": 1e-3}, "--tol"),
-            ("gradcheck", {"tol": -1e-9}, "--tol"),
-            ("gradcheck", {"tol": math.nan}, "--tol"),
+            ("law-of-cosines", {"n": 0}, "--n"),
+            ("key-theorem", {"n": 0}, "--n"),
+            ("per-step", {"n": 0}, "--n"),
+            ("gradcheck", {"n": -5}, "--n"),
             *[(name, {"seed": -1}, "--seed") for name in [*SUITES, "all"]],
-            ("gradcheck", {"tol": math.inf}, "--tol"),
         ],
     )
     def test_library_calls_get_the_flag_checks(self, name, kwargs, key):
@@ -462,13 +461,12 @@ class TestSuites:
         assert exc.value.key == key
 
     def test_defaults_come_from_the_table(self):
-        (report,) = run_suite("per-step")[:1]
-        assert report.tolerance == SUITES["per-step"].tol
+        assert [r.n for r in run_suite("gradcheck")] == [SUITES["gradcheck"].n] * 2
         assert [r.n for r in run_suite("sublevel")] == [SUITES["sublevel"].n] * 2
 
     @pytest.mark.parametrize("name", SUITES)
     def test_the_table_is_the_only_home_of_the_defaults(self, name):
-        # size, seed and tolerance are all required, so a default written
+        # size and seed are both required, so a default written
         # beside the table's cannot drift from it
         params = inspect.signature(SUITES[name].fn).parameters.values()
         assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
