@@ -30,11 +30,13 @@ def run(argv=None):
     trace = load_trace(Path(args.out_dir) / "disk_example.trace.json")
     print()
     print("   k        d(x_k, 0)      lambda_k")
-    k_shown = 1
+    k_shown = 1  # the next power of ten to show
     for rec in trace.records:
-        if rec.k in (0, trace.records[-1].k) or rec.k == k_shown:
-            print(f"{rec.k:>6}   {rec.dist_to_s:.6e}   {rec.lambda_k:.6e}")
-            k_shown = max(k_shown * 10, 1)
+        if rec.k == k_shown:
+            k_shown *= 10
+        elif rec.k not in (0, trace.records[-1].k):
+            continue
+        print(f"{rec.k:>6}   {rec.dist_to_s:.6e}   {rec.lambda_k:.6e}")
     return code
 
 

@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import cmath
 import json
+import marshal
 import math
 import os
 import signal
 import tempfile
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 from .geometry import BOUNDARY_CLAMP, DRIFT_EPS, DiskPoint, Manifold
 from .oracles import SubgradientOracle, format_complex, parse_point
@@ -396,59 +397,80 @@ _SPLIT_MIN_RECORDS = 4096
 _COPY_CHUNK = 1 << 14
 
 
-def _split_rows(rows: Callable[[int, int], Iterator[str]], n: int) -> Iterator[str]:
-    """The text of ``rows(0, n)``, where ``rows(lo, hi)`` formats records lo
-    to hi. With at least _SPLIT_MIN_RECORDS records, os.fork, a second CPU
-    to run on and no other thread (which a fork would leave in a broken
-    state), a forked child writes ``rows(n // 2, n)`` to an unnamed
-    temporary file while this process formats the first half, and then its
-    text is copied in small pieces, so the result is the same text. The
-    child leaves through os._exit only and is reaped before this generator
-    ends or is closed; it is killed first if the first half raises or the
-    consumer stops. If the child fails, this process formats its half
-    itself, so a faulty record raises here as it would in the serial path."""
+@contextmanager
+def _forked(task: Callable[[IO], object], **file_args) -> Iterator[Callable[[], IO | None] | None]:
+    """Run ``task(part)`` in a forked child while the body of the with
+    statement runs here, ``part`` being an unnamed temporary file opened with
+    ``file_args``. Yields None, and forks nothing, without os.fork, a second
+    CPU to run on or with another thread alive (which a fork would leave in
+    a broken state), or if the fork fails. Otherwise yields ``join``, which
+    waits for the child and returns ``part`` rewound to what the child wrote,
+    or None if ``task`` raised. The child leaves through os._exit only; it is
+    killed and reaped when the body leaves without joining it, as when it
+    raises, so no child outlives the with statement."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if not (
-        n >= _SPLIT_MIN_RECORDS and hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1
-    ):
-        yield from rows(0, n)
+    if not (hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1):
+        yield None
         return
-    mid = n // 2
     # Each process keeps to its own CPUs until the child is reaped: a scheduler
     # that does not balance load (a cpuset with sched_load_balance off) would
-    # leave the child on this process's CPU, and the halves would take turns.
+    # leave the child on this process's CPU, and the two would take turns.
     here, *there = sorted(cpus)
-    # newline="" writes and reads the text untranslated; the encoding is the
-    # default one, as in atomic_write.
-    with tempfile.TemporaryFile("w+", newline="") as part:
+    with tempfile.TemporaryFile(**file_args) as part:
         try:
             os.sched_setaffinity(0, {here})
             pid = os.fork()
-        except OSError:  # no child to be had: this process formats both halves
+        except OSError:  # no child to be had
             pid = None
         if pid == 0:
             code = 1
             try:
+                # A collection would write to the header of every tracked
+                # object, and so copy every page the two processes share.
+                import gc
+
+                gc.disable()
                 os.sched_setaffinity(0, there)
-                part.writelines(rows(mid, n))
+                task(part)
                 part.flush()
                 code = 0
             finally:
                 os._exit(code)
+
+        def join() -> IO | None:
+            nonlocal pid
+            status, pid = os.waitpid(pid, 0)[1], None
+            if status:
+                return None
+            part.seek(0)
+            return part
+
         try:
-            yield from rows(0, mid)
-            if pid is not None:
-                status, pid = os.waitpid(pid, 0)[1], None
-                if status == 0:
-                    part.seek(0)
-                    yield from iter(partial(part.read, _COPY_CHUNK), "")
-                    return
-            yield from rows(mid, n)
+            yield None if pid is None else join
         finally:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             os.sched_setaffinity(0, cpus)
+
+
+def _split_rows(rows: Callable[[int, int], Iterator[str]], n: int) -> Iterator[str]:
+    """The text of ``rows(0, n)``, where ``rows(lo, hi)`` formats records lo
+    to hi. From _SPLIT_MIN_RECORDS records, a child _forked off writes
+    ``rows(n // 2, n)`` while this process formats the first half, and then
+    its text is copied in small pieces, so the result is the same text. If
+    there is no child, or it fails, this process formats its half itself,
+    so a faulty record raises here as it would in the serial path."""
+    if n < _SPLIT_MIN_RECORDS:
+        yield from rows(0, n)
+        return
+    mid = n // 2
+    # newline="" writes and reads the text untranslated; the encoding is the
+    # default one, as in atomic_write.
+    with _forked(lambda part: part.writelines(rows(mid, n)), mode="w+", newline="") as join:
+        yield from rows(0, mid)
+        part = join and join()
+        yield from rows(mid, n) if part is None else iter(partial(part.read, _COPY_CHUNK), "")
 
 
 def _record_dict(k, z, f, gn, lam, d, drift) -> dict:
@@ -545,7 +567,6 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
         atomic_write(Path(path), chain([",".join(CSV_HEADER) + "\n"], rows))
 
 
-_RECORD_KEY_SET = frozenset(_RECORD_KEYS)
 _record_values = itemgetter(*_RECORD_KEYS)
 # The JSON types of the keys of a record, of the top level of a trace and of
 # its termination object, in the order they are checked, with how a fault
@@ -581,24 +602,34 @@ _CONFIG_TYPES = {"manifold": ((dict,), "an object"), "schedule": ((str,), "a str
 _MANIFOLD_TYPES = {"kappa": (_NUMBER, "a number")}
 
 
-def _record_from_json(obj: dict):
-    """json object_hook: an object with exactly the record keys, each value
-    of its JSON type (_RECORD_TYPES), becomes an IterationRecord as it is
-    parsed; any other object stays a dict."""
-    if obj.keys() == _RECORD_KEY_SET:
-        k, x, y, f, gn, lam, d, drift = _record_values(obj)
-        if (
-            type(k) is int
-            and type(drift) is bool
-            and type(x) in _NUMBER
-            and type(y) in _NUMBER
-            and type(f) in _NUMBER
-            and type(gn) in _NUMBER
-            and type(lam) in _NUMBER
-            and (d is None or type(d) in _NUMBER)
-        ):
-            return IterationRecord._make((k, complex(x, y), f, gn, lam, d, drift))
-    return obj
+def _record_hook(make: Callable[[tuple], tuple]) -> Callable[[dict], object]:
+    """A json object_hook: an object with exactly the record keys, each value
+    of its JSON type (_RECORD_TYPES), becomes ``make`` of its record tuple
+    as it is parsed; any other object stays a dict."""
+
+    def hook(obj: dict):
+        if len(obj) == 8:
+            try:
+                k, x, y, f, gn, lam, d, drift = _record_values(obj)
+            except KeyError:
+                return obj
+            if (
+                type(k) is int
+                and type(drift) is bool
+                and type(x) in _NUMBER
+                and type(y) in _NUMBER
+                and type(f) in _NUMBER
+                and type(gn) in _NUMBER
+                and type(lam) in _NUMBER
+                and (d is None or type(d) in _NUMBER)
+            ):
+                return make((k, complex(x, y), f, gn, lam, d, drift))
+        return obj
+
+    return hook
+
+
+_record_from_json = _record_hook(IterationRecord._make)
 
 
 def _key_fault(obj, types: dict) -> str | None:
@@ -617,24 +648,98 @@ def _key_fault(obj, types: dict) -> str | None:
 def _record_fault(obj) -> str:
     """What keeps a parsed record object from being an IterationRecord."""
     return _key_fault(obj, _RECORD_TYPES) or "has extra key(s) " + ", ".join(
-        key for key in obj if key not in _RECORD_KEY_SET
+        key for key in obj if key not in _RECORD_TYPES
     )
+
+
+# The records array as write_trace_json lays it out: the member opens a line at
+# indent 2, a record closes at indent 4 and the array closes at indent 2.
+_RECORDS_OPEN = '\n  "records": [\n'
+_RECORDS_CLOSE = "\n  ]"
+_RECORD_GAP = "\n    },\n    {"
+# The length of the records array, in characters, from which load_trace
+# parses its second half in a forked child: below it, the fork and the pages
+# it has the two processes copy cost more than the child saves. The break-even
+# measured on 2 cores is about 2 M characters (8,000 records) in a process of
+# 80 MB and 4 M (16,000 records) in one of 155 MB.
+_LOAD_SPLIT_MIN_CHARS = 1 << 22
+
+
+def _dump_records(part: IO[bytes], rows: str) -> None:
+    """Parse ``rows``, the records of a JSON array after a cut, through the
+    closing bracket, and write them to ``part`` as one marshal blob of plain
+    tuples, a column per field; ValueError if one is no record."""
+    records = json.loads("[" + rows, object_hook=_record_hook(tuple))
+    if set(map(type, records)) != {tuple}:
+        raise ValueError("an element is no record")
+    columns = tuple(zip(*records))
+    # Each value then has one reference, which marshal does not look up.
+    del records
+    part.write(marshal.dumps(columns))
+
+
+def _parse_trace(path: str | Path):
+    """``json.loads`` of the file's text with _record_from_json as object
+    hook. From a records array of _LOAD_SPLIT_MIN_CHARS characters, cut at
+    a record boundary near its middle, a child _forked off parses the
+    records after the cut while this process parses the rest of the text,
+    with a sentinel string in place of them. The halves are joined only if
+    the sentinel is the last element of the top-level records and every
+    element of the child's part is a record; otherwise (a parse error or a
+    faulty record in either part, no child, a failed child) the whole text
+    is parsed here, so every result and every error is the serial one."""
+    text = Path(path).read_text()
+    start = text.find(_RECORDS_OPEN)
+    end = text.rfind(_RECORDS_CLOSE)
+    gap = text.find(_RECORD_GAP, (start + end) // 2, end)
+    if start >= 0 and end - start >= _LOAD_SPLIT_MIN_CHARS and gap >= 0:
+        cut = gap + len("\n    }")  # at the comma between two records
+        # Random, so no file holds it: it marks the cut and nothing else.
+        sentinel = os.urandom(16).hex()
+        with _forked(lambda part: _dump_records(part, text[cut + 1 : end + len(_RECORDS_CLOSE)])) as join:
+            if join is not None:
+                try:
+                    # "%.*s" copies the first cut characters straight into the
+                    # result: no slice of the text is made to be thrown away.
+                    raw = json.loads(
+                        '%.*s, "%s"%s' % (cut, text, sentinel, text[end:]), object_hook=_record_from_json
+                    )
+                    records = raw["records"]
+                except Exception:  # the serial parse below raises the real error
+                    raw = records = None
+                trusted = type(records) is list and records and records[-1] == sentinel
+                if trusted and (part := join()) is not None:
+                    # Dropped before the child's records are built, so that the
+                    # peak stays that of the serial parse.
+                    del text
+                    # By columns, the blob holds no container per record to be
+                    # allocated and collected, and tuple.__new__ is _make's own.
+                    columns = marshal.loads(part.read())
+                    records[-1:] = map(tuple.__new__, repeat(IterationRecord), zip(*columns))
+                    return raw
+                del raw, records  # not held through the serial parse
+    return json.loads(text, object_hook=_record_from_json)
 
 
 def load_trace(path: str | Path) -> RunTrace:
     """Rebuild a RunTrace from its JSON file.
 
     Each record object becomes an IterationRecord while the text is parsed,
-    so the record dicts are never all alive at once. A record's point is read
-    back as ``complex(x, y)``, with no disk-bound check, so traces from the
-    flat model reload cleanly. A key that is missing or holds a value not of
+    so the record dicts are never all alive at once. From a records array of
+    _LOAD_SPLIT_MIN_CHARS characters in write_trace_json's layout, with
+    os.fork, a second CPU and no other thread, a forked child parses the
+    second half of the records while this process parses the rest; the
+    result, and any error, is that of the serial parse (see _parse_trace).
+
+    A record's point is read back as ``complex(x, y)``, with no disk-bound
+    check, so traces from the flat model reload cleanly. A key that is missing or holds a value not of
     its JSON type (_RECORD_TYPES, _TRACE_TYPES, _TERMINATION_TYPES, and the
     config echo's _CONFIG_TYPES and _MANIFOLD_TYPES), an extra record key, a
     record k that is negative or not above the k before it, and an x_star
     that is no complex number raise ValueError naming the key and any
     record's index.
     """
-    raw = json.loads(Path(path).read_text(), object_hook=_record_from_json)
+    raw = _parse_trace(path)
     # Each object is checked after the one that holds it.
     for where, keys, types in (
         ("trace", (), _TRACE_TYPES),

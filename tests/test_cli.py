@@ -609,7 +609,12 @@ def load_example_script():
 class TestExampleScript:
     def test_prints_the_table(self, tmp_path, capsys):
         assert load_example_script().run(["--steps", "300", "--out-dir", str(tmp_path)]) == 0
-        assert "d(x_k, 0)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "d(x_k, 0)" in out
+        # One row per power of ten after k = 0, then the last record.
+        table = out[out.rindex("d(x_k, 0)"):].splitlines()[1:]
+        last = load_trace(tmp_path / "disk_example.trace.json").records[-1].k
+        assert [int(row.split()[0]) for row in table] == [0, 1, 10, 100, last]
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         assert load_example_script().run(["--steps", "0", "--out-dir", str(tmp_path)]) == 2

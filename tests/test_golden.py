@@ -36,6 +36,7 @@ from hypersub.oracles import (
     weighted_sum,
 )
 from hypersub.schedules import harmonic, power_law, sqrt_harmonic
+import hypersub.solver as solver
 from hypersub.solver import (
     IterationRecord,
     MissingFStar,
@@ -190,6 +191,21 @@ def test_dist_x0_to_solution_is_the_first_records(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_is_byte_identical(name, tmp_path):
     assert sha256(written(write_trace_csv, traced(name), tmp_path)) == CSV_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_split_load_is_the_serial_load(name, tmp_path, monkeypatch):
+    # At a threshold of 0 every records array of two records or more is cut,
+    # and its second half parsed in a forked child where one can be had.
+    path = tmp_path / "t.trace.json"
+    write_trace_json(traced(name), path)
+    monkeypatch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", 0)
+    split = load_trace(path)
+    monkeypatch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", math.inf)
+    serial = load_trace(path)
+    assert repr(split) == repr(serial)
+    assert [tuple(map(type, r)) for r in split.records] == [tuple(map(type, r)) for r in serial.records]
+    assert split.records == traced(name).records
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -606,6 +606,29 @@ class TestComplexityReport:
         assert rhs_values[-1] < rhs_values[100] < rhs_values[10]
 
 
+# Each edit of a record object, with the fault load_trace names it by.
+RECORD_FAULTS = [
+    (lambda r: r.pop("lambda"), "misses key(s) lambda"),
+    (lambda r: r.update(extra=1.0), "has extra key(s) extra"),
+    (lambda r: r.update(x="0.1"), "has \"x\" = '0.1', not a number"),
+    (lambda r: r.update(y=None), 'has "y" = None, not a number'),
+    (lambda r: r.update(x=True), 'has "x" = True, not a number'),
+    (lambda r: r.update(k=1.5), 'has "k" = 1.5, not an integer'),
+    (lambda r: r.update(k=True), 'has "k" = True, not an integer'),
+    (lambda r: r.update(f="1.0"), "has \"f\" = '1.0', not a number"),
+    (lambda r: r.update(f=None), 'has "f" = None, not a number'),
+    (lambda r: r.update(grad_norm=False), 'has "grad_norm" = False, not a number'),
+    (lambda r: r.update({"lambda": [1]}), 'has "lambda" = [1], not a number'),
+    (lambda r: r.update(dist_to_s="0"), "has \"dist_to_s\" = '0', not a number or null"),
+    (lambda r: r.update(drift="no"), "has \"drift\" = 'no', not true or false"),
+    (lambda r: r.update(drift=0), 'has "drift" = 0, not true or false'),
+]
+RECORD_FAULT_IDS = [
+    "missing-key", "extra-key", "string-x", "null-y", "bool-x", "float-k", "bool-k",
+    "string-f", "null-f", "bool-grad-norm", "list-lambda", "string-dist", "string-drift", "int-drift",
+]
+
+
 class TestSerialization:
     def test_json_round_trip_reproduces_summary_bit_exactly(self, tmp_path):
         cfg = SolveConfig(
@@ -703,29 +726,7 @@ class TestSerialization:
         write_trace_json(trace, path)
         assert load_trace(path) == trace
 
-    @pytest.mark.parametrize(
-        "edit,fault",
-        [
-            (lambda r: r.pop("lambda"), "misses key(s) lambda"),
-            (lambda r: r.update(extra=1.0), "has extra key(s) extra"),
-            (lambda r: r.update(x="0.1"), "has \"x\" = '0.1', not a number"),
-            (lambda r: r.update(y=None), 'has "y" = None, not a number'),
-            (lambda r: r.update(x=True), 'has "x" = True, not a number'),
-            (lambda r: r.update(k=1.5), 'has "k" = 1.5, not an integer'),
-            (lambda r: r.update(k=True), 'has "k" = True, not an integer'),
-            (lambda r: r.update(f="1.0"), "has \"f\" = '1.0', not a number"),
-            (lambda r: r.update(f=None), 'has "f" = None, not a number'),
-            (lambda r: r.update(grad_norm=False), 'has "grad_norm" = False, not a number'),
-            (lambda r: r.update({"lambda": [1]}), 'has "lambda" = [1], not a number'),
-            (lambda r: r.update(dist_to_s="0"), "has \"dist_to_s\" = '0', not a number or null"),
-            (lambda r: r.update(drift="no"), "has \"drift\" = 'no', not true or false"),
-            (lambda r: r.update(drift=0), 'has "drift" = 0, not true or false'),
-        ],
-        ids=[
-            "missing-key", "extra-key", "string-x", "null-y", "bool-x", "float-k", "bool-k",
-            "string-f", "null-f", "bool-grad-norm", "list-lambda", "string-dist", "string-drift", "int-drift",
-        ],
-    )
+    @pytest.mark.parametrize("edit,fault", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
     def test_load_trace_names_a_faulty_record(self, tmp_path, edit, fault):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
@@ -942,3 +943,178 @@ def test_a_consumer_that_stops_early_leaves_no_child(forks):
     assert len(forks) == 2 * forks_per_split_write()
     assert_no_child_left()
     assert os.sched_getaffinity(0) == affinity
+
+
+@pytest.fixture(scope="module")
+def long_json(long_trace, tmp_path_factory):
+    """The text write_trace_json writes for long_trace."""
+    path = tmp_path_factory.mktemp("long") / "t.trace.json"
+    write_trace_json(long_trace, path)
+    return path.read_text()
+
+
+@pytest.fixture(scope="module")
+def short_json(long_trace, tmp_path_factory):
+    """The text write_trace_json writes for the first 2,001 records of
+    long_trace, which a test splits by lowering _LOAD_SPLIT_MIN_CHARS."""
+    path = tmp_path_factory.mktemp("short") / "t.trace.json"
+    write_trace_json(dataclasses.replace(long_trace, records=long_trace.records[:2001]), path)
+    return path.read_text()
+
+
+@pytest.fixture
+def split_short(monkeypatch):
+    """Any records array is long enough to split."""
+    monkeypatch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", 0)
+
+
+def edit_record(text, k, edit):
+    """The trace text with the row of the record at step k rewritten by
+    ``edit(row)``, laid out as json.dumps(indent=2) lays it out."""
+    start = text.index('\n    {\n      "k": %d,\n' % k)
+    end = text.index("\n    }", start) + len("\n    }")
+    row = json.loads(text[start:end])
+    edit(row)
+    return text[:start] + "\n    " + json.dumps(row, indent=2).replace("\n", "\n    ") + text[end:]
+
+
+def serial_load(path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", math.inf)
+        return load_trace(path)
+
+
+def record_types(trace):
+    return [tuple(map(type, r)) for r in trace.records]
+
+
+class TestSplitLoad:
+    """A trace whose records array is at least _LOAD_SPLIT_MIN_CHARS long is
+    parsed half in a forked child when the process may run on 2 CPUs and has
+    one thread; every result and every error is the serial one. The tests
+    that edit a trace many times lower the threshold below a short one."""
+
+    def test_the_long_trace_is_above_the_threshold(self, long_json):
+        records = long_json[long_json.index('\n  "records": [\n'):long_json.rindex("\n  ]")]
+        assert len(records) >= solver._LOAD_SPLIT_MIN_CHARS
+
+    def test_split_load_equals_the_serial_load(self, long_trace, tmp_path, forks, monkeypatch):
+        # NaN, an infinity, an int and a null distance in both halves.
+        records = list(long_trace.records)
+        for k in (5, 15_000):
+            records[k] = records[k]._replace(f_value=math.nan, grad_norm=math.inf, dist_to_s=None)
+            records[k + 1] = records[k + 1]._replace(lambda_k=1, f_value=-math.inf)
+        path = tmp_path / "t.trace.json"
+        write_trace_json(dataclasses.replace(long_trace, records=records), path)
+        text = path.read_text()
+        for k in (7, 15_002):
+            text = edit_record(text, k, lambda r: r.update(x=0, dist_to_s=2))
+        path.write_text(text)
+        forks.clear()  # those of the writer
+        affinity = os.sched_getaffinity(0)
+        split = load_trace(path)
+        assert len(forks) == forks_per_split_write()
+        assert_no_child_left()
+        assert os.sched_getaffinity(0) == affinity
+        serial = serial_load(path, monkeypatch)
+        assert len(forks) == forks_per_split_write()
+        assert repr(split) == repr(serial)
+        assert record_types(split) == record_types(serial)
+        assert all(type(r) is IterationRecord for r in split.records)
+        for k in (5, 15_000):
+            assert split.records[k + 1].lambda_k == 1 and type(split.records[k + 1].lambda_k) is int
+            assert split.records[k + 2].z.real == 0.0 and type(split.records[k + 2].dist_to_s) is int
+        assert (split.config, split.termination, split.summary) == (serial.config, serial.termination, serial.summary)
+
+    @pytest.mark.parametrize("edit,fault", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
+    def test_a_faulty_record_in_the_second_half_is_named_as_in_the_serial_path(
+        self, short_json, split_short, tmp_path, forks, monkeypatch, edit, fault
+    ):
+        path = tmp_path / "t.trace.json"
+        path.write_text(edit_record(short_json, 1500, edit))
+        with pytest.raises(ValueError, match=re.escape(f"record 1500 {fault}")) as split:
+            load_trace(path)
+        assert len(forks) == forks_per_split_write()
+        assert_no_child_left()
+        with pytest.raises(ValueError) as serial:
+            serial_load(path, monkeypatch)
+        assert str(split.value) == str(serial.value)
+
+    @pytest.mark.parametrize("k", [500, 1500], ids=["first-half", "second-half"])
+    def test_a_syntax_error_in_either_half_is_the_serial_one(self, short_json, split_short, tmp_path, forks, k):
+        text = short_json.replace('"k": %d,' % k, '"k": %d' % k, 1)
+        with pytest.raises(json.JSONDecodeError) as serial:
+            json.loads(text)
+        path = tmp_path / "t.trace.json"
+        path.write_text(text)
+        affinity = os.sched_getaffinity(0)
+        with pytest.raises(json.JSONDecodeError) as split:
+            load_trace(path)
+        assert (split.value.msg, split.value.pos) == (serial.value.msg, serial.value.pos)
+        assert len(forks) == forks_per_split_write()
+        assert_no_child_left()
+        assert os.sched_getaffinity(0) == affinity
+
+    @pytest.mark.parametrize(
+        "layout", ["re-indented", "duplicate-records-after", "duplicate-records-before",
+                   "records-in-config", "records-first", "records-last"],
+    )
+    def test_other_layouts_load_as_in_the_serial_path(self, short_json, split_short, tmp_path, monkeypatch, layout):
+        opening, closing = '\n  "records": [\n', "\n  ],\n"
+        head, rest = short_json.split(opening)
+        rows, tail = rest.split(closing)
+        member = opening + rows + closing[:-2]
+        text = {
+            "re-indented": short_json.replace("\n", "\n "),
+            # The last "records" member is the one json keeps.
+            "duplicate-records-after": head + member + ',\n  "records": [],\n' + tail,
+            "duplicate-records-before": head + '\n  "records": [\n    1\n  ],' + member + ",\n" + tail,
+            # The config's own "records" member at the indent of the top-level one.
+            "records-in-config": short_json.replace('"config": {', '"config": {' + member + ",", 1),
+            "records-first": "{" + member + "," + head[1:] + tail,
+            "records-last": head + tail.rstrip()[:-2] + "," + member + "\n}\n",
+        }[layout]
+        path = tmp_path / "t.trace.json"
+        path.write_text(text)
+        split = load_trace(path)
+        assert_no_child_left()
+        assert repr(split) == repr(serial_load(path, monkeypatch))
+        assert record_types(split) == record_types(serial_load(path, monkeypatch))
+
+    def test_no_child_outlives_an_interrupted_load(self, short_json, split_short, tmp_path, forks, monkeypatch):
+        path = tmp_path / "t.trace.json"
+        path.write_text(short_json)
+        calls = iter(range(1000))
+
+        def hook(obj):
+            if next(calls, None) is None:
+                raise KeyboardInterrupt
+            return obj
+
+        monkeypatch.setattr(solver, "_record_from_json", hook)
+        affinity = os.sched_getaffinity(0)
+        with pytest.raises(KeyboardInterrupt):
+            load_trace(path)
+        assert len(forks) == forks_per_split_write()
+        assert_no_child_left()
+        assert os.sched_getaffinity(0) == affinity
+
+    @pytest.mark.parametrize("why", ["one-cpu", "second-thread"])
+    def test_no_fork_on_one_cpu_or_with_a_second_thread(self, long_trace, long_json, tmp_path, forks, monkeypatch, why):
+        path = tmp_path / "t.trace.json"
+        path.write_text(long_json)
+        if why == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "second-thread":
+            thread.start()
+        try:
+            loaded = load_trace(path)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert loaded.records == long_trace.records
