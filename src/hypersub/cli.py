@@ -228,6 +228,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     write_trace_json(trace, out_dir / "disk_example.trace.json")
     write_trace_csv(trace, out_dir / "disk_example.trace.csv")
     failures = reproduce_assertions(trace)
+    # The table shows k = 0, each recorded power of ten and the last k, with
+    # d(x_k, 0) computed as check (ii) computes it.
+    last = trace.records[-1].k
+    shown = {0, last, *(10**i for i in range(len(str(last))))}
     lines = [
         "disk example reproduction",
         "=========================",
@@ -237,6 +241,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"max |Re x_k|: {max(abs(r.z.real) for r in trace.records):.3e}",
         f"final f: {trace.records[-1].f_value:.6e}",
         f"final distance to the solution set: {trace.records[-1].dist_to_s:.6e}",
+        "",
+        f"{'k':>6}   {'d(x_k, 0)':>12}   {'lambda_k':>12}",
+        *(
+            f"{r.k:>6}   {POINCARE_DISK.distance_z(r.z, 0j):.6e}   {r.lambda_k:.6e}"
+            for r in trace.records
+            if r.k in shown
+        ),
         "",
         "checks:",
         "  (i) iterates stay on the y-axis",

@@ -15,6 +15,7 @@ import marshal
 import math
 import os
 import signal
+import sys
 import tempfile
 import threading
 from contextlib import closing, contextmanager
@@ -371,16 +372,16 @@ def trace_to_dict(trace: RunTrace) -> dict:
 def atomic_write(path: Path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` to ``path`` as they are produced, through a
     temporary file and a rename, with the permissions an ordinary open()
-    would give (0o666 less the umask). If producing a chunk raises, the
+    gives (0o666 less the umask). If producing a chunk raises, the
     temporary file is removed and ``path`` keeps what it held."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # Created exclusively on a random name, so it is no one else's file, and
+    # open() applies the umask: the process umask is never set to read it.
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.writelines(chunks)
-        mask = os.umask(0)  # os.umask is the only portable way to read it
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -570,8 +571,9 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
 _record_values = itemgetter(*_RECORD_KEYS)
 # The JSON types of the keys of a record, of the top level of a trace and of
 # its termination object, in the order they are checked, with how a fault
-# names them. Any number is taken where a float is, NaN and the
-# infinities included, as the writer emits them; a bool is no number here.
+# names them. Any number is taken where a float is, NaN and the infinities
+# included, as the writer emits them, but an integer beyond the largest float
+# is not, and a bool is no number here.
 _NUMBER = (float, int)
 _NULL = type(None)
 _RECORD_TYPES = {
@@ -613,16 +615,18 @@ def _record_hook(make: Callable[[tuple], tuple]) -> Callable[[dict], object]:
                 k, x, y, f, gn, lam, d, drift = _record_values(obj)
             except KeyError:
                 return obj
+            # Every record the writer emits passes the first test; a record
+            # with an integer number, or a faulty one, is checked by the table.
             if (
                 type(k) is int
                 and type(drift) is bool
-                and type(x) in _NUMBER
-                and type(y) in _NUMBER
-                and type(f) in _NUMBER
-                and type(gn) in _NUMBER
-                and type(lam) in _NUMBER
-                and (d is None or type(d) in _NUMBER)
-            ):
+                and type(x) is float
+                and type(y) is float
+                and type(f) is float
+                and type(gn) is float
+                and type(lam) is float
+                and (d is None or type(d) is float)
+            ) or _key_fault(obj, _RECORD_TYPES) is None:
                 return make((k, complex(x, y), f, gn, lam, d, drift))
         return obj
 
@@ -641,8 +645,16 @@ def _key_fault(obj, types: dict) -> str | None:
     missing = [key for key in types if key not in obj]
     if missing:
         return f"misses key(s) {', '.join(missing)}"
-    key = next((key for key, (allowed, _) in types.items() if type(obj[key]) not in allowed), None)
+    key = next((key for key, (allowed, _) in types.items() if not _is_a(obj[key], allowed)), None)
     return None if key is None else f'has "{key}" = {obj[key]!r}, not {types[key][1]}'
+
+
+def _is_a(value, allowed: tuple) -> bool:
+    """Whether the parsed JSON ``value`` is of a type in ``allowed``; an
+    integer stands for a float only up to the largest float."""
+    if type(value) is int and float in allowed and abs(value) > sys.float_info.max:
+        return False
+    return type(value) in allowed
 
 
 def _record_fault(obj) -> str:

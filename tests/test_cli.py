@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hypersub.cli import main
+from hypersub.geometry import POINCARE_DISK
 from hypersub.solver import STOP_GRAD_TOL, Termination, load_trace, stop_threshold
 from hypersub.verify import SUITES
 
@@ -557,6 +557,32 @@ class TestReproduce:
         report = (tmp_path / "disk_example.report.txt").read_text()
         assert "all checks passed" in report
 
+    @pytest.mark.parametrize(
+        "x0,steps,code,ks,d0",
+        [
+            ("0.0+0.9i", "300", 0, [0, 1, 10, 100, 300], "2.944439e+00"),
+            # off the y-axis, dist_to_s at k = 0 is 1.203138e+00
+            ("0.3+0.5i", "50", 5, [0, 1, 10, 50], "1.334279e+00"),
+        ],
+        ids=["y-axis", "off-axis"],
+    )
+    def test_report_tabulates_each_decade(self, tmp_path, capsys, x0, steps, code, ks, d0):
+        assert main(["reproduce-example", "--steps", steps, "--x0", x0, "--out-dir", str(tmp_path)]) == code
+        report = (tmp_path / "disk_example.report.txt").read_text()
+        assert capsys.readouterr().out == report
+        # The table runs from its header to the next blank line.
+        lines = report.splitlines()
+        start = lines.index("     k      d(x_k, 0)       lambda_k") + 1
+        table = [row.split() for row in lines[start : lines.index("", start)]]
+        records = {r.k: r for r in load_trace(tmp_path / "disk_example.trace.json").records}
+        assert [int(k) for k, _, _ in table] == ks
+        assert table[0][1] == d0
+        for k, d, lam in table:
+            r = records[int(k)]
+            # d(x_k, 0) as check (ii) computes it
+            assert d == f"{POINCARE_DISK.distance_z(r.z, 0j):.6e}"
+            assert lam == f"{r.lambda_k:.6e}"
+
     def test_ten_steps(self, tmp_path):
         assert main(["reproduce-example", "--steps", "10", "--out-dir", str(tmp_path)]) == 0
 
@@ -597,25 +623,3 @@ class TestReproduce:
         code = main(["reproduce-example", "--steps", "5", "--out-dir", str(tmp_path / "file")])
         assert code == 2
         assert str(tmp_path / "file") in capsys.readouterr().err
-
-
-def load_example_script():
-    spec = importlib.util.spec_from_file_location("run_disk_example", REPO / "scripts" / "run_disk_example.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestExampleScript:
-    def test_prints_the_table(self, tmp_path, capsys):
-        assert load_example_script().run(["--steps", "300", "--out-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "d(x_k, 0)" in out
-        # One row per power of ten after k = 0, then the last record.
-        table = out[out.rindex("d(x_k, 0)"):].splitlines()[1:]
-        last = load_trace(tmp_path / "disk_example.trace.json").records[-1].k
-        assert [int(row.split()[0]) for row in table] == [0, 1, 10, 100, last]
-
-    def test_config_error_exits_2(self, tmp_path, capsys):
-        assert load_example_script().run(["--steps", "0", "--out-dir", str(tmp_path)]) == 2
-        assert "--steps" in capsys.readouterr().err

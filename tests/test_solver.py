@@ -3,8 +3,11 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -812,6 +815,54 @@ class TestSerialization:
         assert (records[1].grad_norm, records[1].dist_to_s) == (math.inf, None)
         assert records[2].z == complex(0, trace.records[2].z.imag)
         assert (records[2].f_value, records[2].lambda_k, records[2].dist_to_s) == (-math.inf, 1, 2)
+
+    @pytest.mark.parametrize(
+        "keys,where",
+        [
+            *(pytest.param(("records", 3, key), f'record 3 has "{key}"', id=key)
+              for key in ("x", "y", "f", "grad_norm", "lambda", "dist_to_s")),
+            pytest.param(("f_star",), 'trace has "f_star"', id="f_star"),
+            pytest.param(("dist_x0_to_solution",), 'trace has "dist_x0_to_solution"', id="dist_x0_to_solution"),
+            pytest.param(("config", "manifold", "kappa"), '"config"."manifold" has "kappa"', id="kappa"),
+        ],
+    )
+    def test_load_trace_names_an_integer_beyond_the_float_range(self, tmp_path, keys, where):
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        write_trace_json(trace, path)
+        raw = json.loads(path.read_text())
+        reduce(getitem, keys[:-1], raw)[keys[-1]] = 10**400
+        path.write_text(json.dumps(raw, indent=2))
+        with pytest.raises(ValueError, match=re.escape(f"{where} = {10**400}, not a number")):
+            load_trace(path)
+
+    @pytest.mark.parametrize("key", list(solver._RECORD_TYPES))
+    def test_record_hook_takes_what_the_table_takes(self, key):
+        # The hook writes the table's rules out inline; one value of each
+        # JSON kind, as json.loads gives it, must be taken by both or neither.
+        kinds = {
+            "int": 3, "float": 0.5, "true": True, "null": None, "string": "a", "array": [1],
+            "object": {"a": 1}, "largest-float-int": int(sys.float_info.max), "int-beyond-float": 10**400,
+        }
+        record = {"k": 2, "x": 0.0, "y": 0.5, "f": 1.0, "grad_norm": 1.0, "lambda": 0.5, "dist_to_s": 0.1,
+                  "drift": False}
+        assert type(solver._record_from_json(record)) is IterationRecord
+        allowed = solver._RECORD_TYPES[key][0]
+        for kind, value in kinds.items():
+            takes = type(value) in allowed and not (kind == "int-beyond-float" and float in allowed)
+            made = solver._record_from_json({**record, key: value})
+            assert (type(made) is IterationRecord) == takes, kind
+
+    def test_atomic_write_never_sets_the_umask(self, tmp_path, monkeypatch):
+        # Setting it, even to read it, changes it for every thread meanwhile.
+        def umask(mask):
+            raise AssertionError("os.umask was called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        path = tmp_path / "a.txt"
+        solver.atomic_write(path, ["one ", "two\n"])
+        assert path.read_text() == "one two\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.fixture(scope="module")
