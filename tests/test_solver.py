@@ -12,6 +12,7 @@ from operator import getitem
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from conftest import assert_no_child_left, forks_per_split
 from reference import reference_run
 
 from hypersub.geometry import (
@@ -900,31 +901,6 @@ class TestStreamedWriters:
         assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made while the test runs, one None each."""
-    calls = []
-    fork = os.fork
-
-    def counted_fork():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls
-
-
-def forks_per_split_write():
-    """1 where the process may run on 2 CPUs, else 0: under ``taskset -c 0``
-    every write takes the serial path."""
-    return int(len(os.sched_getaffinity(0)) >= 2)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("writer", [write_trace_json, write_trace_csv], ids=["json", "csv"])
 class TestSplitWriters:
     """A trace of at least _SPLIT_MIN_RECORDS records is formatted half in a
@@ -940,12 +916,12 @@ class TestSplitWriters:
         assert solver._SPLIT_MIN_RECORDS <= len(records)
         affinity = os.sched_getaffinity(0)
         writer(trace, tmp_path / "split")
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert_no_child_left()
         assert os.sched_getaffinity(0) == affinity
         monkeypatch.setattr(solver, "_SPLIT_MIN_RECORDS", len(records) + 1)
         writer(trace, tmp_path / "serial")
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert (tmp_path / "split").read_bytes() == (tmp_path / "serial").read_bytes()
 
     @pytest.mark.parametrize("bad", [5_000, 15_000], ids=["first-half", "second-half"])
@@ -956,7 +932,7 @@ class TestSplitWriters:
         records[bad] = records[bad]._replace(k=object(), dist_to_s=object())
         with pytest.raises(TypeError):
             writer(dataclasses.replace(long_trace, records=records), path)
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert_no_child_left()
         assert path.read_text() == "earlier\n"
         assert list(tmp_path.iterdir()) == [path]
@@ -991,7 +967,7 @@ def test_a_consumer_that_stops_early_leaves_no_child(forks):
     parts = solver._split_rows(rows, n)
     assert [next(parts) for _ in range(3)] == ["0\n", "1\n", "2\n"]
     parts.close()
-    assert len(forks) == 2 * forks_per_split_write()
+    assert len(forks) == 2 * forks_per_split()
     assert_no_child_left()
     assert os.sched_getaffinity(0) == affinity
 
@@ -1064,11 +1040,11 @@ class TestSplitLoad:
         forks.clear()  # those of the writer
         affinity = os.sched_getaffinity(0)
         split = load_trace(path)
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert_no_child_left()
         assert os.sched_getaffinity(0) == affinity
         serial = serial_load(path, monkeypatch)
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert repr(split) == repr(serial)
         assert record_types(split) == record_types(serial)
         assert all(type(r) is IterationRecord for r in split.records)
@@ -1085,7 +1061,7 @@ class TestSplitLoad:
         path.write_text(edit_record(short_json, 1500, edit))
         with pytest.raises(ValueError, match=re.escape(f"record 1500 {fault}")) as split:
             load_trace(path)
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert_no_child_left()
         with pytest.raises(ValueError) as serial:
             serial_load(path, monkeypatch)
@@ -1102,7 +1078,7 @@ class TestSplitLoad:
         with pytest.raises(json.JSONDecodeError) as split:
             load_trace(path)
         assert (split.value.msg, split.value.pos) == (serial.value.msg, serial.value.pos)
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert_no_child_left()
         assert os.sched_getaffinity(0) == affinity
 
@@ -1146,7 +1122,7 @@ class TestSplitLoad:
         affinity = os.sched_getaffinity(0)
         with pytest.raises(KeyboardInterrupt):
             load_trace(path)
-        assert len(forks) == forks_per_split_write()
+        assert len(forks) == forks_per_split()
         assert_no_child_left()
         assert os.sched_getaffinity(0) == affinity
 

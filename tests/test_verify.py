@@ -1,9 +1,14 @@
 import cmath
 import inspect
+import json
 import math
+import os
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left, forks_per_split
 
 from hypersub.geometry import (
     ORIGIN,
@@ -18,6 +23,7 @@ from hypersub.oracles import (
     distance_oracle,
     two_busemann_oracle,
 )
+from hypersub import verify
 from hypersub.verify import (
     CHUNK,
     DegenerateTriangle,
@@ -25,6 +31,11 @@ from hypersub.verify import (
     KeyConfig,
     TriangleSample,
     _accepted,
+    _distance_key_margins,
+    _gradcheck_fd_margins,
+    _gradcheck_norm_margins,
+    _law_of_cosines_margins,
+    _two_busemann_key_margins,
     fuzz,
     harvest_two_busemann_steps,
     key_theorem_margin,
@@ -394,6 +405,153 @@ class TestFuzz:
         assert type(report.worst_margin) is float
         assert type(report.violations) is int
         assert report.worst_margin == (0.5 if two_sided else -0.25)
+
+    @pytest.mark.parametrize(
+        "margins,two_sided,violations,worst",
+        [
+            ([0.5, math.inf, 0.25], False, 1, math.inf),
+            ([0.5, -math.inf, 0.25], False, 1, -math.inf),
+            ([0.5, math.inf, -math.inf, math.nan], False, 3, math.nan),
+            ([0.5, -math.inf, 0.25], True, 2, math.inf),
+            ([0.5, math.nan, math.inf, 0.25], True, 3, math.nan),
+            ([math.nan, math.nan], False, 2, math.nan),
+            ([math.inf], True, 1, math.inf),
+        ],
+    )
+    def test_a_non_finite_margin_is_a_violation(self, margins, two_sided, violations, worst):
+        # It certifies nothing: the worst margin carries it, and the
+        # histogram is that of the finite margins.
+        report = report_margins(margins, 0.375, "nonfinite", 0, two_sided=two_sided)
+        assert report.violations == violations
+        assert type(report.worst_margin) is float
+        assert report.worst_margin == worst or math.isnan(report.worst_margin) and math.isnan(worst)
+        finite = [m for m in margins if math.isfinite(m)]
+        expected = report_margins(finite, 1.0, "f", 0).histogram if finite else {"edges": [], "counts": []}
+        assert report.histogram == expected
+
+
+def untimed(report):
+    """The report's JSON text without wall_s and samples_per_s."""
+    payload = report.to_json()
+    del payload["wall_s"], payload["samples_per_s"]
+    return json.dumps(payload)
+
+
+def chunk_index(rng):
+    """c for the generator ``default_rng((seed, c))`` fuzz draws chunk c from."""
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+BUNDLED_SAMPLERS = {
+    "law-of-cosines-k1": partial(_law_of_cosines_margins, 1.0),
+    "law-of-cosines-k2": partial(_law_of_cosines_margins, 2.0),
+    "key-theorem-distance": _distance_key_margins,
+    "key-theorem-two-busemann": _two_busemann_key_margins,
+    "gradcheck-norm": _gradcheck_norm_margins,
+    "gradcheck-fd": _gradcheck_fd_margins,
+}
+
+
+class TestSplitFuzz:
+    """From _SPLIT_MIN_CHUNKS chunks, fuzz draws the second half of them in
+    a forked child when the process may run on 2 CPUs and has one thread."""
+
+    # The least chunk count that splits, with a ragged last chunk.
+    N = verify._SPLIT_MIN_CHUNKS * CHUNK - 700
+    CHUNKS = verify._SPLIT_MIN_CHUNKS
+
+    def serial(self, monkeypatch):
+        monkeypatch.setattr(verify, "_SPLIT_MIN_CHUNKS", self.CHUNKS + 1)
+
+    @pytest.mark.parametrize("sampler", BUNDLED_SAMPLERS.values(), ids=BUNDLED_SAMPLERS)
+    def test_split_draws_the_serial_margins(self, sampler, forks, monkeypatch):
+        drawn = []
+
+        def report(margins, *args):
+            drawn.append(margins.tobytes())
+            return report_margins(margins, *args)
+
+        monkeypatch.setattr(verify, "report_margins", report)
+        affinity = os.sched_getaffinity(0)
+        split = fuzz(sampler, self.N, 5, 1e-9, "split", two_sided=True)
+        assert len(forks) == forks_per_split()
+        assert_no_child_left()
+        assert os.sched_getaffinity(0) == affinity
+        self.serial(monkeypatch)
+        serial = fuzz(sampler, self.N, 5, 1e-9, "split", two_sided=True)
+        assert len(forks) == forks_per_split()
+        assert drawn[0] == drawn[1]
+        assert untimed(split) == untimed(serial)
+        assert split.n == self.N
+
+    def test_rejections_of_both_halves_are_counted(self, forks):
+        # Chunk c rejects c + 1 draws.
+        report = fuzz(lambda rng, k: (rng.random(k), chunk_index(rng) + 1), self.N, 0, 1.0, "rejects")
+        assert len(forks) == forks_per_split()
+        assert report.rejected == self.CHUNKS * (self.CHUNKS + 1) // 2
+
+    @pytest.mark.parametrize(
+        "bad,fault",
+        [(1, "raise"), (CHUNKS - 2, "raise"), (CHUNKS - 1, "shape")],
+        ids=["first-half", "second-half", "second-half-shape"],
+    )
+    def test_a_faulty_chunk_raises_the_serial_error(self, forks, monkeypatch, bad, fault):
+        def sampler(rng, k):
+            if chunk_index(rng) != bad:
+                return rng.random(k), 0
+            if fault == "shape":
+                return rng.random(k + 1), 0
+            raise RuntimeError(f"chunk {bad} is faulty")
+
+        affinity = os.sched_getaffinity(0)
+        with pytest.raises(Exception) as split:
+            fuzz(sampler, self.N, 2, 1.0, "fault")
+        assert len(forks) == forks_per_split()
+        assert_no_child_left()
+        assert os.sched_getaffinity(0) == affinity
+        self.serial(monkeypatch)
+        with pytest.raises(Exception) as serial:
+            fuzz(sampler, self.N, 2, 1.0, "fault")
+        assert (split.type, str(split.value)) == (serial.type, str(serial.value))
+        assert split.type is (ValueError if fault == "shape" else RuntimeError)
+
+    @pytest.mark.parametrize("two_sided", [False, True], ids=["one-sided", "two-sided"])
+    def test_a_nan_in_each_half_is_the_serial_report(self, forks, monkeypatch, two_sided):
+        def sampler(rng, k):
+            margins = rng.random(k)
+            if chunk_index(rng) in (0, self.CHUNKS - 1):
+                margins[k // 2] = math.nan
+            return margins, 0
+
+        split = fuzz(sampler, self.N, 4, 1.0, "nan", two_sided=two_sided)
+        assert len(forks) == forks_per_split()
+        self.serial(monkeypatch)
+        serial = fuzz(sampler, self.N, 4, 1.0, "nan", two_sided=two_sided)
+        assert untimed(split) == untimed(serial)
+        assert math.isnan(split.worst_margin)
+        assert split.violations == 2
+        assert sum(split.histogram["counts"]) == self.N - 2
+
+    @pytest.mark.parametrize("why", ["one-cpu", "second-thread"])
+    def test_no_fork_on_one_cpu_or_with_a_second_thread(self, forks, monkeypatch, why):
+        sampler = BUNDLED_SAMPLERS["gradcheck-norm"]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        with monkeypatch.context() as patch:
+            if why == "one-cpu":
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            if why == "second-thread":
+                thread.start()
+            try:
+                report = fuzz(sampler, self.N, 6, 1e-10, "nofork")
+            finally:
+                stop.set()
+                if thread.is_alive():
+                    thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        self.serial(monkeypatch)
+        assert untimed(report) == untimed(fuzz(sampler, self.N, 6, 1e-10, "nofork"))
 
 
 class TestSuites:
