@@ -250,6 +250,26 @@ class Manifold:
 
     # -- exponential map and its inverse ------------------------------------
 
+    @staticmethod
+    def _disk_step(p: complex, v: complex, s: float) -> tuple[complex, bool] | None:
+        """``exp_z``'s disk step, which ``run()`` takes too, for a nonzero
+        ``v`` and s = 1 - |p|^2: the endpoint and its drift flag, or None for
+        a non-finite endpoint."""
+        # Step length in unscaled-disk units: the scaled metric shortens the
+        # manifold norm by kappa, and the geodesic parameter stretches by the
+        # same factor, so kappa cancels.
+        a = abs(v)
+        t = 2.0 * a / s
+        u = v / a
+        r = math.tanh(0.5 * t)
+        w = (u * r + p) / (1.0 + p.conjugate() * u * r)
+        if not cmath.isfinite(w):
+            return None
+        a = abs(w)
+        if a >= 1.0 - DRIFT_EPS:
+            return w * (BOUNDARY_CLAMP / a), True
+        return w, False
+
     def exp_z(self, p: complex, v: complex) -> tuple[complex, bool]:
         """Endpoint of the unit-time geodesic from ``p`` with velocity ``v``,
         and whether rounding pushed it against the unit circle so that it was
@@ -265,20 +285,12 @@ class Manifold:
             if not cmath.isfinite(w):
                 raise ValueError(f"point coordinates must be finite, got ({w.real}, {w.imag})")
             return w, False
-        # Step length in unscaled-disk units: the scaled metric shortens the
-        # manifold norm by kappa, and the geodesic parameter stretches by the
-        # same factor, so kappa cancels.
-        a = abs(v)
-        t = 2.0 * a / (1.0 - abs2(p))
-        u = v / a
-        r = math.tanh(0.5 * t)
-        w = (u * r + p) / (1.0 + p.conjugate() * u * r)
-        if not cmath.isfinite(w):
+        s = 1.0 - abs2(p)
+        step = self._disk_step(p, v, s)
+        if step is None:
+            t = 2.0 * abs(v) / s
             raise ResultOutsideDisk(f"exp produced a non-finite point from {p} with |v|={t}")
-        a = abs(w)
-        if a >= 1.0 - DRIFT_EPS:
-            return w * (BOUNDARY_CLAMP / a), True
-        return w, False
+        return step
 
     def exp(self, p: DiskPoint, v: Tangent) -> DiskPoint:
         """``exp_z`` on a DiskPoint and a Tangent based there; a zero tangent returns ``p`` itself."""

@@ -26,7 +26,7 @@ from operator import getitem, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .geometry import BOUNDARY_CLAMP, DRIFT_EPS, DiskPoint, Manifold
+from .geometry import DiskPoint, Manifold
 from .oracles import SubgradientOracle, format_complex, parse_point
 from .schedules import StepSchedule, parse_schedule
 
@@ -173,16 +173,15 @@ def run(cfg: SolveConfig) -> RunTrace:
     records: list[IterationRecord] = []
 
     # The loop runs on complex points and subgradient components; z stays
-    # finite because every endpoint is checked. A step's norm and exp are the
-    # formulas of norm_z and exp_z written out, sharing 1 - |z|^2; a step that
-    # exp_z ends early or fails (v zero or not finite, a non-finite endpoint)
-    # goes to exp_z itself. tests/test_solver.py pins the two copies.
+    # finite because every endpoint is checked. The norm is norm_z's formula,
+    # and its s = 1 - |z|^2 goes to exp_z's own disk step, Manifold._disk_step;
+    # a plane step is z + v. A step that exp_z ends early or fails (v zero or
+    # not finite, a non-finite endpoint) goes to exp_z itself, for its wording.
     fn, lam_at, step, exp_z = oracle.fn, cfg.schedule.fn, cfg.schedule.step, m.exp_z
-    flat, kappa = m.flat, m.kappa
+    flat, kappa, disk_step = m.flat, m.kappa, m._disk_step
     record, distance_to = IterationRecord._make, sset.distance_to
     max_iters, record_every = cfg.max_iters, cfg.record_every
-    hypot, tanh, isfinite, isfinite_c = math.hypot, math.tanh, math.isfinite, cmath.isfinite
-    near_circle = 1.0 - DRIFT_EPS
+    hypot, isfinite, isfinite_c = math.hypot, math.isfinite, cmath.isfinite
     z = cfg.x0.z
     drift_in = False
     k = 0
@@ -223,22 +222,12 @@ def run(cfg: SolveConfig) -> RunTrace:
                 v = complex(-g.real / gn * lam, -g.imag / gn * lam)
             try:
                 if flat:
-                    w = z + v
-                elif v:
-                    a = abs(v)
-                    t = 2.0 * a / s
-                    u = v / a
-                    r = tanh(0.5 * t)
-                    w = (u * r + z) / (1.0 + z.conjugate() * u * r)
-                # w is read only for a nonzero v, for which it was just computed.
-                if v and isfinite_c(w):
-                    z_next, drift_next = w, False
-                    if not flat:
-                        a = abs(w)
-                        if a >= near_circle:
-                            z_next, drift_next = w * (BOUNDARY_CLAMP / a), True
+                    z_next, drift_next = z + v, False
+                    if not (v and isfinite_c(z_next)):
+                        z_next, drift_next = exp_z(z, v)
                 else:
-                    z_next, drift_next = exp_z(z, v)
+                    nxt = disk_step(z, v, s) if v else None
+                    z_next, drift_next = exp_z(z, v) if nxt is None else nxt
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
         if termination is not None or k % record_every == 0:

@@ -312,13 +312,9 @@ def key_theorem_margin(cfg: KeyConfig, analytic_sup: float) -> float:
         raise HypothesisUnverified("zero subgradient: x is already optimal")
     s = g.scaled(-cfg.lam / gn)
     z = m.exp(cfg.x, s)
-    k = m.kappa
-    d_zx = m.distance(cfg.x, z)
-    d_zxbar = m.distance(z, cfg.xbar)
-    rhs = math.cosh(k * d_xbar) * math.cosh(k * d_zx) - math.sinh(k * d_zx) * math.sinh(
-        0.5 * k * cfg.delta
-    )
-    return rhs - math.cosh(k * d_zxbar)
+    # The first per-step form, with x^k = x, x^{k+1} = z and lambda_k = d(x, z).
+    d_zxbar, d_zx = m.distance(z, cfg.xbar), m.distance(cfg.x, z)
+    return per_step_margins(m.kappa, d_xbar, d_zxbar, d_zx, cfg.delta)[0]
 
 
 def _key_margins(
@@ -353,12 +349,15 @@ def per_step_margins(
     """Margins of the two per-step forms of the contraction inequality.
 
     The second is the first divided by sinh(kappa * lam_k) via the half-angle
-    identity, so the pair must agree up to that exact factor.
+    identity, so the pair must agree up to that exact factor; it is nan for a
+    step of length zero. ``key_theorem_margin`` is the first.
     """
     ck = math.cosh(kappa * d_k)
     sl = math.sinh(kappa * lam_k)
     shd = math.sinh(0.5 * kappa * delta)
     m1 = ck * math.cosh(kappa * lam_k) - sl * shd - math.cosh(kappa * d_k1)
+    if not sl:
+        return m1, math.nan
     m2 = ck * math.tanh(0.5 * kappa * lam_k) - shd - (math.cosh(kappa * d_k1) - ck) / sl
     return m1, m2
 

@@ -99,6 +99,42 @@ def argmin_on_x_axis(p: complex) -> float:
     return float(res.x)
 
 
+def mp_key_margin(kappa: float, x: complex, xbar: complex, g: complex, delta: float, lam: float,
+                  dps: int = 50) -> float:
+    """RHS - LHS of the paper's key inequality on the disk of curvature
+    -kappa^2,
+
+        cosh(kappa d(z, xbar)) <= cosh(kappa d(x, xbar)) cosh(kappa lam)
+                                  - sinh(kappa lam) sinh(kappa delta / 2),
+
+    for the step z = exp_x(-lam g / |g|) along the tangent with Euclidean
+    components g, in arbitrary precision on the hyperboloid model: a disk
+    point p lifts to (1 + |p|^2, 2 Re p, 2 Im p) / (1 - |p|^2), cosh of the
+    unit-disk distance is minus the Minkowski product, and the geodesic from
+    X with unit tangent U is cosh(t) X + sinh(t) U, where t = kappa lam is
+    the step's length in the unit disk's metric."""
+    with mp.workdps(dps):
+        def lift(p):
+            p = mp.mpc(p)
+            n = mp.fabs(p) ** 2
+            return [(1 + n) / (1 - n), 2 * p.real / (1 - n), 2 * p.imag / (1 - n)]
+
+        def minkowski(a, b):
+            return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+        X, B = lift(x), lift(xbar)
+        # The push-forward of the disk tangent -g by the lift, unit length.
+        p, v = mp.mpc(x), -mp.mpc(g)
+        s = 1 - mp.fabs(p) ** 2
+        u0 = 4 * (p.real * v.real + p.imag * v.imag) / s**2
+        U = [u0, 2 * v.real / s + p.real * u0, 2 * v.imag / s + p.imag * u0]
+        length = mp.sqrt(minkowski(U, U))
+        t = mp.mpf(kappa) * mp.mpf(lam)
+        Z = [mp.cosh(t) * a + mp.sinh(t) * u / length for a, u in zip(X, U)]
+        rhs = -minkowski(X, B) * mp.cosh(t) - mp.sinh(t) * mp.sinh(mp.mpf(kappa) * mp.mpf(delta) / 2)
+        return float(rhs + minkowski(Z, B))
+
+
 def fsum_partial_sums(fn, n: int) -> tuple[float, float]:
     """(sum lambda_k, sum lambda_k^2) for k = 0..n by math.fsum."""
     vals = [fn(k) for k in range(n + 1)]

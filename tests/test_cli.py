@@ -623,3 +623,17 @@ class TestReproduce:
         code = main(["reproduce-example", "--steps", "5", "--out-dir", str(tmp_path / "file")])
         assert code == 2
         assert str(tmp_path / "file") in capsys.readouterr().err
+
+
+class TestReadme:
+    EXAMPLES = re.findall(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text(), re.M | re.S)
+
+    def test_python_examples_run(self, tmp_path):
+        # Each block as a user would run it, from a fresh interpreter.
+        assert len(self.EXAMPLES) >= 2
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        for block in self.EXAMPLES:
+            done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (block, done.stderr)

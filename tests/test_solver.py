@@ -442,9 +442,11 @@ def raising(k):
 
 
 class TestRunMatchesTheReferenceLoop:
-    """run() writes the step's norm and exp out inline and takes lambda_k from
-    schedule.fn; reference_run is the loop on norm_z, exp_z and
-    StepSchedule.step. They must agree record for record, bit for bit."""
+    """run() writes the step's norm out inline, takes a nonzero disk step
+    through exp_z's kernel Manifold._disk_step and a plane step as z + v,
+    and takes lambda_k from schedule.fn; reference_run is the loop on norm_z,
+    exp_z and StepSchedule.step. They must agree record for record, bit for
+    bit, failure reasons included."""
 
     @given(problems())
     def test_on_every_model_oracle_kind_and_schedule_family(self, cfg):

@@ -157,20 +157,22 @@ SUM = Problem("hinges", POINCARE_DISK, ((0.5 + 0.1j, 0.0, 1.0), (-0.3 + 0.4j, 0.
 
 class TestHarnessCatchesAOneUlpFault:
     def test_on_the_real_component_of_exp(self, monkeypatch):
-        # run() writes exp_z's formulas out inline, so the fault is patched
-        # into exp_z and the harness runs the reference loop that calls it;
-        # TestRunMatchesTheReferenceLoop holds run() to that loop bit for bit.
-        exp_z = Manifold.exp_z
+        # run() and exp_z share one disk step, Manifold._disk_step, so the
+        # fault patched into it reaches run() itself and the reference loop
+        # on exp_z alike.
+        disk_step = Manifold._disk_step
 
-        def nudged(self, p, v):
-            w, drift = exp_z(self, p, v)
+        def nudged(p, v, s):
+            w, drift = disk_step(p, v, s)
             return complex(math.nextafter(w.real, math.inf), w.imag), drift
 
-        assert all(maps_exactly(SUM, name, solve_by_reference) for name in MAPS)
-        monkeypatch.setattr(Manifold, "exp_z", nudged)
+        for solver in (solve, solve_by_reference):
+            assert all(maps_exactly(SUM, name, solver) for name in MAPS)
+        monkeypatch.setattr(Manifold, "_disk_step", staticmethod(nudged))
         # Conjugation keeps the real component, so it maps the fault onto
         # itself; the other two maps move it onto -x or onto y.
-        assert [name for name in MAPS if not maps_exactly(SUM, name, solve_by_reference)] == ["neg", "rot"]
+        for solver in (solve, solve_by_reference):
+            assert [name for name in MAPS if not maps_exactly(SUM, name, solver)] == ["neg", "rot"]
 
     def test_on_the_distance_in_the_right_half_plane(self, monkeypatch):
         # The distance to S enters no step, so only the records' dist_to_s

@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 from conftest import assert_no_child_left, forks_per_split
+from reference import mp_key_margin
 
 from hypersub.geometry import (
     ORIGIN,
@@ -35,6 +36,7 @@ from hypersub.verify import (
     _gradcheck_fd_margins,
     _gradcheck_norm_margins,
     _law_of_cosines_margins,
+    _triangles,
     _two_busemann_key_margins,
     fuzz,
     harvest_two_busemann_steps,
@@ -117,6 +119,27 @@ class TestLawOfCosines:
         )
         assert report.violations == 0
 
+    def test_the_chunk_check_fails_below_the_true_curvature(self):
+        # A negative control: curvature -1 is below -0.9^2, so the lower-bound
+        # direction fails on every sampled triangle.
+        report = fuzz(partial(_law_of_cosines_margins, 0.9), 4096, seed=0, tolerance=1e-12, check="lb-k0.9")
+        assert report.violations == report.n == 4096
+        assert report.worst_margin < -1.0
+
+    def test_the_suite_compares_at_kappa_two(self):
+        # The lower-bound report's worst margin is the least scalar margin at
+        # kappa = 2 over the triangles its chunks draw, redrawn here.
+        n, seed = 4096, 5
+        _, lb = suite_law_of_cosines(n, seed)
+        want = []
+        for c in range(-(-n // CHUNK)):
+            (p, q, r, *_), _ = _triangles(np.random.default_rng((seed + 1, c)), min(CHUNK, n - c * CHUNK))
+            for i in range(len(p)):
+                tri = TriangleSample.from_points(M, *(DiskPoint.from_complex(v[i]) for v in (p, q, r)))
+                want.append(law_of_cosines_margin(2.0, tri))
+        assert len(want) == lb.n
+        assert lb.worst_margin == pytest.approx(min(want), rel=1e-9)
+
     def test_upper_bound_direction_below_true_curvature(self):
         # with kappa <= 1 the disk curvature -1 is <= -kappa^2, so the
         # comparison flips and margins must be nonpositive
@@ -192,6 +215,12 @@ class TestKeyTheorem:
         margin = key_theorem_margin(cfg, analytic_sup=0.2)
         assert -1e-10 <= margin < 1e-6
 
+    def test_a_step_that_rounds_to_x_has_margin_zero(self):
+        # At lambda = 1e-20 the step rounds to x itself, so d(x, z) = 0 and
+        # the inequality holds with equality.
+        cfg = KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.2, 1e-20)
+        assert key_theorem_margin(cfg, analytic_sup=0.2) == 0.0
+
     def test_distance_hypothesis_rejected(self):
         cfg = KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 2.0, 0.1)
         with pytest.raises(HypothesisUnverified):
@@ -220,6 +249,57 @@ class TestKeyTheorem:
             KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.1, -1.0)
 
 
+class TestKeyInequalityAgainstAnIndependentReference:
+    """Both key-theorem twins against ``mp_key_margin``, the paper's key
+    inequality written on the hyperboloid in mpmath, on the configurations
+    the two bundled key-theorem samplers draw."""
+
+    @staticmethod
+    def sampled(monkeypatch, sampler, seed, k):
+        # The columns the sampler hands to _key_margins, and its margins.
+        columns = []
+        key_margins = verify._key_margins
+
+        def recording(*cols):
+            columns.append(np.broadcast_arrays(*cols))
+            return key_margins(*cols)
+
+        monkeypatch.setattr(verify, "_key_margins", recording)
+        margins, _ = sampler(np.random.default_rng(seed), k)
+        return margins, list(zip(*columns[0]))
+
+    @pytest.mark.parametrize("sampler", [_distance_key_margins, _two_busemann_key_margins],
+                             ids=["distance", "two-busemann"])
+    def test_both_twins_match_the_reference(self, monkeypatch, sampler):
+        margins, rows = self.sampled(monkeypatch, sampler, 70, 64)
+        for margin, (x, xbar, fx, g, delta, lam, sup) in zip(margins, rows):
+            want = mp_key_margin(1.0, x, xbar, g, delta, lam)
+            tol = 1e-12 * math.cosh(M.distance_z(x, xbar)) * math.cosh(lam)
+            assert abs(margin - want) <= tol
+            if sampler is _distance_key_margins:
+                oracle = distance_oracle(DiskPoint.from_complex(xbar))
+            else:
+                oracle = two_busemann_oracle()
+            cfg = KeyConfig(M, oracle, DiskPoint.from_complex(x), DiskPoint.from_complex(xbar), delta, lam)
+            assert abs(key_theorem_margin(cfg, sup) - want) <= tol
+
+    def test_the_reference_on_scaled_disks(self):
+        rng = np.random.default_rng(71)
+        for kappa in (0.5, 2.0):
+            mk = scaled_disk(kappa)
+            for _ in range(20):
+                anchor, x = sample_point(rng, 2.0), sample_point(rng, 2.5)
+                d = mk.distance(x, anchor)
+                if kappa * d < 0.2:
+                    continue
+                delta, lam = 0.5 * d * rng.uniform(0.3, 1.0), 10.0 ** rng.uniform(-3.0, 0.0)
+                _, g = distance_oracle(anchor).evaluate(mk, x)
+                want = mp_key_margin(kappa, x.z, anchor.z, g.v, delta, lam)
+                cfg = KeyConfig(mk, distance_oracle(anchor), x, anchor, delta, lam)
+                tol = 1e-12 * math.cosh(kappa * d) * math.cosh(kappa * lam)
+                assert abs(key_theorem_margin(cfg, delta) - want) <= tol
+
+
 class TestPerStep:
     def test_consistency_is_exact_division(self):
         # compare in the multiplied-out direction: the first form carries an
@@ -245,6 +325,10 @@ class TestPerStep:
             expected = math.cosh(d) * (math.cosh(lam) - 1.0) - math.sinh(lam) * math.sinh(delta / 2)
             assert m1 == pytest.approx(expected, rel=1e-10)
             assert abs(m1) < 2 * lam
+
+    def test_a_step_of_length_zero_has_no_divided_form(self):
+        m1, m2 = per_step_margins(1.0, 1.5, 1.5, 0.0, 0.4)
+        assert m1 == 0.0 and math.isnan(m2)
 
     def test_harvested_margins_nonnegative(self):
         samples, _ = harvest_two_busemann_steps(steps=1500)
