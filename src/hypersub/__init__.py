@@ -58,7 +58,6 @@ from .verify import (
     KeyConfig,
     TriangleSample,
     fuzz,
-    harvest_two_busemann_steps,
     key_theorem_margin,
     law_of_cosines_margin,
     per_step_margins,

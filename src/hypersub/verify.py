@@ -362,46 +362,6 @@ def per_step_margins(
     return m1, m2
 
 
-@dataclass(frozen=True)
-class PerStepSample:
-    k: int
-    d_k: float
-    d_k1: float
-    lam: float
-    delta: float
-
-
-def harvest_two_busemann_steps(steps: int) -> tuple[list[PerStepSample], int]:
-    """Per-step quantities from a two-Busemann run from 0.9i with
-    lambda_k = 1/(k+1), and the number of steps skipped.
-
-    With xbar at the origin and delta = d_k / 2, the ball hypothesis holds in
-    closed form: sup f over B[0, delta] is log1p(sinh^2 delta), strictly below
-    f(x^k) = log1p(sinh^2 d_k) whenever d_k > 0. Steps within 1e-8 of the
-    origin are skipped (delta would vanish).
-    """
-    m = POINCARE_DISK
-    trace = run(SolveConfig(m, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), steps))
-    out: list[PerStepSample] = []
-    skipped = 0
-    for prev, nxt in zip(trace.records, trace.records[1:]):
-        d_k = m.distance_z(prev.z, 0j)
-        delta = 0.5 * d_k
-        if d_k <= 1e-8 or not math.log1p(math.sinh(delta) ** 2) < prev.f_value:
-            skipped += 1
-            continue
-        out.append(
-            PerStepSample(
-                k=prev.k,
-                d_k=d_k,
-                d_k1=m.distance_z(nxt.z, 0j),
-                lam=m.distance_z(prev.z, nxt.z),
-                delta=delta,
-            )
-        )
-    return out, skipped
-
-
 # -- sublevel-set boundedness ------------------------------------------------------
 
 
@@ -720,20 +680,35 @@ def suite_key_theorem(n: int, seed: int) -> list[InequalityReport]:
 
 
 def suite_per_step(steps: int, seed: int) -> list[InequalityReport]:
-    """Per-step margins harvested from a two-Busemann run, plus the exact
-    division consistency between the two forms. The three checks share one
-    harvest run, so each report carries the wall time of the whole suite."""
+    """Per-step margins on the records of a two-Busemann run from 0.9i with
+    lambda_k = 1/(k+1), plus the exact division consistency between the two
+    forms. The three checks share the run, so each report carries the wall
+    time of the whole suite.
+
+    With xbar at the origin and delta = d_k / 2, the ball hypothesis holds in
+    closed form: sup f over B[0, delta] is log1p(sinh^2 delta), strictly below
+    f(x^k) = log1p(sinh^2 d_k) whenever d_k > 0. A step within 1e-8 of the
+    origin (delta would vanish), or one whose sup does not round below
+    f(x^k), is skipped and counted as rejected.
+    """
     t0 = time.perf_counter()
-    samples, skipped = harvest_two_busemann_steps(steps)
-    if not samples:
-        raise RuntimeError("harvest produced no hypothesis-verified steps")
+    m = POINCARE_DISK
+    cfg = SolveConfig(m, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), steps)
+    records = run(cfg).records
     m1s, m2s, consistency = [], [], []
-    for s in samples:
-        m1, m2 = per_step_margins(1.0, s.d_k, s.d_k1, s.lam, s.delta)
+    for prev, nxt in zip(records, records[1:]):
+        d_k = m.distance_z(prev.z, 0j)
+        delta = 0.5 * d_k
+        if d_k <= 1e-8 or not math.log1p(math.sinh(delta) ** 2) < prev.f_value:
+            continue
+        lam = m.distance_z(prev.z, nxt.z)
+        m1, m2 = per_step_margins(1.0, d_k, m.distance_z(nxt.z, 0j), lam, delta)
         m1s.append(m1)
         m2s.append(m2)
-        consistency.append(m2 - m1 / math.sinh(s.lam))
-    common = {"hypothesis_mode": "analytic", "rejected": skipped}
+        consistency.append(m2 - m1 / math.sinh(lam))
+    if not m1s:
+        raise RuntimeError("the run gave no hypothesis-verified steps")
+    common = {"hypothesis_mode": "analytic", "rejected": len(records) - 1 - len(m1s)}
     reports = [
         report_margins(m1s, 1e-10, "per-step-cdelta", seed, **common),
         report_margins(m2s, 1e-10, "per-step-cdelta-divided", seed, **common),

@@ -168,8 +168,10 @@ class TestSolve:
                 "oracle 'ball-hinge:center=0.0+0.0i,r=-1' is rejected: hinge radius must be positive",
             ),
             ("max_iters = 10", "max_iters = abc", "max_iters invalid literal for int() with base 10: 'abc'"),
+            ("manifold = poincare", "manifold poincare", "line 2 is not 'key = value': 'manifold poincare'"),
+            ("manifold = poincare", "name = again\nmanifold = poincare", "name is set twice"),
         ],
-        ids=["unparsed-parameter", "builder-error", "unparsed-int"],
+        ids=["unparsed-parameter", "builder-error", "unparsed-int", "no-equals-sign", "key-set-twice"],
     )
     def test_config_error_quotes_its_text_once(self, tmp_path, capsys, old, new, message):
         text = GOOD.replace(old, new)

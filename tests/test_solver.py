@@ -20,6 +20,7 @@ from hypersub.geometry import (
     ORIGIN,
     POINCARE_DISK,
     DiskPoint,
+    Manifold,
     scaled_disk,
 )
 from hypersub.oracles import (
@@ -191,7 +192,10 @@ class TestRun:
             M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 300
         )
         trace = run(cfg)
+        assert len(trace.records) == 301
         for prev, nxt in zip(trace.records, trace.records[1:]):
+            # lambda_k = 1/(k+1), the disk example's schedule
+            assert prev.lambda_k == 1.0 / (prev.k + 1)
             assert abs(M.distance(prev.point, nxt.point) - prev.lambda_k) < 1e-10
 
     def test_record_thinning_keeps_first_and_last(self):
@@ -259,6 +263,15 @@ class TestRun:
         trace = run(SolveConfig(EUCLIDEAN_PLANE, oracle, table([0.1]), x0, 10))
         assert trace.termination == Termination("numerical-failure", 0, "non-finite value or subgradient")
         assert (trace.records, trace.x_star, trace.dist_x0_to_solution) == ([], None, None)
+
+    def test_a_plane_step_that_overflows_is_a_numerical_failure(self):
+        # f(z) = -Re z sends the step toward +inf, and from 1.7e308 a step of
+        # 1e308 lands at inf; exp_z rejects it in its own words.
+        oracle = SubgradientOracle("minus-real-part", lambda m, z: (-z.real, -1 + 0j))
+        trace = run(SolveConfig(EUCLIDEAN_PLANE, oracle, table([1e308]), DiskPoint.plane(1.7e308, 0.0), 10))
+        reason = "step failed: point coordinates must be finite, got (inf, 0.0)"
+        assert trace.termination == Termination("numerical-failure", 0, reason)
+        assert [(r.k, r.z) for r in trace.records] == [(0, 1.7e308 + 0j)]
 
     def test_x0_outside_disk_rejected(self):
         with pytest.raises(ValueError):
@@ -371,6 +384,67 @@ class TestRun:
         cfg = SolveConfig(M, constant_oracle(), harmonic(1.0), DiskPoint(0.3, 0.0), 10)
         trace = run(cfg)
         assert all(r.dist_to_s is None for r in trace.records)
+
+
+class TestFiniteTerminationAtThePredictedStep:
+    """A lone ball hinge steps along the geodesic to its center, so the signed
+    position s_k of x_k on that geodesic follows s_{k+1} = s_k - sign(s_k)
+    lambda_k from s_0 = d(x0, center), and the run must stop with a zero
+    subgradient at the first k with |s_k| <= r."""
+
+    MODELS = [M, scaled_disk(0.5), scaled_disk(2.0), EUCLIDEAN_PLANE]
+    SCHEDULES = [harmonic(1.0), sqrt_harmonic(0.5), log_inverse(1.0), power_law(1.0, 0.75)]
+    BUDGET = 20_000
+
+    @staticmethod
+    def predicted_stop(s, r, schedule, budget):
+        """The first k with |s_k| <= r, or None when it lies past the budget
+        or some |s_j| on the way lies within 1e-9 of r, where rounding could
+        decide the step."""
+        for k in range(budget + 1):
+            if abs(abs(s) - r) <= 1e-9:
+                return None
+            if abs(s) <= r:
+                return k
+            s -= math.copysign(schedule.fn(k), s)
+        return None
+
+    def misses(self, draws):
+        """(accepted draws, those whose run did not stop at its predicted step)."""
+        rng = np.random.default_rng(28)
+
+        def point(m, reach, box):
+            # Within ``reach`` manifold units of the origin; on the plane, in
+            # the square [-box, box]^2.
+            if m.flat:
+                return DiskPoint.plane(*rng.uniform(-box, box, 2))
+            t, theta = rng.uniform(0.0, reach), rng.uniform(0.0, 2.0 * math.pi)
+            return DiskPoint.from_complex(math.tanh(0.5 * m.kappa * t) * complex(math.cos(theta), math.sin(theta)))
+
+        accepted, missed = 0, []
+        for i in range(draws):
+            m, schedule = self.MODELS[i % 4], self.SCHEDULES[i // 4 % 4]
+            center, x0, r = point(m, 1.0, 3.0), point(m, 4.0, 30.0), rng.uniform(0.05, 0.5)
+            k = self.predicted_stop(m.distance(x0, center), r, schedule, self.BUDGET)
+            if k is None:
+                continue
+            accepted += 1
+            cfg = SolveConfig(m, ball_hinge_oracle(center, r), schedule, x0, self.BUDGET,
+                              record_every=self.BUDGET)
+            if run(cfg).termination != Termination(SUBGRADIENT_ZERO, k):
+                missed.append((m, schedule.spec, k))
+        return accepted, missed
+
+    def test_every_model_and_schedule_class(self):
+        accepted, missed = self.misses(208)
+        assert missed == []
+        assert accepted >= 190
+
+    def test_a_longer_disk_step_misses(self, monkeypatch):
+        disk_step = Manifold._disk_step
+        monkeypatch.setattr(Manifold, "_disk_step", staticmethod(lambda p, v, s: disk_step(p, 1.1 * v, s)))
+        _, missed = self.misses(208)
+        assert missed and not any(m.flat for m, _, _ in missed)
 
 
 def assert_runs_alike(cfg) -> None:

@@ -39,7 +39,6 @@ from hypersub.verify import (
     _triangles,
     _two_busemann_key_margins,
     fuzz,
-    harvest_two_busemann_steps,
     key_theorem_margin,
     law_of_cosines_margin,
     per_step_margins,
@@ -249,30 +248,31 @@ class TestKeyTheorem:
             KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.1, -1.0)
 
 
+def key_columns(monkeypatch, sampler, seed, k):
+    """The margins of one chunk of ``sampler`` and the columns it handed to
+    _key_margins, each broadcast to the chunk's length."""
+    columns = []
+    key_margins = verify._key_margins
+
+    def recording(*cols):
+        columns.append(np.broadcast_arrays(*cols))
+        return key_margins(*cols)
+
+    monkeypatch.setattr(verify, "_key_margins", recording)
+    margins, _ = sampler(np.random.default_rng(seed), k)
+    return margins, columns[0]
+
+
 class TestKeyInequalityAgainstAnIndependentReference:
     """Both key-theorem twins against ``mp_key_margin``, the paper's key
     inequality written on the hyperboloid in mpmath, on the configurations
     the two bundled key-theorem samplers draw."""
 
-    @staticmethod
-    def sampled(monkeypatch, sampler, seed, k):
-        # The columns the sampler hands to _key_margins, and its margins.
-        columns = []
-        key_margins = verify._key_margins
-
-        def recording(*cols):
-            columns.append(np.broadcast_arrays(*cols))
-            return key_margins(*cols)
-
-        monkeypatch.setattr(verify, "_key_margins", recording)
-        margins, _ = sampler(np.random.default_rng(seed), k)
-        return margins, list(zip(*columns[0]))
-
     @pytest.mark.parametrize("sampler", [_distance_key_margins, _two_busemann_key_margins],
                              ids=["distance", "two-busemann"])
     def test_both_twins_match_the_reference(self, monkeypatch, sampler):
-        margins, rows = self.sampled(monkeypatch, sampler, 70, 64)
-        for margin, (x, xbar, fx, g, delta, lam, sup) in zip(margins, rows):
+        margins, columns = key_columns(monkeypatch, sampler, 70, 64)
+        for margin, (x, xbar, fx, g, delta, lam, sup) in zip(margins, zip(*columns)):
             want = mp_key_margin(1.0, x, xbar, g, delta, lam)
             tol = 1e-12 * math.cosh(M.distance_z(x, xbar)) * math.cosh(lam)
             assert abs(margin - want) <= tol
@@ -298,6 +298,27 @@ class TestKeyInequalityAgainstAnIndependentReference:
                 cfg = KeyConfig(mk, distance_oracle(anchor), x, anchor, delta, lam)
                 tol = 1e-12 * math.cosh(kappa * d) * math.cosh(kappa * lam)
                 assert abs(key_theorem_margin(cfg, delta) - want) <= tol
+
+
+class TestKeySamplersReachTheEdgeOfTheHypothesis:
+    """On one chunk each, the key-theorem samplers draw delta close to the
+    largest radius their ball hypothesis allows, so the certified margins
+    cover the whole hypothesis domain and not only its interior."""
+
+    def test_the_distance_sampler_reaches_half_the_distance(self, monkeypatch):
+        _, (x, xbar, _, _, delta, _, _) = key_columns(monkeypatch, _distance_key_margins, (0, 0), CHUNK)
+        assert np.max(delta / (0.5 * verify.distance_array(x, xbar))) >= 0.99
+
+    def test_the_two_busemann_sampler_reaches_its_largest_ball(self, monkeypatch):
+        # f < f(x) on B[0, delta] for delta up to
+        # delta_max = min(asinh(sinh t |sin theta|), t / 2), with x at
+        # distance t from 0 and at angle theta; the sampler draws up to 0.9
+        # of it.
+        _, (x, xbar, _, _, delta, _, _) = key_columns(monkeypatch, _two_busemann_key_margins, (1, 0), CHUNK)
+        assert np.all(xbar == 0j)
+        t = 2.0 * np.arctanh(np.abs(x))
+        delta_max = np.minimum(np.arcsinh(np.sinh(t) * np.abs(x.imag) / np.abs(x)), 0.5 * t)
+        assert np.max(delta / delta_max) >= 0.85
 
 
 class TestPerStep:
@@ -330,19 +351,11 @@ class TestPerStep:
         m1, m2 = per_step_margins(1.0, 1.5, 1.5, 0.0, 0.4)
         assert m1 == 0.0 and math.isnan(m2)
 
-    def test_harvested_margins_nonnegative(self):
-        samples, _ = harvest_two_busemann_steps(steps=1500)
-        assert len(samples) > 100
-        for s in samples:
-            m1, m2 = per_step_margins(1.0, s.d_k, s.d_k1, s.lam, s.delta)
-            assert m1 >= -1e-10
-            assert m2 >= -1e-10
-
-    def test_harvest_steps_have_unit_schedule_length(self):
-        samples, _ = harvest_two_busemann_steps(steps=200)
-        for s in samples:
-            assert s.lam == pytest.approx(1.0 / (s.k + 1), abs=1e-10)
-            assert s.delta == 0.5 * s.d_k
+    def test_run_margins_nonnegative(self):
+        reports = {r.check: r for r in suite_per_step(1500, 0)}
+        for check in ("per-step-cdelta", "per-step-cdelta-divided"):
+            assert reports[check].n > 100
+            assert reports[check].violations == 0
 
     def test_half_angle_identity(self):
         # tanh(t/2) = (cosh t - 1)/sinh t, with the numerator evaluated
@@ -655,12 +668,26 @@ class TestSuites:
         for report in suite_per_step(steps=800, seed=0):
             assert report.violations == 0
 
-    def test_per_step_rejects_the_skipped_steps(self):
-        samples, _ = harvest_two_busemann_steps(steps=2000)
+    def test_per_step_recomputed_from_the_run(self):
+        # The suite's hypothesis and first form, written out again on run()'s
+        # records: xbar = 0 and delta = d_k / 2, and a pair is skipped when
+        # d_k <= 1e-8 or sup f = log1p(sinh^2 delta) does not lie below f(x^k).
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 2000))
-        skipped = len(trace.records) - 1 - len(samples)
+        skipped, margins = 0, []
+        for prev, nxt in zip(trace.records, trace.records[1:]):
+            d_k = M.distance(prev.point, ORIGIN)
+            delta = d_k / 2
+            if d_k <= 1e-8 or not math.log1p(math.sinh(delta) ** 2) < prev.f_value:
+                skipped += 1
+                continue
+            lam, d_k1 = M.distance(prev.point, nxt.point), M.distance(nxt.point, ORIGIN)
+            rhs = math.cosh(d_k) * math.cosh(lam) - math.sinh(lam) * math.sinh(delta / 2)
+            margins.append(rhs - math.cosh(d_k1))
+        reports = suite_per_step(steps=2000, seed=0)
         assert skipped > 0
-        assert [r.rejected for r in suite_per_step(steps=2000, seed=0)] == [skipped] * 3
+        assert [r.rejected for r in reports] == [skipped] * 3
+        assert (reports[0].check, reports[0].n) == ("per-step-cdelta", len(margins))
+        assert reports[0].worst_margin == min(margins)
 
     def test_sublevel_rejects_nothing(self):
         assert [r.rejected for r in suite_sublevel(n_rays=8, seed=0)] == [0, 0]
