@@ -55,10 +55,8 @@ from .verify import (
     DegenerateTriangle,
     HypothesisUnverified,
     InequalityReport,
-    KeyConfig,
     TriangleSample,
     fuzz,
-    key_theorem_margin,
     law_of_cosines_margin,
     per_step_margins,
     run_suite,

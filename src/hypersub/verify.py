@@ -4,7 +4,7 @@ Margins are always reported as RHS - LHS, so a nonnegative margin certifies
 the inequality for that sample. Checks are deterministic given a seed; sample
 streams are chunked with per-chunk seeds.
 
-The scalar margins (``law_of_cosines_margin``, ``key_theorem_margin``) are
+The scalar margins (``law_of_cosines_margin``, ``per_step_margins``) are
 the reference; the bundled suites evaluate whole chunks at once with their
 array twins, built on the array forms of the disk kernel below. Each
 key-theorem ball hypothesis is certified by a closed-form sup of f.
@@ -270,53 +270,6 @@ def _law_of_cosines_margins(
 # -- key contraction inequality ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KeyConfig:
-    """One configuration of the contraction inequality.
-
-    The hypotheses are that f stays strictly below f(x) on the closed ball
-    B[xbar, delta] and that d(x, xbar) >= 2 delta; the step z = exp_x(lam s)
-    with s the normalized negated subgradient then satisfies the cosh bound.
-    """
-
-    manifold: Manifold
-    oracle: SubgradientOracle
-    x: DiskPoint
-    xbar: DiskPoint
-    delta: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
-
-
-def key_theorem_margin(cfg: KeyConfig, analytic_sup: float) -> float:
-    """Margin of the contraction inequality for one verified configuration.
-
-    The ball hypothesis is certified by ``analytic_sup``, the caller's closed
-    form of sup f over B[xbar, delta]; HypothesisUnverified is raised when a
-    hypothesis fails.
-    """
-    m = cfg.manifold
-    fx, g = cfg.oracle.evaluate(m, cfg.x)
-    d_xbar = m.distance(cfg.x, cfg.xbar)
-    if d_xbar < 2.0 * cfg.delta * (1.0 - 1e-12):
-        raise HypothesisUnverified(f"d(x, xbar) = {d_xbar} < 2 delta = {2 * cfg.delta}")
-    if not analytic_sup < fx:
-        raise HypothesisUnverified(f"sup f on the ball = {analytic_sup} >= f(x) = {fx}")
-    gn = m.norm(g)
-    if gn == 0.0:
-        raise HypothesisUnverified("zero subgradient: x is already optimal")
-    s = g.scaled(-cfg.lam / gn)
-    z = m.exp(cfg.x, s)
-    # The first per-step form, with x^k = x, x^{k+1} = z and lambda_k = d(x, z).
-    d_zxbar, d_zx = m.distance(z, cfg.xbar), m.distance(cfg.x, z)
-    return per_step_margins(m.kappa, d_xbar, d_zxbar, d_zx, cfg.delta)[0]
-
-
 def _key_margins(
     x: np.ndarray,
     xbar: complex | np.ndarray,
@@ -326,9 +279,10 @@ def _key_margins(
     lam: np.ndarray,
     sup: np.ndarray,
 ) -> np.ndarray:
-    """Chunk twin of key_theorem_margin on the Poincaré disk: f(x) = fx with
-    subgradient components g, and ``sup`` is the closed-form sup of f over
-    B[xbar, delta]."""
+    """Chunk twin of the first ``per_step_margins`` form on the Poincaré disk,
+    for the step exp_x(-lam g/|g|): f(x) = fx with subgradient components g.
+    HypothesisUnverified is raised unless d(x, xbar) >= 2 delta, ``sup`` (the
+    closed-form sup of f over B[xbar, delta]) < fx and g != 0 in every row."""
     d_xbar = distance_array(x, xbar)
     if np.any(d_xbar < 2.0 * delta * (1.0 - 1e-12)):
         raise HypothesisUnverified("d(x, xbar) < 2 delta for a sampled configuration")
@@ -350,7 +304,7 @@ def per_step_margins(
 
     The second is the first divided by sinh(kappa * lam_k) via the half-angle
     identity, so the pair must agree up to that exact factor; it is nan for a
-    step of length zero. ``key_theorem_margin`` is the first.
+    step of length zero.
     """
     ck = math.cosh(kappa * d_k)
     sl = math.sinh(kappa * lam_k)
@@ -787,7 +741,9 @@ SUITES = {
     "key-theorem": Suite(
         suite_key_theorem, 10_000, "configurations, split over the distance and two-Busemann checks", 2
     ),
-    "per-step": Suite(suite_per_step, 2000, "steps of the harvest run", 1),
+    "per-step": Suite(
+        suite_per_step, 2000, "step budget of its two-Busemann run, which stops by itself at k = 640", 1
+    ),
     "sublevel": Suite(suite_sublevel, 64, "rays per oracle", 1),
     "gradcheck": Suite(suite_gradcheck, 1000, "samples per check", 1),
 }

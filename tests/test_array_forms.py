@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hypersub
+from conftest import scalar_key_margin
 from hypersub.geometry import (
     BOUNDARY_CLAMP,
     ORIGIN,
@@ -25,7 +26,6 @@ from hypersub.oracles import (
 )
 from hypersub.verify import (
     HypothesisUnverified,
-    KeyConfig,
     TriangleSample,
     _key_margins,
     _law_of_cosines_margins,
@@ -36,7 +36,6 @@ from hypersub.verify import (
     distance_array,
     exp_array,
     inner_array,
-    key_theorem_margin,
     law_of_cosines_margin,
     log_array,
     norm_array,
@@ -173,7 +172,7 @@ def test_key_margins_match_the_scalar_margin(kind):
         if d < 0.2 or not sup < fx:
             continue
         lam = 10.0 ** rng.uniform(-3.0, 0.0)
-        want.append(key_theorem_margin(KeyConfig(M, oracle, x, xbar, delta, lam), sup))
+        want.append(scalar_key_margin(M, oracle, x, xbar, delta, lam))
         rows.append((x.z, xbar.z, fx, g.v, delta, lam, sup))
     cols = [np.array(col) for col in zip(*rows)]
     got = _key_margins(*cols)

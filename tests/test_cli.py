@@ -522,6 +522,16 @@ class TestVerify:
         assert out == ""
         assert f"--report cannot be written: {tmp_path} is a directory" in err
 
+    @pytest.mark.parametrize("suite", ["gradcheck", "all"])
+    def test_n_too_large_to_allocate_exits_2(self, tmp_path, capsys, suite):
+        # 10**18 float margins are beyond any address space, so the
+        # allocation fails at once without touching memory.
+        report = tmp_path / "r.json"
+        assert main(["verify", suite, "--n", str(10**18), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "--n is too large: " in err and "allocate" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("suite", [*SUITES, "all"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, suite):
         code = main(["verify", suite, "--n", "8", "--seed", "-1",

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_left, forks_per_split
+from conftest import assert_no_child_left, forks_per_split, scalar_key_margin
 from reference import mp_key_margin
 
 from hypersub.geometry import (
@@ -28,8 +28,6 @@ from hypersub import verify
 from hypersub.verify import (
     CHUNK,
     DegenerateTriangle,
-    HypothesisUnverified,
-    KeyConfig,
     TriangleSample,
     _accepted,
     _distance_key_margins,
@@ -39,7 +37,6 @@ from hypersub.verify import (
     _triangles,
     _two_busemann_key_margins,
     fuzz,
-    key_theorem_margin,
     law_of_cosines_margin,
     per_step_margins,
     report_margins,
@@ -206,46 +203,16 @@ class TestKeyTheorem:
                 continue
             delta = 0.5 * d * rng.uniform(0.3, 1.0)
             lam = 10.0 ** rng.uniform(-3, 0)
-            cfg = KeyConfig(M, distance_oracle(anchor), x, anchor, delta, lam)
-            assert key_theorem_margin(cfg, analytic_sup=delta) >= -1e-10
+            assert scalar_key_margin(M, distance_oracle(anchor), x, anchor, delta, lam) >= -1e-10
 
     def test_vanishing_step_margin_vanishes(self):
-        cfg = KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.2, 1e-10)
-        margin = key_theorem_margin(cfg, analytic_sup=0.2)
+        margin = scalar_key_margin(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.2, 1e-10)
         assert -1e-10 <= margin < 1e-6
 
     def test_a_step_that_rounds_to_x_has_margin_zero(self):
         # At lambda = 1e-20 the step rounds to x itself, so d(x, z) = 0 and
         # the inequality holds with equality.
-        cfg = KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.2, 1e-20)
-        assert key_theorem_margin(cfg, analytic_sup=0.2) == 0.0
-
-    def test_distance_hypothesis_rejected(self):
-        cfg = KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 2.0, 0.1)
-        with pytest.raises(HypothesisUnverified):
-            key_theorem_margin(cfg, analytic_sup=2.0)
-
-    def test_analytic_sup_rejected_when_too_large(self):
-        x = DiskPoint(0.5, 0.0)
-        fx = M.distance(x, ORIGIN)
-        cfg = KeyConfig(M, distance_oracle(ORIGIN), x, ORIGIN, 0.25, 0.1)
-        with pytest.raises(HypothesisUnverified):
-            key_theorem_margin(cfg, analytic_sup=fx + 1.0)
-
-    def test_zero_subgradient_guard(self):
-        def fn(m, z):
-            return m.distance(DiskPoint.from_complex(z), ORIGIN), 0j
-
-        fake = SubgradientOracle("fake", fn)
-        cfg = KeyConfig(M, fake, DiskPoint(0.5, 0.0), ORIGIN, 0.2, 0.1)
-        with pytest.raises(HypothesisUnverified):
-            key_theorem_margin(cfg, analytic_sup=0.2)
-
-    def test_invalid_config_values(self):
-        with pytest.raises(ValueError):
-            KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            KeyConfig(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.1, -1.0)
+        assert scalar_key_margin(M, distance_oracle(ORIGIN), DiskPoint(0.5, 0.0), ORIGIN, 0.2, 1e-20) == 0.0
 
 
 def key_columns(monkeypatch, sampler, seed, k):
@@ -280,8 +247,8 @@ class TestKeyInequalityAgainstAnIndependentReference:
                 oracle = distance_oracle(DiskPoint.from_complex(xbar))
             else:
                 oracle = two_busemann_oracle()
-            cfg = KeyConfig(M, oracle, DiskPoint.from_complex(x), DiskPoint.from_complex(xbar), delta, lam)
-            assert abs(key_theorem_margin(cfg, sup) - want) <= tol
+            scalar = scalar_key_margin(M, oracle, DiskPoint.from_complex(x), DiskPoint.from_complex(xbar), delta, lam)
+            assert abs(scalar - want) <= tol
 
     def test_the_reference_on_scaled_disks(self):
         rng = np.random.default_rng(71)
@@ -295,9 +262,8 @@ class TestKeyInequalityAgainstAnIndependentReference:
                 delta, lam = 0.5 * d * rng.uniform(0.3, 1.0), 10.0 ** rng.uniform(-3.0, 0.0)
                 _, g = distance_oracle(anchor).evaluate(mk, x)
                 want = mp_key_margin(kappa, x.z, anchor.z, g.v, delta, lam)
-                cfg = KeyConfig(mk, distance_oracle(anchor), x, anchor, delta, lam)
                 tol = 1e-12 * math.cosh(kappa * d) * math.cosh(kappa * lam)
-                assert abs(key_theorem_margin(cfg, delta) - want) <= tol
+                assert abs(scalar_key_margin(mk, distance_oracle(anchor), x, anchor, delta, lam) - want) <= tol
 
 
 class TestKeySamplersReachTheEdgeOfTheHypothesis:
@@ -688,6 +654,14 @@ class TestSuites:
         assert [r.rejected for r in reports] == [skipped] * 3
         assert (reports[0].check, reports[0].n) == ("per-step-cdelta", len(margins))
         assert reports[0].worst_margin == min(margins)
+
+    def test_per_step_n_is_a_step_budget_the_run_stops_short_of(self):
+        # The run stops subgradient-zero at k = 640, so every budget from 640
+        # gives the same reports, and one below it cuts the last pair.
+        at_stop, at_default = suite_per_step(640, 0), suite_per_step(2000, 0)
+        assert list(map(untimed, at_stop)) == list(map(untimed, at_default))
+        assert [(r.n, r.rejected) for r in at_default] == [(589, 51)] * 3
+        assert [(r.n, r.rejected) for r in suite_per_step(639, 0)] == [(588, 51)] * 3
 
     def test_sublevel_rejects_nothing(self):
         assert [r.rejected for r in suite_sublevel(n_rays=8, seed=0)] == [0, 0]
