@@ -65,6 +65,15 @@ MUTANTS = [
     Mutant("harmonic flags", "src/hypersub/schedules.py",
            "lambda k: c / (k + 1), True, True, True)", "lambda k: c / (k + 1), True, True, False)",
            "TestDeclaredFlags"),
+    Mutant("fork gate", "src/hypersub/solver.py",
+           'if when and hasattr(os, "sched_getaffinity")', 'if hasattr(os, "sched_getaffinity")',
+           "test_split_writes_the_serial_bytes"),
+    Mutant("integer counts", "src/hypersub/solver.py",
+           "value = index(getattr(self, key))", "value = getattr(self, key)",
+           "test_integer_counts_are_stored_as_int"),
+    Mutant("zero rays", "src/hypersub/verify.py",
+           "if n_rays < 1:", "if n_rays < 0:",
+           "test_zero_rays_is_rejected"),
 ]
 
 # Tests that pin output bytes: they fail on every change, right or wrong.

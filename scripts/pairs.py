@@ -14,11 +14,20 @@ in the parent's copy and in the checkout's, one process at a time, with S the
 ``run_seconds`` of BENCHMARK.json; the parent runs first in odd pairs and the
 checkout first in even ones. For each end-to-end metric of BENCHMARK.json the
 script prints every pair, each side's median and quartiles, and in how many
-pairs the checkout is better (a tie counts for neither side). It also says
+pairs the checkout is better (a tie counts for neither side). It says
 whether a gain may be claimed: the checkout is better in at least nine tenths
 of the pairs, and the medians differ in its favour by more than the distance
-between the parent's quartiles. The last line of stdout is every run's
-one-line result, as JSON.
+between the parent's quartiles. And it gives one of three verdicts against
+the metric's ``bound`` (a share of the parent's median):
+
+* ``regression``: the checkout's median is worse by more than the bound;
+* ``unresolved``: the parent's quartile spread is wider than the bound, and
+  not every checkout run beats every parent run, so the runs cannot show
+  that the metric held;
+* ``within bound``: otherwise.
+
+With fewer than MIN_PAIRS pairs it warns that the verdicts rest on too few.
+The last line of stdout is every run's one-line result, as JSON.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9  # share of the pairs the checkout must win for a gain
+MIN_PAIRS = 10  # the fewest pairs a gain or a no-regression verdict rests on
 
 
 def export(rev: str, dest: Path) -> str:
@@ -84,13 +94,44 @@ def verdict(metric: dict, parent: list[float], checkout: list[float]) -> list[st
     c1, cm, c3 = quartiles(checkout)
     gain = sign * (cm - pm)
     holds = wins >= WIN_SHARE * len(parent) and gain > p3 - p1
+    bound = metric["bound"]
+    if -gain > bound * abs(pm):
+        bounded = "regression"
+    elif p3 - p1 > bound * abs(pm) and not all(sign * (c - p) > 0.0 for c in checkout for p in parent):
+        bounded = "unresolved"
+    else:
+        bounded = "within bound"
     return [
         f"  parent   median {pm:.6g} (quartiles {p1:.6g}-{p3:.6g})",
         f"  checkout median {cm:.6g} (quartiles {c1:.6g}-{c3:.6g}), {cm / pm - 1.0:+.1%} of the parent's",
         f"  checkout better in {wins} of {len(parent)} pairs; medians differ by {abs(cm - pm):.6g}"
         f" {'in its favour' if gain > 0.0 else 'against it'}, parent quartile spread {p3 - p1:.6g}:"
         f" gain {'holds' if holds else 'not shown'}",
+        f"  against a bound of {bound:.0%} of the parent's median: {bounded}",
     ]
+
+
+def report(spec: dict, runs: list[dict]) -> list[str]:
+    """The report lines of ``runs`` for each end-to-end metric of ``spec``,
+    the parsed BENCHMARK.json, and the failed operations of each side."""
+    lines = []
+    if len(runs) < MIN_PAIRS:
+        lines.append(f"warning: {len(runs)} pairs, below the {MIN_PAIRS} that a gain or a"
+                     " no-regression verdict needs")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        parent = [r["parent"]["metrics"][name]["value"] for r in runs]
+        checkout = [r["checkout"]["metrics"][name]["value"] for r in runs]
+        lines.append(f"{name} ({runs[0]['parent']['metrics'][name]['unit']}, {metric['better']} is better)")
+        lines.append("  pair  seed  first     parent        checkout")
+        for r, p, c in zip(runs, parent, checkout):
+            lines.append(f"  {r['pair']:<4}  {r['seed']:<4}  {r['first']:<8}  {p:<12.6g}  {c:.6g}")
+        lines += verdict(metric, parent, checkout)
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "checkout")}
+    attempted = {side: sum(r[side]["attempted"] for r in runs) for side in ("parent", "checkout")}
+    lines.append(f"failed operations: parent {failed['parent']} of {attempted['parent']},"
+                 f" checkout {failed['checkout']} of {attempted['checkout']}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,19 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             runs.append(pair)
             print(f"  pair {i} done, {pair['first']} first", file=sys.stderr, flush=True)
 
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        parent = [r["parent"]["metrics"][name]["value"] for r in runs]
-        checkout = [r["checkout"]["metrics"][name]["value"] for r in runs]
-        print(f"{name} ({runs[0]['parent']['metrics'][name]['unit']}, {metric['better']} is better)")
-        print("  pair  seed  first     parent        checkout")
-        for r, p, c in zip(runs, parent, checkout):
-            print(f"  {r['pair']:<4}  {r['seed']:<4}  {r['first']:<8}  {p:<12.6g}  {c:.6g}")
-        print("\n".join(verdict(metric, parent, checkout)))
-    failed = {side: sum(r[side]["failed"] for r in runs) for side in ("parent", "checkout")}
-    attempted = {side: sum(r[side]["attempted"] for r in runs) for side in ("parent", "checkout")}
-    print(f"failed operations: parent {failed['parent']} of {attempted['parent']},"
-          f" checkout {failed['checkout']} of {attempted['checkout']}")
+    print("\n".join(report(spec, runs)))
     print(json.dumps({"workload": args.workload, "parent": sha, "seconds": seconds, "runs": runs}))
     return 0
 

@@ -19,10 +19,11 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass, field
 
-# exp() clamps radially to BOUNDARY_CLAMP when the result lands within
-# DRIFT_EPS of the unit circle; the caller sees a drift flag.
+# exp() clamps radially to BOUNDARY_CLAMP an endpoint within DRIFT_EPS of the
+# unit circle, of modulus _NEAR_CIRCLE or more; the caller sees a drift flag.
 DRIFT_EPS = 1e-15
 BOUNDARY_CLAMP = 1.0 - 1e-12
+_NEAR_CIRCLE = 1.0 - DRIFT_EPS
 # Largest float below 1: distance and log clamp atanh's argument to it.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -266,7 +267,7 @@ class Manifold:
         if not cmath.isfinite(w):
             return None
         a = abs(w)
-        if a >= 1.0 - DRIFT_EPS:
+        if a >= _NEAR_CIRCLE:
             return w * (BOUNDARY_CLAMP / a), True
         return w, False
 
@@ -275,7 +276,7 @@ class Manifold:
         and whether rounding pushed it against the unit circle so that it was
         clamped radially to ``BOUNDARY_CLAMP``. A non-finite input or endpoint
         raises; a disk endpoint then needs no bound check, as its modulus is
-        below 1 - DRIFT_EPS or it was clamped."""
+        below _NEAR_CIRCLE or it was clamped."""
         if not cmath.isfinite(v):
             raise ValueError(f"tangent components must be finite, got ({v.real}, {v.imag})")
         if v == 0.0:

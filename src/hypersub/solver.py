@@ -9,7 +9,6 @@ a numerical failure; the full iterate history is captured in a RunTrace.
 
 from __future__ import annotations
 
-import cmath
 import json
 import marshal
 import math
@@ -22,7 +21,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import getitem, itemgetter
+from operator import getitem, index, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
@@ -78,10 +77,14 @@ class SolveConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ConfigError("max_iters", f"must be >= 1, got {self.max_iters}")
-        if self.record_every < 1:
-            raise ConfigError("record_every", f"must be >= 1, got {self.record_every}")
+        for key in ("max_iters", "record_every"):  # stored as int: the trace echoes a JSON integer
+            try:
+                value = index(getattr(self, key))
+            except TypeError:
+                raise ConfigError(key, f"must be an integer, got {getattr(self, key)!r}") from None
+            if value < 1:
+                raise ConfigError(key, f"must be >= 1, got {value}")
+            object.__setattr__(self, key, value)
         if not self.manifold.contains(self.x0):
             raise ConfigError("x0", f"= {format_complex(self.x0.z)} lies outside the manifold carrier")
         point = self.oracle.solution_set.point
@@ -174,14 +177,14 @@ def run(cfg: SolveConfig) -> RunTrace:
 
     # The loop runs on complex points and subgradient components; z stays
     # finite because every endpoint is checked. The norm is norm_z's formula,
-    # and its s = 1 - |z|^2 goes to exp_z's own disk step, Manifold._disk_step;
-    # a plane step is z + v. A step that exp_z ends early or fails (v zero or
-    # not finite, a non-finite endpoint) goes to exp_z itself, for its wording.
+    # and its s = 1 - |z|^2 goes to exp_z's own disk step, Manifold._disk_step.
+    # A plane step, and a step that exp_z ends early or fails (v zero or not
+    # finite, a non-finite endpoint), goes to exp_z itself, for its wording.
     fn, lam_at, step, exp_z = oracle.fn, cfg.schedule.fn, cfg.schedule.step, m.exp_z
     flat, kappa, disk_step = m.flat, m.kappa, m._disk_step
     record, distance_to = IterationRecord._make, sset.distance_to
     max_iters, record_every = cfg.max_iters, cfg.record_every
-    hypot, isfinite, isfinite_c = math.hypot, math.isfinite, cmath.isfinite
+    hypot, isfinite = math.hypot, math.isfinite
     z = cfg.x0.z
     drift_in = False
     k = 0
@@ -221,13 +224,8 @@ def run(cfg: SolveConfig) -> RunTrace:
             else:
                 v = complex(-g.real / gn * lam, -g.imag / gn * lam)
             try:
-                if flat:
-                    z_next, drift_next = z + v, False
-                    if not (v and isfinite_c(z_next)):
-                        z_next, drift_next = exp_z(z, v)
-                else:
-                    nxt = disk_step(z, v, s) if v else None
-                    z_next, drift_next = exp_z(z, v) if nxt is None else nxt
+                nxt = None if flat or not v else disk_step(z, v, s)
+                z_next, drift_next = exp_z(z, v) if nxt is None else nxt
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
         if termination is not None or k % record_every == 0:
@@ -388,17 +386,19 @@ _COPY_CHUNK = 1 << 14
 
 
 @contextmanager
-def _forked(task: Callable[[IO], object], **file_args) -> Iterator[Callable[[], IO | None] | None]:
+def _forked(task: Callable[[IO], object], when: bool,
+            **file_args) -> Iterator[Callable[[], IO | None] | None]:
     """Run ``task(part)`` in a forked child while the body of the with
     statement runs here, ``part`` being an unnamed temporary file opened with
-    ``file_args``. Yields None, and forks nothing, without os.fork, a second
-    CPU to run on or with another thread alive (which a fork would leave in
-    a broken state), or if the fork fails. Otherwise yields ``join``, which
-    waits for the child and returns ``part`` rewound to what the child wrote,
-    or None if ``task`` raised. The child leaves through os._exit only; it is
-    killed and reaped when the body leaves without joining it, as when it
-    raises, so no child outlives the with statement."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    ``file_args``. Yields None, and forks nothing, if ``when`` (the caller's
+    test that its input is large enough to split) is false, without os.fork,
+    a second CPU to run on or with another thread alive (which a fork would
+    leave in a broken state), or if the fork fails. Otherwise yields
+    ``join``, which waits for the child and returns ``part`` rewound to what
+    the child wrote, or None if ``task`` raised. The child leaves through
+    os._exit only; it is killed and reaped when the body leaves without
+    joining it, as when it raises, so no child outlives the with statement."""
+    cpus = os.sched_getaffinity(0) if when and hasattr(os, "sched_getaffinity") else ()
     if not (hasattr(os, "fork") and len(cpus) >= 2 and threading.active_count() == 1):
         yield None
         return
@@ -449,15 +449,13 @@ def _split_rows(rows: Callable[[int, int], Iterator[str]], n: int) -> Iterator[s
     to hi. From _SPLIT_MIN_RECORDS records, a child _forked off writes
     ``rows(n // 2, n)`` while this process formats the first half, and then
     its text is copied in small pieces, so the result is the same text. If
-    there is no child, or it fails, this process formats its half itself,
-    so a faulty record raises here as it would in the serial path."""
-    if n < _SPLIT_MIN_RECORDS:
-        yield from rows(0, n)
-        return
+    there is no child (below the threshold too), or it fails, this process
+    formats the second half itself, so a faulty record raises here."""
     mid = n // 2
+    split = n >= _SPLIT_MIN_RECORDS
     # newline="" writes and reads the text untranslated; the encoding is the
     # default one, as in atomic_write.
-    with _forked(lambda part: part.writelines(rows(mid, n)), mode="w+", newline="") as join:
+    with _forked(lambda part: part.writelines(rows(mid, n)), split, mode="w+", newline="") as join:
         yield from rows(0, mid)
         part = join and join()
         yield from rows(mid, n) if part is None else iter(partial(part.read, _COPY_CHUNK), "")
@@ -693,32 +691,32 @@ def _parse_trace(path: str | Path):
     start = text.find(_RECORDS_OPEN)
     end = text.rfind(_RECORDS_CLOSE)
     gap = text.find(_RECORD_GAP, (start + end) // 2, end)
-    if start >= 0 and end - start >= _LOAD_SPLIT_MIN_CHARS and gap >= 0:
-        cut = gap + len("\n    }")  # at the comma between two records
-        # Random, so no file holds it: it marks the cut and nothing else.
-        sentinel = os.urandom(16).hex()
-        with _forked(lambda part: _dump_records(part, text[cut + 1 : end + len(_RECORDS_CLOSE)])) as join:
-            if join is not None:
-                try:
-                    # "%.*s" copies the first cut characters straight into the
-                    # result: no slice of the text is made to be thrown away.
-                    raw = json.loads(
-                        '%.*s, "%s"%s' % (cut, text, sentinel, text[end:]), object_hook=_record_from_json
-                    )
-                    records = raw["records"]
-                except Exception:  # the serial parse below raises the real error
-                    raw = records = None
-                trusted = type(records) is list and records and records[-1] == sentinel
-                if trusted and (part := join()) is not None:
-                    # Dropped before the child's records are built, so that the
-                    # peak stays that of the serial parse.
-                    del text
-                    # By columns, the blob holds no container per record to be
-                    # allocated and collected, and tuple.__new__ is _make's own.
-                    columns = marshal.loads(part.read())
-                    records[-1:] = map(tuple.__new__, repeat(IterationRecord), zip(*columns))
-                    return raw
-                del raw, records  # not held through the serial parse
+    cut = gap + len("\n    }")  # at the comma between two records
+    split = start >= 0 and end - start >= _LOAD_SPLIT_MIN_CHARS and gap >= 0
+    with _forked(lambda part: _dump_records(part, text[cut + 1 : end + len(_RECORDS_CLOSE)]), split) as join:
+        if join is not None:
+            # Random, so no file holds it: it marks the cut and nothing else.
+            sentinel = os.urandom(16).hex()
+            try:
+                # "%.*s" copies the first cut characters straight into the
+                # result: no slice of the text is made to be thrown away.
+                raw = json.loads(
+                    '%.*s, "%s"%s' % (cut, text, sentinel, text[end:]), object_hook=_record_from_json
+                )
+                records = raw["records"]
+            except Exception:  # the serial parse below raises the real error
+                raw = records = None
+            trusted = type(records) is list and records and records[-1] == sentinel
+            if trusted and (part := join()) is not None:
+                # Dropped before the child's records are built, so that the
+                # peak stays that of the serial parse.
+                del text
+                # By columns, the blob holds no container per record to be
+                # allocated and collected, and tuple.__new__ is _make's own.
+                columns = marshal.loads(part.read())
+                records[-1:] = map(tuple.__new__, repeat(IterationRecord), zip(*columns))
+                return raw
+            del raw, records  # not held through the serial parse
     return json.loads(text, object_hook=_record_from_json)
 
 

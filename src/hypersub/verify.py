@@ -22,9 +22,9 @@ import numpy as np
 
 from .geometry import (
     BOUNDARY_CLAMP,
-    DRIFT_EPS,
     ORIGIN,
     POINCARE_DISK,
+    _NEAR_CIRCLE,
     DiskPoint,
     Manifold,
     ResultOutsideDisk,
@@ -98,7 +98,7 @@ def angle_array(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def exp_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Twin of ``POINCARE_DISK.exp``, with the same radial clamp to
-    ``BOUNDARY_CLAMP`` within ``DRIFT_EPS`` of the unit circle."""
+    ``BOUNDARY_CLAMP`` from a modulus of ``_NEAR_CIRCLE``."""
     p, v = np.broadcast_arrays(p, v)
     a = np.abs(v)
     moving = a > 0.0
@@ -108,7 +108,7 @@ def exp_array(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ResultOutsideDisk("exp produced a non-finite point")
     aw = np.abs(w)
-    w = np.where(aw >= 1.0 - DRIFT_EPS, w * (BOUNDARY_CLAMP / aw), w)
+    w = np.where(aw >= _NEAR_CIRCLE, w * (BOUNDARY_CLAMP / aw), w)
     return np.where(moving, w, p)
 
 
@@ -341,6 +341,8 @@ def sublevel_boundedness_check(
     The report's worst_margin is the largest witness radius, an empirical
     bound on the sublevel set.
     """
+    if n_rays < 1:
+        raise ValueError("need at least one ray")
     t0 = time.perf_counter()
     center = oracle.solution_set.point
     if center is None:
@@ -494,8 +496,8 @@ def fuzz(
     process: from _SPLIT_MIN_CHUNKS chunks, with os.fork, a second CPU and no
     other thread, a forked child draws the second half of the chunks while
     this process draws the first. The report, any error and the peak memory
-    are those of the serial path: if there is no child, or it fails, this
-    process draws its half itself.
+    are those of the serial path: if there is no child (below the threshold
+    too), or it fails, this process draws the second half itself.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -517,25 +519,22 @@ def fuzz(
             rejected += dropped
         return rejected
 
-    if total < _SPLIT_MIN_CHUNKS:
-        rejected = draw(0, total)
-    else:
-        mid = total // 2
-        tail = margins[mid * CHUNK :]
+    mid = total // 2
+    tail = margins[mid * CHUNK :]
 
-        def child(part: IO[bytes]) -> None:
-            part.write(np.int64(draw(mid, total)).tobytes())
-            part.write(tail)
+    def child(part: IO[bytes]) -> None:
+        part.write(np.int64(draw(mid, total)).tobytes())
+        part.write(tail)
 
-        with _forked(child) as join:
-            rejected = draw(0, mid)
-            part = join and join()
-            if part is None:
-                rejected += draw(mid, total)
-            else:
-                rejected += int(np.frombuffer(part.read(8), np.int64)[0])
-                # The child's margins go straight into their slice: no copy.
-                part.readinto(tail)
+    with _forked(child, total >= _SPLIT_MIN_CHUNKS) as join:
+        rejected = draw(0, mid)
+        part = join and join()
+        if part is None:
+            rejected += draw(mid, total)
+        else:
+            rejected += int(np.frombuffer(part.read(8), np.int64)[0])
+            # The child's margins go straight into their slice: no copy.
+            part.readinto(tail)
     report = report_margins(margins, tolerance, check, seed, two_sided, hypothesis_mode, rejected)
     return replace(report, wall_s=time.perf_counter() - t0)
 

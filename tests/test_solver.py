@@ -284,6 +284,13 @@ class TestRun:
         [
             ("max_iters", {"max_iters": 0}),
             ("record_every", {"record_every": 0}),
+            # Not integers: a run would step past a budget of 2.5 until it stopped by itself.
+            ("max_iters", {"max_iters": 2.5}),
+            ("max_iters", {"max_iters": 1.0}),
+            ("max_iters", {"max_iters": "3"}),
+            ("max_iters", {"max_iters": None}),
+            ("record_every", {"record_every": 2.5}),
+            ("record_every", {"record_every": "1"}),
             ("x0", {"x0": DiskPoint.plane(1.0, 0.0)}),  # on the circle, not in the open disk
             ("oracle", {"manifold": EUCLIDEAN_PLANE, "oracle": busemann_oracle(1 + 0j)}),
             ("x0", {"x0": DiskPoint.plane(0.0, 1.5)}),
@@ -302,6 +309,13 @@ class TestRun:
             SolveConfig(**fields)
         assert exc.value.key == key
         assert str(exc.value).startswith(key)
+
+    def test_integer_counts_are_stored_as_int(self):
+        cfg = SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.5),
+                          np.int64(3), record_every=True)
+        assert (type(cfg.max_iters), type(cfg.record_every)) == (int, int)
+        echo = json.dumps(solver.config_echo(cfg))
+        assert '"max_iters": 3,' in echo and '"record_every": 1}' in echo
 
     def test_stop_threshold_is_a_constant(self):
         # x0 lies 3 from the center; the hinge's subgradient has norm 1
@@ -517,10 +531,10 @@ def raising(k):
 
 class TestRunMatchesTheReferenceLoop:
     """run() writes the step's norm out inline, takes a nonzero disk step
-    through exp_z's kernel Manifold._disk_step and a plane step as z + v,
-    and takes lambda_k from schedule.fn; reference_run is the loop on norm_z,
-    exp_z and StepSchedule.step. They must agree record for record, bit for
-    bit, failure reasons included."""
+    through exp_z's kernel Manifold._disk_step and a plane step through
+    exp_z, and takes lambda_k from schedule.fn; reference_run is the loop on
+    norm_z, exp_z and StepSchedule.step. They must agree record for record,
+    bit for bit, failure reasons included."""
 
     @given(problems())
     def test_on_every_model_oracle_kind_and_schedule_family(self, cfg):

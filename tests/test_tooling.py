@@ -52,3 +52,48 @@ def test_each_mutant_applies_once_and_names_a_test_to_kill_it(monkeypatch):
         assert m.killer in tests and m.killer not in mutants.PINS, m.name
     # A pin that no longer exists would no longer be deselected.
     assert set(mutants.PINS) <= tests
+
+
+def load_pairs():
+    spec = importlib.util.spec_from_file_location("pairs", REPO / "scripts" / "pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_runs(parent, checkout):
+    def side(value):
+        return {"metrics": {"t": {"value": value, "unit": "s"}}, "failed": 0, "attempted": 1}
+
+    return [{"pair": i, "seed": i, "first": "parent", "parent": side(p), "checkout": side(c)}
+            for i, (p, c) in enumerate(zip(parent, checkout), 1)]
+
+
+def bound_verdict(pairs, better, parent, checkout):
+    spec = {"end_to_end": [{"name": "t", "better": better, "bound": 0.25}]}
+    lines = pairs.report(spec, synthetic_runs(parent, checkout))
+    [line] = [line for line in lines if "against a bound of 25%" in line]
+    return line.rsplit(": ", 1)[1]
+
+
+def test_pairs_reports_a_verdict_against_each_bound():
+    pairs = load_pairs()
+    steady = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+    wide = [6.0, 8.0, 10.0, 12.0, 14.0] * 2  # quartile spread 0.6 of the median
+    assert bound_verdict(pairs, "lower", steady, [x * 1.3 for x in steady]) == "regression"
+    assert bound_verdict(pairs, "higher", steady, [x * 0.7 for x in steady]) == "regression"
+    assert bound_verdict(pairs, "lower", steady, [x * 1.2 for x in steady]) == "within bound"
+    assert bound_verdict(pairs, "higher", steady, [x * 0.8 for x in steady]) == "within bound"
+    assert bound_verdict(pairs, "lower", wide, wide) == "unresolved"
+    # Every run of the checkout beats every run of the parent.
+    assert bound_verdict(pairs, "lower", wide, [5.0] * 10) == "within bound"
+    assert bound_verdict(pairs, "higher", wide, [15.0] * 10) == "within bound"
+
+
+def test_pairs_warns_below_ten_pairs():
+    pairs = load_pairs()
+    spec = {"end_to_end": [{"name": "t", "better": "lower", "bound": 0.25}]}
+    few = pairs.report(spec, synthetic_runs([1.0] * 9, [1.0] * 9))
+    enough = pairs.report(spec, synthetic_runs([1.0] * 10, [1.0] * 10))
+    assert few[0].startswith("warning: 9 pairs, below the 10")
+    assert not any(line.startswith("warning") for line in enough)

@@ -353,6 +353,11 @@ class TestSublevel:
             on_axis = abs(w.direction.imag) < 1e-12
             assert (w.witness_radius is None) == on_axis
 
+    def test_zero_rays_is_rejected(self):
+        # No ray certifies nothing, where a report would read ok over n = 0.
+        with pytest.raises(ValueError, match="at least one ray"):
+            sublevel_boundedness_check(M, distance_oracle(ORIGIN), 1.0, n_rays=0)
+
     def test_requires_center_for_unknown_sets(self):
         def fn(m, z):
             return 1.0, 1 + 0j
