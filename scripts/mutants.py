@@ -74,11 +74,15 @@ MUTANTS = [
     Mutant("zero rays", "src/hypersub/verify.py",
            "if n_rays < 1:", "if n_rays < 0:",
            "test_zero_rays_is_rejected"),
+    Mutant("column lengths", "src/hypersub/solver.py",
+           "if len(column) != n:", "if False:",
+           "test_load_trace_names_a_faulty_column_object"),
 ]
 
 # Tests that pin output bytes: they fail on every change, right or wrong.
 PINS = [
     "test_run_is_byte_identical",
+    "test_json_is_byte_identical",
     "test_csv_is_byte_identical",
     "test_complexity_report_is_unchanged",
     "test_trace_in_the_earlier_layout_loads",

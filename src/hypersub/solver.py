@@ -10,7 +10,6 @@ a numerical failure; the full iterate history is captured in a RunTrace.
 from __future__ import annotations
 
 import json
-import marshal
 import math
 import os
 import signal
@@ -338,15 +337,22 @@ def complexity_bound_report(
 CSV_HEADER = ["k", "x", "y", "f", "grad_norm", "lambda", "dist_to_S", "drift"]
 
 
+_RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
+# Each key's value in a record (k, z, f_value, grad_norm, lambda_k, dist_to_s, drift).
+_RECORD_VALUES = dict(zip(_RECORD_KEYS, (
+    itemgetter(0), lambda r: r[1].real, lambda r: r[1].imag, *map(itemgetter, range(2, 7)),
+)))
+
+
 def trace_to_dict(trace: RunTrace) -> dict:
-    """The trace as a JSON-ready dict; ``write_trace_json`` writes the bytes
-    of ``json.dumps(trace_to_dict(trace), indent=2)``."""
+    """The trace as a JSON-ready dict, its records as one column per key of
+    _RECORD_KEYS; the file ``write_trace_json`` writes parses to it."""
     return {
         "config": trace.config,
         "f_star": trace.f_star,
         "x_star": None if trace.x_star is None else format_complex(trace.x_star.z),
         "dist_x0_to_solution": trace.dist_x0_to_solution,
-        "records": [_record_dict(*r) for r in trace.records],
+        "records": {key: list(map(value, trace.records)) for key, value in _RECORD_VALUES.items()},
         "termination": {
             "kind": trace.termination.kind,
             "step": trace.termination.step,
@@ -461,64 +467,36 @@ def _split_rows(rows: Callable[[int, int], Iterator[str]], n: int) -> Iterator[s
         yield from rows(mid, n) if part is None else iter(partial(part.read, _COPY_CHUNK), "")
 
 
-def _record_dict(k, z, f, gn, lam, d, drift) -> dict:
-    """A record as the JSON object of its trace."""
-    return dict(zip(_RECORD_KEYS, (k, z.real, z.imag, f, gn, lam, d, drift)))
+# The number of values json encodes at a time into a column of the trace JSON:
+# at once, a column's text would grow with the records.
+_COLUMN_CHUNK = 1024
+_RECORDS_AT = '\n  "records": null'
 
 
-# One record as json.dumps(indent=2) lays it out, an object two containers deep,
-# after its separator, with %r slots for k and the six floats and %s slots for
-# the JSON text of dist_to_s and drift.
-_RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
-_RECORD_ROW = ",\n    {" + ",".join(
-    f'\n      "{key}": {slot}' for key, slot in zip(_RECORD_KEYS, ("%r",) * 6 + ("%s", "%s"))
-) + "\n    }"
-_JSON_BOOL = ("false", "true")
-_RECORDS_AT = '\n  "records": []'
-
-
-def _json_records(records: Iterable[IterationRecord], first: bool) -> Iterator[str]:
-    """The rows of ``records`` in the records array as json.dumps(indent=2)
-    lays it out, as a member of the top-level object, each after its
-    separator; the row of the array's ``first`` record opens it with "[",
-    and the writer closes it. A row of an exact int k, an exact bool drift
-    and exact finite floats, dist_to_s a float or None, is formatted by one
-    template; any other row (NaN, an infinity, a float subclass) is written
-    by json.dumps itself, indented to its depth."""
-    for k, z, f, gn, lam, d, drift in records:
-        x, y = z.real, z.imag
-        if (
-            type(k) is int
-            and type(drift) is bool
-            and type(x) is type(y) is type(f) is type(gn) is type(lam) is float
-            and (d is None or type(d) is float)
-            # Finite: x - x is 0.0 for a finite x and NaN for NaN or an infinity.
-            and x - x + y - y + f - f + gn - gn + lam - lam + (0.0 if d is None else d - d) == 0.0
-        ):
-            text = _RECORD_ROW % (k, x, y, f, gn, lam, "null" if d is None else repr(d), _JSON_BOOL[drift])
-        else:
-            row = json.dumps(_record_dict(k, z, f, gn, lam, d, drift), indent=2)
-            text = ",\n    " + row.replace("\n", "\n    ")
-        if first:
-            text, first = "[" + text[1:], False
-        yield text
+def _json_columns(records: list[IterationRecord]) -> Iterator[str]:
+    """The column object of ``records``, a line per key, each array encoded
+    by json _COLUMN_CHUNK values at a time, so json writes NaN, the
+    infinities, float subclasses, null and the booleans its own way."""
+    for i, (key, value) in enumerate(_RECORD_VALUES.items()):
+        yield f'{"," if i else "{"}\n    "{key}": ['
+        for lo in range(0, len(records), _COLUMN_CHUNK):
+            text = json.dumps(list(map(value, records[lo : lo + _COLUMN_CHUNK])), separators=(",", ":"))
+            yield text[1:-1] if lo == 0 else "," + text[1:-1]
+        yield "]"
+    yield "\n  }"
 
 
 def write_trace_json(trace: RunTrace, path: str | Path) -> None:
-    """Write the bytes of ``json.dumps(trace_to_dict(trace), indent=2)`` and
-    a newline. json.dumps lays out the trace with the records empty; the
-    records are streamed into it through one row template, which spares
-    json's pure-Python indenting encoder."""
-    text = json.dumps(trace_to_dict(replace(trace, records=[])), indent=2)
+    """Write the trace as JSON text that parses to ``trace_to_dict(trace)``,
+    and a newline. json.dumps(indent=2) lays out the trace with the records
+    left out, and their columns are streamed into it (see _json_columns)."""
+    text = json.dumps({**trace_to_dict(replace(trace, records=[])), "records": None}, indent=2)
     # The marker occurs once: it starts with a newline, which json.dumps never
     # writes raw inside a string, and at its indent the only "records" is the
     # top-level member.
     head, tail = text.split(_RECORDS_AT)
-    records = trace.records
-    rows = _split_rows(lambda lo, hi: _json_records(islice(records, lo, hi), lo == 0), len(records))
-    with closing(rows):
-        end = "\n  ]" if records else "[]"
-        atomic_write(Path(path), chain([head + _RECORDS_AT[:-2]], rows, [end + tail + "\n"]))
+    member = _RECORDS_AT[: -len("null")]
+    atomic_write(Path(path), chain([head, member], _json_columns(trace.records), [tail, "\n"]))
 
 
 _CSV_ROW = "%d,%r,%r,%r,%r,%r,%s,%d\n"
@@ -573,12 +551,15 @@ _RECORD_TYPES = {
     "dist_to_s": ((float, int, _NULL), "a number or null"),
     "drift": ((bool,), "true or false"),
 }
+# A trace's records are an array of record objects in the layout written
+# before the columns, and an object of columns since.
+_COLUMN_TYPES = dict.fromkeys(_RECORD_KEYS, ((list,), "an array"))
 _TRACE_TYPES = {
     "config": ((dict,), "an object"),
     "f_star": ((float, int, _NULL), "a number or null"),
     "x_star": ((str, _NULL), "a string or null"),
     "dist_x0_to_solution": ((float, int, _NULL), "a number or null"),
-    "records": ((list,), "an array"),
+    "records": ((list, dict), "an array or an object"),
     "termination": ((dict,), "an object"),
 }
 _TERMINATION_TYPES = {
@@ -591,49 +572,45 @@ _CONFIG_TYPES = {"manifold": ((dict,), "an object"), "schedule": ((str,), "a str
 _MANIFOLD_TYPES = {"kappa": (_NUMBER, "a number")}
 
 
-def _record_hook(make: Callable[[tuple], tuple]) -> Callable[[dict], object]:
+def _record_from_json(obj: dict):
     """A json object_hook: an object with exactly the record keys, each value
-    of its JSON type (_RECORD_TYPES), becomes ``make`` of its record tuple
-    as it is parsed; any other object stays a dict."""
-
-    def hook(obj: dict):
-        if len(obj) == 8:
-            try:
-                k, x, y, f, gn, lam, d, drift = _record_values(obj)
-            except KeyError:
-                return obj
-            # Every record the writer emits passes the first test; a record
-            # with an integer number, or a faulty one, is checked by the table.
-            if (
-                type(k) is int
-                and type(drift) is bool
-                and type(x) is float
-                and type(y) is float
-                and type(f) is float
-                and type(gn) is float
-                and type(lam) is float
-                and (d is None or type(d) is float)
-            ) or _key_fault(obj, _RECORD_TYPES) is None:
-                return make((k, complex(x, y), f, gn, lam, d, drift))
-        return obj
-
-    return hook
+    of its JSON type (_RECORD_TYPES), becomes an IterationRecord as it is
+    parsed; any other object, a column object among them, stays a dict."""
+    if len(obj) == 8:
+        try:
+            values = k, x, y, f, gn, lam, d, drift = _record_values(obj)
+        except KeyError:
+            return obj
+        # Every record the writer emitted passes the first test; a record
+        # with an integer number, or a faulty one, is checked by the table.
+        if (
+            type(k) is int
+            and type(drift) is bool
+            and type(x) is float
+            and type(y) is float
+            and type(f) is float
+            and type(gn) is float
+            and type(lam) is float
+            and (d is None or type(d) is float)
+        ) or all(map(_is_a, values, (allowed for allowed, _ in _RECORD_TYPES.values()))):
+            return IterationRecord(k, complex(x, y), f, gn, lam, d, drift)
+    return obj
 
 
-_record_from_json = _record_hook(IterationRecord._make)
-
-
-def _key_fault(obj, types: dict) -> str | None:
+def _key_fault(obj, types: dict, exact: bool = False) -> str | None:
     """What keeps the parsed JSON value ``obj`` from being an object with
-    every key of ``types``, each holding a value of its JSON type; None if
-    nothing does."""
+    every key of ``types``, each holding a value of its JSON type, and, if
+    ``exact``, no other key; None if nothing does."""
     if type(obj) is not dict:
         return f"is not an object: {obj!r}"
     missing = [key for key in types if key not in obj]
     if missing:
         return f"misses key(s) {', '.join(missing)}"
     key = next((key for key, (allowed, _) in types.items() if not _is_a(obj[key], allowed)), None)
-    return None if key is None else f'has "{key}" = {obj[key]!r}, not {types[key][1]}'
+    if key is not None:
+        return f'has "{key}" = {obj[key]!r}, not {types[key][1]}'
+    extra = [key for key in obj if key not in types] if exact else []
+    return f"has extra key(s) {', '.join(extra)}" if extra else None
 
 
 def _is_a(value, allowed: tuple) -> bool:
@@ -644,101 +621,48 @@ def _is_a(value, allowed: tuple) -> bool:
     return type(value) in allowed
 
 
-def _record_fault(obj) -> str:
-    """What keeps a parsed record object from being an IterationRecord."""
-    return _key_fault(obj, _RECORD_TYPES) or "has extra key(s) " + ", ".join(
-        key for key in obj if key not in _RECORD_TYPES
-    )
-
-
-# The records array as write_trace_json lays it out: the member opens a line at
-# indent 2, a record closes at indent 4 and the array closes at indent 2.
-_RECORDS_OPEN = '\n  "records": [\n'
-_RECORDS_CLOSE = "\n  ]"
-_RECORD_GAP = "\n    },\n    {"
-# The length of the records array, in characters, from which load_trace
-# parses its second half in a forked child: below it, the fork and the pages
-# it has the two processes copy cost more than the child saves. The break-even
-# measured on 2 cores is about 2 M characters (8,000 records) in a process of
-# 80 MB and 4 M (16,000 records) in one of 155 MB.
-_LOAD_SPLIT_MIN_CHARS = 1 << 22
-
-
-def _dump_records(part: IO[bytes], rows: str) -> None:
-    """Parse ``rows``, the records of a JSON array after a cut, through the
-    closing bracket, and write them to ``part`` as one marshal blob of plain
-    tuples, a column per field; ValueError if one is no record."""
-    records = json.loads("[" + rows, object_hook=_record_hook(tuple))
-    if set(map(type, records)) != {tuple}:
-        raise ValueError("an element is no record")
-    columns = tuple(zip(*records))
-    # Each value then has one reference, which marshal does not look up.
-    del records
-    part.write(marshal.dumps(columns))
-
-
-def _parse_trace(path: str | Path):
-    """``json.loads`` of the file's text with _record_from_json as object
-    hook. From a records array of _LOAD_SPLIT_MIN_CHARS characters, cut at
-    a record boundary near its middle, a child _forked off parses the
-    records after the cut while this process parses the rest of the text,
-    with a sentinel string in place of them. The halves are joined only if
-    the sentinel is the last element of the top-level records and every
-    element of the child's part is a record; otherwise (a parse error or a
-    faulty record in either part, no child, a failed child) the whole text
-    is parsed here, so every result and every error is the serial one."""
-    text = Path(path).read_text()
-    start = text.find(_RECORDS_OPEN)
-    end = text.rfind(_RECORDS_CLOSE)
-    gap = text.find(_RECORD_GAP, (start + end) // 2, end)
-    cut = gap + len("\n    }")  # at the comma between two records
-    split = start >= 0 and end - start >= _LOAD_SPLIT_MIN_CHARS and gap >= 0
-    with _forked(lambda part: _dump_records(part, text[cut + 1 : end + len(_RECORDS_CLOSE)]), split) as join:
-        if join is not None:
-            # Random, so no file holds it: it marks the cut and nothing else.
-            sentinel = os.urandom(16).hex()
-            try:
-                # "%.*s" copies the first cut characters straight into the
-                # result: no slice of the text is made to be thrown away.
-                raw = json.loads(
-                    '%.*s, "%s"%s' % (cut, text, sentinel, text[end:]), object_hook=_record_from_json
-                )
-                records = raw["records"]
-            except Exception:  # the serial parse below raises the real error
-                raw = records = None
-            trusted = type(records) is list and records and records[-1] == sentinel
-            if trusted and (part := join()) is not None:
-                # Dropped before the child's records are built, so that the
-                # peak stays that of the serial parse.
-                del text
-                # By columns, the blob holds no container per record to be
-                # allocated and collected, and tuple.__new__ is _make's own.
-                columns = marshal.loads(part.read())
-                records[-1:] = map(tuple.__new__, repeat(IterationRecord), zip(*columns))
-                return raw
-            del raw, records  # not held through the serial parse
-    return json.loads(text, object_hook=_record_from_json)
+def _column_fault(columns: dict) -> str | None:
+    """What keeps a parsed column object from holding records: a column
+    missing, extra, not an array or of another length than "k", or a value
+    not of its key's JSON type (_RECORD_TYPES), named with its record index;
+    None if nothing does."""
+    fault = _key_fault(columns, _COLUMN_TYPES, exact=True)
+    if fault:
+        return f'"records" {fault}'
+    n = len(columns["k"])
+    for key, (allowed, what) in _RECORD_TYPES.items():
+        column = columns[key]
+        if len(column) != n:
+            return f'"records" has "{key}" of {len(column)} values, not {n} as "k" has'
+        kinds = set(map(type, column))
+        # Only an integer where a float may stand needs its value looked at.
+        if kinds <= set(allowed) and not (int in kinds and float in allowed):
+            continue
+        i = next((i for i, v in enumerate(column) if not _is_a(v, allowed)), None)
+        if i is not None:
+            return f'record {i} has "{key}" = {column[i]!r}, not {what}'
+    return None
 
 
 def load_trace(path: str | Path) -> RunTrace:
     """Rebuild a RunTrace from its JSON file.
 
-    Each record object becomes an IterationRecord while the text is parsed,
-    so the record dicts are never all alive at once. From a records array of
-    _LOAD_SPLIT_MIN_CHARS characters in write_trace_json's layout, with
-    os.fork, a second CPU and no other thread, a forked child parses the
-    second half of the records while this process parses the rest; the
-    result, and any error, is that of the serial parse (see _parse_trace).
+    The text is parsed by one ``json.loads``. Records as an object of
+    columns, as write_trace_json writes them, are checked a column at a
+    time and then zipped into IterationRecords; records as an array of
+    objects, as traces were written before, become IterationRecords while
+    the text is parsed.
 
     A record's point is read back as ``complex(x, y)``, with no disk-bound
-    check, so traces from the flat model reload cleanly. A key that is missing or holds a value not of
-    its JSON type (_RECORD_TYPES, _TRACE_TYPES, _TERMINATION_TYPES, and the
-    config echo's _CONFIG_TYPES and _MANIFOLD_TYPES), an extra record key, a
-    record k that is negative or not above the k before it, and an x_star
-    that is no complex number raise ValueError naming the key and any
-    record's index.
+    check, so traces from the flat model reload cleanly. A key that is
+    missing or holds a value not of its JSON type (_RECORD_TYPES,
+    _TRACE_TYPES, _TERMINATION_TYPES, and the config echo's _CONFIG_TYPES
+    and _MANIFOLD_TYPES), an extra record key, a column missing, extra, not
+    an array or of another length than the others, a record k that is
+    negative or not above the k before it, and an x_star that is no complex
+    number raise ValueError naming the key and any record's index.
     """
-    raw = _parse_trace(path)
+    raw = json.loads(Path(path).read_text(), object_hook=_record_from_json)
     # Each object is checked after the one that holds it.
     for where, keys, types in (
         ("trace", (), _TRACE_TYPES),
@@ -750,10 +674,18 @@ def load_trace(path: str | Path) -> RunTrace:
         if fault:
             raise ValueError(f"{path}: {where} {fault}")
     records = raw["records"]
+    if type(records) is dict:
+        fault = _column_fault(records)
+        if fault:
+            raise ValueError(f"{path}: {fault}")
+        k, x, y, f, gn, lam, d, drift = _record_values(records)
+        rows = zip(k, map(complex, x, y), f, gn, lam, d, drift)
+        # tuple.__new__ is _make's own, without a call of _make per record.
+        records = list(map(tuple.__new__, repeat(IterationRecord), rows))
     k_min = 0
     for i, r in enumerate(records):
         if type(r) is not IterationRecord:
-            raise ValueError(f"{path}: record {i} {_record_fault(r)}")
+            raise ValueError(f"{path}: record {i} {_key_fault(r, _RECORD_TYPES, exact=True)}")
         if r.k < k_min:
             raise ValueError(f'{path}: record {i} has "k" = {r.k}, not at least {k_min}')
         k_min = r.k + 1

@@ -150,7 +150,7 @@ class TestSolve:
         assert "numerical failure: non-finite value or subgradient" in capsys.readouterr().err
         raw = json.loads((tmp_path / "good.trace.json").read_text())
         assert raw["termination"]["kind"] == "numerical-failure" and raw["termination"]["step"] == 0
-        assert (raw["x_star"], raw["dist_x0_to_solution"], raw["records"]) == ("0.0+0.0i", math.inf, [])
+        assert (raw["x_star"], raw["dist_x0_to_solution"], raw["records"]["k"]) == ("0.0+0.0i", math.inf, [])
         assert (tmp_path / "good.trace.csv").exists()
 
     @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """Byte-level pins of whole solver runs.
 
-Each case serializes ``run(cfg)`` through ``trace_to_dict`` and through the
-two trace writers, and tabulates its ``complexity_bound_report``; the sha256
-of each result is compared with a digest recorded from an earlier
-implementation.
+Each case serializes ``run(cfg)`` in the row layout of the trace JSON
+written before the columns (``row_dict``), and through the two trace writers,
+and tabulates its ``complexity_bound_report``; the sha256 of each result is
+compared with a digest recorded from an earlier implementation.
 The cases cover every branch the step dispatches on: the Poincaré disk, the
 scaled disk at kappa above and below 1 and at a kappa that is not a power of
 two, and the flat plane; a zero-subgradient stop and a spent budget;
@@ -36,7 +36,6 @@ from hypersub.oracles import (
     weighted_sum,
 )
 from hypersub.schedules import harmonic, power_law, sqrt_harmonic
-import hypersub.solver as solver
 from hypersub.solver import (
     IterationRecord,
     MissingFStar,
@@ -118,6 +117,20 @@ DIGESTS = {
 }
 
 
+# The trace JSON as write_trace_json writes it, its records as columns. Each
+# file parses to trace_to_dict of its trace, whose rows DIGESTS pins.
+COLUMN_DIGESTS = {
+    "ball_hinge_cfg": "1a86532fde043fe584b24e50d36a189a7cec5f8985bc868505466dfb4a95075b",
+    "disk_example_1e4": "d5fc0cfbe449f8ff127dde25a7b687a7d29bdbcfb649e3168134c3fda527d6f7",
+    "fermat_weber_2e4": "b0ecb001ef96e5cd28154ab9ffa8d0fb025270b1f227b15c6286b6792e6b9352",
+    "flat_distance": "71f1bd74adf0e2051d08d76c0dc46d79146f2440c17ce2526cd441439fb6102a",
+    "flat_weighted_sum": "f6def95a5394d67319c8652b9ff13e72a8e45fcfc9bf9ffca3fadbff892e208f",
+    "scaled05_busemann": "176f981e4833a0ee1c05788db2b3c9872de89478b66c1e15acc5c7add02fc681",
+    "scaled3_distance": "8b46759539b0ed64b31555d1b150cbfe1758250d8da69c2d806a373cfba78f3d",
+    "scaled2_ball_hinge": "4fd7dcce9accef415f506fd620cfc54e54fdf30c65200ad9d56ffaaf26a3f15d",
+    "two_busemann_cfg": "d5fc0cfbe449f8ff127dde25a7b687a7d29bdbcfb649e3168134c3fda527d6f7",
+}
+
 # Recorded from the csv.writer implementation of write_trace_csv.
 CSV_DIGESTS = {
     "ball_hinge_cfg": "60850d44f65634a37846a62e0bb86f5687d329bc5b84e395367a6184a9c62534",
@@ -162,6 +175,15 @@ def written(write, trace, tmp_path) -> bytes:
     return path.read_bytes()
 
 
+def row_dict(trace):
+    """``trace_to_dict(trace)`` in the row layout that write_trace_json wrote
+    before the columns: the records as an array of objects, one per record,
+    with the keys of the columns in their order."""
+    raw = trace_to_dict(trace)
+    columns = raw["records"]
+    return {**raw, "records": [dict(zip(columns, row)) for row in zip(*columns.values())]}
+
+
 def with_stored_series(trace):
     """The trace in the earlier layout the digests were recorded in, which
     stored the min-gap series as the summary's last key: [k, gap] pairs, or
@@ -173,13 +195,33 @@ def with_stored_series(trace):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_is_byte_identical(name, tmp_path):
+def test_run_is_byte_identical(name):
     trace = traced(name)
     assert "min_gap_series" not in trace.summary
-    text = json.dumps(trace_to_dict(with_stored_series(trace)), indent=2)
+    text = json.dumps(row_dict(with_stored_series(trace)), indent=2)
     assert sha256(text.encode()) == DIGESTS[name]
-    data = written(write_trace_json, trace, tmp_path)
-    assert data == (json.dumps(trace_to_dict(trace), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_is_byte_identical(name, tmp_path):
+    assert sha256(written(write_trace_json, traced(name), tmp_path)) == COLUMN_DIGESTS[name]
+
+
+def record_types(trace):
+    return [tuple(map(type, r)) for r in trace.records]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_both_layouts_load_to_the_trace(name, tmp_path):
+    trace = traced(name)
+    path = tmp_path / "t.trace.json"
+    write_trace_json(trace, path)
+    columns = load_trace(path)
+    path.write_text(json.dumps(row_dict(trace), indent=2) + "\n")
+    rows = load_trace(path)
+    for loaded in (columns, rows):
+        assert repr(loaded) == repr(trace)
+        assert record_types(loaded) == record_types(trace)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -191,21 +233,6 @@ def test_dist_x0_to_solution_is_the_first_records(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_is_byte_identical(name, tmp_path):
     assert sha256(written(write_trace_csv, traced(name), tmp_path)) == CSV_DIGESTS[name]
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_split_load_is_the_serial_load(name, tmp_path, monkeypatch):
-    # At a threshold of 0 every records array of two records or more is cut,
-    # and its second half parsed in a forked child where one can be had.
-    path = tmp_path / "t.trace.json"
-    write_trace_json(traced(name), path)
-    monkeypatch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", 0)
-    split = load_trace(path)
-    monkeypatch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", math.inf)
-    serial = load_trace(path)
-    assert repr(split) == repr(serial)
-    assert [tuple(map(type, r)) for r in split.records] == [tuple(map(type, r)) for r in serial.records]
-    assert split.records == traced(name).records
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -248,7 +275,7 @@ def with_odd_scalars():
 
 # The text write_trace_json splits its json.dumps text at, newline and indent
 # included, inside strings.
-MARKERS = 'x\n  "records": []'
+MARKERS = 'x\n  "records": null'
 
 
 def with_marker_texts():
@@ -274,11 +301,31 @@ EDGE_TRACES = {
 }
 
 
+def reparsed(trace, tmp_path) -> str:
+    """json.dumps of the parsed file write_trace_json writes for ``trace``."""
+    data = written(write_trace_json, trace, tmp_path)
+    assert data.endswith(b"}\n")
+    return json.dumps(json.loads(data))
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_TRACES))
 def test_json_writer_matches_json_dumps(name, tmp_path):
     trace = EDGE_TRACES[name]()
-    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
-    assert written(write_trace_json, trace, tmp_path) == expected.encode()
+    assert reparsed(trace, tmp_path) == json.dumps(trace_to_dict(trace))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TRACES))
+def test_edge_traces_load_alike_in_both_layouts(name, tmp_path):
+    trace = EDGE_TRACES[name]()
+    path = tmp_path / "t.trace.json"
+    write_trace_json(trace, path)
+    columns = load_trace(path)
+    path.write_text(json.dumps(row_dict(trace), indent=2) + "\n")
+    rows = load_trace(path)
+    assert repr(columns) == repr(rows)
+    assert record_types(columns) == record_types(rows)
+    # A float subclass is read back as a plain float, which json spells alike.
+    assert json.dumps(trace_to_dict(columns)["records"]) == json.dumps(trace_to_dict(trace)["records"])
 
 
 # Finite floats over the whole range: signed zeros, subnormals, the extremes
@@ -296,10 +343,9 @@ odd_floats = (
 
 @st.composite
 def records(draw):
-    # A row of an int k, a bool drift and finite floats, which the writer
-    # formats by its fast row, or one with an odd value in one drawn field,
-    # which must take the fallback: a float that json writes its own way, a
-    # bool k or an int drift.
+    # A record of an int k, a bool drift and finite floats, or one with an odd
+    # value in one drawn field: a float that json writes its own way, a bool k
+    # or an int drift.
     row = {key: draw(finite_floats) for key in ("x", "y", "f", "grad_norm", "lambda", "dist_to_s")}
     row.update(k=draw(st.integers(0, 2**63)), drift=draw(st.booleans()))
     if draw(st.booleans()):
@@ -322,16 +368,16 @@ def base_trace():
 @given(st.lists(records(), max_size=6))
 def test_json_writer_rows_match_json_dumps(rows):
     trace = replace(base_trace(), records=rows)
-    expected = json.dumps(trace_to_dict(trace), indent=2) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
-        assert written(write_trace_json, trace, Path(tmp)) == expected.encode()
+        assert reparsed(trace, Path(tmp)) == json.dumps(trace_to_dict(trace))
 
 
 def test_trace_in_the_earlier_layout_loads(tmp_path):
-    # The file as it was written while the summary stored the min-gap series.
+    # The file as it was written while the records were rows and the summary
+    # stored the min-gap series.
     trace = traced("disk_example_1e4")
     path = tmp_path / "old.trace.json"
-    path.write_text(json.dumps(trace_to_dict(with_stored_series(trace)), indent=2) + "\n")
+    path.write_text(json.dumps(row_dict(with_stored_series(trace)), indent=2) + "\n")
     assert sha256(path.read_bytes()[:-1]) == DIGESTS["disk_example_1e4"]
     raw = json.loads(path.read_text())
     loaded = load_trace(path)

@@ -700,27 +700,47 @@ class TestComplexityReport:
         assert rhs_values[-1] < rhs_values[100] < rhs_values[10]
 
 
-# Each edit of a record object, with the fault load_trace names it by.
+# Each value put in a key of a record, with the fault load_trace names it by.
 RECORD_FAULTS = [
-    (lambda r: r.pop("lambda"), "misses key(s) lambda"),
-    (lambda r: r.update(extra=1.0), "has extra key(s) extra"),
-    (lambda r: r.update(x="0.1"), "has \"x\" = '0.1', not a number"),
-    (lambda r: r.update(y=None), 'has "y" = None, not a number'),
-    (lambda r: r.update(x=True), 'has "x" = True, not a number'),
-    (lambda r: r.update(k=1.5), 'has "k" = 1.5, not an integer'),
-    (lambda r: r.update(k=True), 'has "k" = True, not an integer'),
-    (lambda r: r.update(f="1.0"), "has \"f\" = '1.0', not a number"),
-    (lambda r: r.update(f=None), 'has "f" = None, not a number'),
-    (lambda r: r.update(grad_norm=False), 'has "grad_norm" = False, not a number'),
-    (lambda r: r.update({"lambda": [1]}), 'has "lambda" = [1], not a number'),
-    (lambda r: r.update(dist_to_s="0"), "has \"dist_to_s\" = '0', not a number or null"),
-    (lambda r: r.update(drift="no"), "has \"drift\" = 'no', not true or false"),
-    (lambda r: r.update(drift=0), 'has "drift" = 0, not true or false'),
+    ("x", "0.1", "has \"x\" = '0.1', not a number"),
+    ("y", None, 'has "y" = None, not a number'),
+    ("x", True, 'has "x" = True, not a number'),
+    ("k", 1.5, 'has "k" = 1.5, not an integer'),
+    ("k", True, 'has "k" = True, not an integer'),
+    ("f", "1.0", "has \"f\" = '1.0', not a number"),
+    ("f", None, 'has "f" = None, not a number'),
+    ("grad_norm", False, 'has "grad_norm" = False, not a number'),
+    ("lambda", [1], 'has "lambda" = [1], not a number'),
+    ("dist_to_s", "0", "has \"dist_to_s\" = '0', not a number or null"),
+    ("drift", "no", "has \"drift\" = 'no', not true or false"),
+    ("drift", 0, 'has "drift" = 0, not true or false'),
 ]
 RECORD_FAULT_IDS = [
-    "missing-key", "extra-key", "string-x", "null-y", "bool-x", "float-k", "bool-k",
-    "string-f", "null-f", "bool-grad-norm", "list-lambda", "string-dist", "string-drift", "int-drift",
+    "string-x", "null-y", "bool-x", "float-k", "bool-k", "string-f", "null-f", "bool-grad-norm",
+    "list-lambda", "string-dist", "string-drift", "int-drift",
 ]
+LAYOUTS = ["columns", "rows"]
+
+
+def written_raw(trace, path, layout):
+    """The parsed text write_trace_json writes for ``trace`` at ``path``, its
+    records as the writer's columns or, for "rows", as the array of record
+    objects that traces were written as before."""
+    write_trace_json(trace, path)
+    raw = json.loads(path.read_text())
+    if layout == "rows":
+        columns = raw["records"]
+        raw["records"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return raw
+
+
+def set_record_value(raw, i, key, value):
+    """Put ``value`` in ``key`` of record i of a parsed trace of either layout."""
+    records = raw["records"]
+    if type(records) is dict:
+        records[key][i] = value
+    else:
+        records[i][key] = value
 
 
 class TestSerialization:
@@ -786,7 +806,7 @@ class TestSerialization:
         write_trace_json(trace, tmp_path / "n.json")
         rows = [line.split(",") for line in (tmp_path / "n.csv").read_text().splitlines()[1:]]
         records = json.loads((tmp_path / "n.json").read_text())["records"]
-        assert [row[3] for row in rows] == [repr(r["f"]) for r in records]
+        assert [row[3] for row in rows] == list(map(repr, records["f"]))
         assert rows[0][3] == "0.3605551275463989"
 
     def test_empty_dist_field_for_unknown_set(self, tmp_path):
@@ -820,15 +840,57 @@ class TestSerialization:
         write_trace_json(trace, path)
         assert load_trace(path) == trace
 
-    @pytest.mark.parametrize("edit,fault", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
-    def test_load_trace_names_a_faulty_record(self, tmp_path, edit, fault):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("key,value,fault", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
+    def test_load_trace_names_a_faulty_record(self, tmp_path, key, value, fault, layout):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
-        write_trace_json(trace, path)
-        raw = json.loads(path.read_text())
+        raw = written_raw(trace, path, layout)
+        set_record_value(raw, 3, key, value)
+        path.write_text(json.dumps(raw, indent=2))
+        with pytest.raises(ValueError, match=re.escape(f"record 3 {fault}")):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit,fault",
+        [
+            (lambda r: r.pop("lambda"), "misses key(s) lambda"),
+            (lambda r: r.update(extra=1.0), "has extra key(s) extra"),
+        ],
+        ids=["missing-key", "extra-key"],
+    )
+    def test_load_trace_names_a_faulty_row_object(self, tmp_path, edit, fault):
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        raw = written_raw(trace, path, "rows")
         edit(raw["records"][3])
         path.write_text(json.dumps(raw, indent=2))
         with pytest.raises(ValueError, match=re.escape(f"record 3 {fault}")):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "edit,fault",
+        [
+            # A zip of the columns would drop the tail of the longer ones.
+            (lambda c: c["f"].pop(), '"records" has "f" of 5 values, not 6 as "k" has'),
+            (lambda c: c["drift"].append(False), '"records" has "drift" of 7 values, not 6 as "k" has'),
+            (lambda c: c["k"].pop(), '"records" has "x" of 6 values, not 5 as "k" has'),
+            (lambda c: c.pop("lambda"), '"records" misses key(s) lambda'),
+            (lambda c: c.update(extra=[0.0] * 6), '"records" has extra key(s) extra'),
+            (lambda c: c.update(x=0.5), '"records" has "x" = 0.5, not an array'),
+            (lambda c: c.update(dist_to_s=None), '"records" has "dist_to_s" = None, not an array'),
+            (dict.clear, '"records" misses key(s) k, x, y, f, grad_norm, lambda, dist_to_s, drift'),
+        ],
+        ids=["short-f", "long-drift", "short-k", "missing-column", "extra-column", "number-column",
+             "null-column", "no-column"],
+    )
+    def test_load_trace_names_a_faulty_column_object(self, tmp_path, edit, fault):
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        raw = written_raw(trace, path, "columns")
+        edit(raw["records"])
+        path.write_text(json.dumps(raw, indent=2))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {fault}")):
             load_trace(path)
 
     @pytest.mark.parametrize(
@@ -840,7 +902,7 @@ class TestSerialization:
             (lambda t: t.update(config=None), 'trace has "config" = None, not an object'),
             (lambda t: t.update(x_star="north"), "trace has \"x_star\" = 'north', not a point"),
             (lambda t: t.update(dist_x0_to_solution=True), 'trace has "dist_x0_to_solution" = True, not a number'),
-            (lambda t: t.update(records={}), 'trace has "records" = {}, not an array'),
+            (lambda t: t.update(records=5), 'trace has "records" = 5, not an array or an object'),
             (lambda t: t.pop("config"), "trace misses key(s) config"),
             (lambda t: t["termination"].update(kind=1), '"termination" has "kind" = 1, not a string'),
             (lambda t: t["termination"].update(step=1.0), '"termination" has "step" = 1.0, not an integer'),
@@ -853,7 +915,7 @@ class TestSerialization:
         ],
         ids=[
             "string-f-star", "null-termination", "int-x-star", "null-config", "bad-x-star",
-            "bool-dist", "object-records", "missing-config", "int-kind", "float-step", "missing-reason",
+            "bool-dist", "number-records", "missing-config", "int-kind", "float-step", "missing-reason",
             "missing-schedule", "int-schedule", "null-manifold", "string-kappa",
         ],
     )
@@ -867,21 +929,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(fault)):
             load_trace(path)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(
         "index,k,k_min",
         [(0, -5, 0), (3, 2, 3), (3, 1, 3), (-1, 5, 640)],
         ids=["negative", "repeated", "decreasing", "last-below-earlier"],
     )
-    def test_load_trace_needs_steps_from_0_that_increase(self, tmp_path, index, k, k_min):
+    def test_load_trace_needs_steps_from_0_that_increase(self, tmp_path, index, k, k_min, layout):
         # complexity_bound_report indexes its prefix sums by each record's k.
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 10_000))
         assert trace.records[-1].k == 640
         path = tmp_path / "t.trace.json"
-        write_trace_json(trace, path)
-        raw = json.loads(path.read_text())
-        raw["records"][index]["k"] = k
+        raw = written_raw(trace, path, layout)
+        set_record_value(raw, index, "k", k)
         path.write_text(json.dumps(raw, indent=2))
-        i = index % len(raw["records"])
+        i = index % len(trace.records)
         with pytest.raises(ValueError, match=re.escape(f'record {i} has "k" = {k}, not at least {k_min}')):
             load_trace(path)
 
@@ -891,38 +953,45 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("trace is not an object: []")):
             load_trace(path)
 
-    def test_load_trace_takes_every_json_number(self, tmp_path):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_load_trace_takes_every_json_number(self, tmp_path, layout):
         # The writer emits NaN and the infinities, and a hand-written trace may
         # hold an integral value as an int; a null distance stands for unknown S.
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
-        write_trace_json(trace, path)
-        raw = json.loads(path.read_text())
-        raw["records"][1].update(f=math.nan, grad_norm=math.inf, dist_to_s=None)
-        raw["records"][2].update({"x": 0, "f": -math.inf, "lambda": 1, "dist_to_s": 2})
+        raw = written_raw(trace, path, layout)
+        for i, values in ((1, {"f": math.nan, "grad_norm": math.inf, "dist_to_s": None}),
+                          (2, {"x": 0, "f": -math.inf, "lambda": 1, "dist_to_s": 2})):
+            for key, value in values.items():
+                set_record_value(raw, i, key, value)
         path.write_text(json.dumps(raw, indent=2))
         records = load_trace(path).records
+        assert all(type(r) is IterationRecord for r in records)
         assert math.isnan(records[1].f_value)
         assert (records[1].grad_norm, records[1].dist_to_s) == (math.inf, None)
         assert records[2].z == complex(0, trace.records[2].z.imag)
         assert (records[2].f_value, records[2].lambda_k, records[2].dist_to_s) == (-math.inf, 1, 2)
+        assert type(records[2].lambda_k) is int and type(records[2].dist_to_s) is int
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(
         "keys,where",
         [
-            *(pytest.param(("records", 3, key), f'record 3 has "{key}"', id=key)
+            *(pytest.param(("records", key), f'record 3 has "{key}"', id=key)
               for key in ("x", "y", "f", "grad_norm", "lambda", "dist_to_s")),
             pytest.param(("f_star",), 'trace has "f_star"', id="f_star"),
             pytest.param(("dist_x0_to_solution",), 'trace has "dist_x0_to_solution"', id="dist_x0_to_solution"),
             pytest.param(("config", "manifold", "kappa"), '"config"."manifold" has "kappa"', id="kappa"),
         ],
     )
-    def test_load_trace_names_an_integer_beyond_the_float_range(self, tmp_path, keys, where):
+    def test_load_trace_names_an_integer_beyond_the_float_range(self, tmp_path, keys, where, layout):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
-        write_trace_json(trace, path)
-        raw = json.loads(path.read_text())
-        reduce(getitem, keys[:-1], raw)[keys[-1]] = 10**400
+        raw = written_raw(trace, path, layout)
+        if keys[0] == "records":
+            set_record_value(raw, 3, keys[1], 10**400)
+        else:
+            reduce(getitem, keys[:-1], raw)[keys[-1]] = 10**400
         path.write_text(json.dumps(raw, indent=2))
         with pytest.raises(ValueError, match=re.escape(f"{where} = {10**400}, not a number")):
             load_trace(path)
@@ -991,14 +1060,13 @@ class TestStreamedWriters:
         assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("writer", [write_trace_json, write_trace_csv], ids=["json", "csv"])
+@pytest.mark.parametrize("writer", [write_trace_csv], ids=["csv"])
 class TestSplitWriters:
     """A trace of at least _SPLIT_MIN_RECORDS records is formatted half in a
     forked child when the process may run on 2 CPUs and has one thread."""
 
     def test_split_writes_the_serial_bytes(self, long_trace, tmp_path, writer, forks, monkeypatch):
-        # Rows that miss the JSON template (NaN, an infinity, a numpy float)
-        # sit in both halves.
+        # NaN, an infinity and a numpy float sit in both halves.
         records = list(long_trace.records)
         records[5] = records[5]._replace(f_value=math.nan, dist_to_s=None)
         records[15_000] = records[15_000]._replace(f_value=np.float64(0.5), lambda_k=math.inf)
@@ -1062,176 +1130,10 @@ def test_a_consumer_that_stops_early_leaves_no_child(forks):
     assert os.sched_getaffinity(0) == affinity
 
 
-@pytest.fixture(scope="module")
-def long_json(long_trace, tmp_path_factory):
-    """The text write_trace_json writes for long_trace."""
-    path = tmp_path_factory.mktemp("long") / "t.trace.json"
+def test_the_json_writer_and_load_trace_fork_nothing(long_trace, tmp_path, forks):
+    path = tmp_path / "t.trace.json"
     write_trace_json(long_trace, path)
-    return path.read_text()
-
-
-@pytest.fixture(scope="module")
-def short_json(long_trace, tmp_path_factory):
-    """The text write_trace_json writes for the first 2,001 records of
-    long_trace, which a test splits by lowering _LOAD_SPLIT_MIN_CHARS."""
-    path = tmp_path_factory.mktemp("short") / "t.trace.json"
-    write_trace_json(dataclasses.replace(long_trace, records=long_trace.records[:2001]), path)
-    return path.read_text()
-
-
-@pytest.fixture
-def split_short(monkeypatch):
-    """Any records array is long enough to split."""
-    monkeypatch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", 0)
-
-
-def edit_record(text, k, edit):
-    """The trace text with the row of the record at step k rewritten by
-    ``edit(row)``, laid out as json.dumps(indent=2) lays it out."""
-    start = text.index('\n    {\n      "k": %d,\n' % k)
-    end = text.index("\n    }", start) + len("\n    }")
-    row = json.loads(text[start:end])
-    edit(row)
-    return text[:start] + "\n    " + json.dumps(row, indent=2).replace("\n", "\n    ") + text[end:]
-
-
-def serial_load(path, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "_LOAD_SPLIT_MIN_CHARS", math.inf)
-        return load_trace(path)
-
-
-def record_types(trace):
-    return [tuple(map(type, r)) for r in trace.records]
-
-
-class TestSplitLoad:
-    """A trace whose records array is at least _LOAD_SPLIT_MIN_CHARS long is
-    parsed half in a forked child when the process may run on 2 CPUs and has
-    one thread; every result and every error is the serial one. The tests
-    that edit a trace many times lower the threshold below a short one."""
-
-    def test_the_long_trace_is_above_the_threshold(self, long_json):
-        records = long_json[long_json.index('\n  "records": [\n'):long_json.rindex("\n  ]")]
-        assert len(records) >= solver._LOAD_SPLIT_MIN_CHARS
-
-    def test_split_load_equals_the_serial_load(self, long_trace, tmp_path, forks, monkeypatch):
-        # NaN, an infinity, an int and a null distance in both halves.
-        records = list(long_trace.records)
-        for k in (5, 15_000):
-            records[k] = records[k]._replace(f_value=math.nan, grad_norm=math.inf, dist_to_s=None)
-            records[k + 1] = records[k + 1]._replace(lambda_k=1, f_value=-math.inf)
-        path = tmp_path / "t.trace.json"
-        write_trace_json(dataclasses.replace(long_trace, records=records), path)
-        text = path.read_text()
-        for k in (7, 15_002):
-            text = edit_record(text, k, lambda r: r.update(x=0, dist_to_s=2))
-        path.write_text(text)
-        forks.clear()  # those of the writer
-        affinity = os.sched_getaffinity(0)
-        split = load_trace(path)
-        assert len(forks) == forks_per_split()
-        assert_no_child_left()
-        assert os.sched_getaffinity(0) == affinity
-        serial = serial_load(path, monkeypatch)
-        assert len(forks) == forks_per_split()
-        assert repr(split) == repr(serial)
-        assert record_types(split) == record_types(serial)
-        assert all(type(r) is IterationRecord for r in split.records)
-        for k in (5, 15_000):
-            assert split.records[k + 1].lambda_k == 1 and type(split.records[k + 1].lambda_k) is int
-            assert split.records[k + 2].z.real == 0.0 and type(split.records[k + 2].dist_to_s) is int
-        assert (split.config, split.termination, split.summary) == (serial.config, serial.termination, serial.summary)
-
-    @pytest.mark.parametrize("edit,fault", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
-    def test_a_faulty_record_in_the_second_half_is_named_as_in_the_serial_path(
-        self, short_json, split_short, tmp_path, forks, monkeypatch, edit, fault
-    ):
-        path = tmp_path / "t.trace.json"
-        path.write_text(edit_record(short_json, 1500, edit))
-        with pytest.raises(ValueError, match=re.escape(f"record 1500 {fault}")) as split:
-            load_trace(path)
-        assert len(forks) == forks_per_split()
-        assert_no_child_left()
-        with pytest.raises(ValueError) as serial:
-            serial_load(path, monkeypatch)
-        assert str(split.value) == str(serial.value)
-
-    @pytest.mark.parametrize("k", [500, 1500], ids=["first-half", "second-half"])
-    def test_a_syntax_error_in_either_half_is_the_serial_one(self, short_json, split_short, tmp_path, forks, k):
-        text = short_json.replace('"k": %d,' % k, '"k": %d' % k, 1)
-        with pytest.raises(json.JSONDecodeError) as serial:
-            json.loads(text)
-        path = tmp_path / "t.trace.json"
-        path.write_text(text)
-        affinity = os.sched_getaffinity(0)
-        with pytest.raises(json.JSONDecodeError) as split:
-            load_trace(path)
-        assert (split.value.msg, split.value.pos) == (serial.value.msg, serial.value.pos)
-        assert len(forks) == forks_per_split()
-        assert_no_child_left()
-        assert os.sched_getaffinity(0) == affinity
-
-    @pytest.mark.parametrize(
-        "layout", ["re-indented", "duplicate-records-after", "duplicate-records-before",
-                   "records-in-config", "records-first", "records-last"],
-    )
-    def test_other_layouts_load_as_in_the_serial_path(self, short_json, split_short, tmp_path, monkeypatch, layout):
-        opening, closing = '\n  "records": [\n', "\n  ],\n"
-        head, rest = short_json.split(opening)
-        rows, tail = rest.split(closing)
-        member = opening + rows + closing[:-2]
-        text = {
-            "re-indented": short_json.replace("\n", "\n "),
-            # The last "records" member is the one json keeps.
-            "duplicate-records-after": head + member + ',\n  "records": [],\n' + tail,
-            "duplicate-records-before": head + '\n  "records": [\n    1\n  ],' + member + ",\n" + tail,
-            # The config's own "records" member at the indent of the top-level one.
-            "records-in-config": short_json.replace('"config": {', '"config": {' + member + ",", 1),
-            "records-first": "{" + member + "," + head[1:] + tail,
-            "records-last": head + tail.rstrip()[:-2] + "," + member + "\n}\n",
-        }[layout]
-        path = tmp_path / "t.trace.json"
-        path.write_text(text)
-        split = load_trace(path)
-        assert_no_child_left()
-        assert repr(split) == repr(serial_load(path, monkeypatch))
-        assert record_types(split) == record_types(serial_load(path, monkeypatch))
-
-    def test_no_child_outlives_an_interrupted_load(self, short_json, split_short, tmp_path, forks, monkeypatch):
-        path = tmp_path / "t.trace.json"
-        path.write_text(short_json)
-        calls = iter(range(1000))
-
-        def hook(obj):
-            if next(calls, None) is None:
-                raise KeyboardInterrupt
-            return obj
-
-        monkeypatch.setattr(solver, "_record_from_json", hook)
-        affinity = os.sched_getaffinity(0)
-        with pytest.raises(KeyboardInterrupt):
-            load_trace(path)
-        assert len(forks) == forks_per_split()
-        assert_no_child_left()
-        assert os.sched_getaffinity(0) == affinity
-
-    @pytest.mark.parametrize("why", ["one-cpu", "second-thread"])
-    def test_no_fork_on_one_cpu_or_with_a_second_thread(self, long_trace, long_json, tmp_path, forks, monkeypatch, why):
-        path = tmp_path / "t.trace.json"
-        path.write_text(long_json)
-        if why == "one-cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        if why == "second-thread":
-            thread.start()
-        try:
-            loaded = load_trace(path)
-        finally:
-            stop.set()
-            if thread.is_alive():
-                thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert forks == []
-        assert loaded.records == long_trace.records
+    loaded = load_trace(path)
+    assert forks == []
+    assert loaded.records == long_trace.records
+    assert all(type(r) is IterationRecord for r in loaded.records)
