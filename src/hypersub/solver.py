@@ -20,7 +20,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import getitem, index, itemgetter
+from operator import attrgetter, getitem, index, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
@@ -338,10 +338,10 @@ CSV_HEADER = ["k", "x", "y", "f", "grad_norm", "lambda", "dist_to_S", "drift"]
 
 
 _RECORD_KEYS = ("k", "x", "y", "f", "grad_norm", "lambda", "dist_to_s", "drift")
-# Each key's value in a record (k, z, f_value, grad_norm, lambda_k, dist_to_s, drift).
-_RECORD_VALUES = dict(zip(_RECORD_KEYS, (
-    itemgetter(0), lambda r: r[1].real, lambda r: r[1].imag, *map(itemgetter, range(2, 7)),
-)))
+# Each key's value in a record, got in C with no Python call per value.
+_RECORD_VALUES = dict(zip(_RECORD_KEYS, map(attrgetter, (
+    "k", "z.real", "z.imag", "f_value", "grad_norm", "lambda_k", "dist_to_s", "drift",
+))))
 
 
 def trace_to_dict(trace: RunTrace) -> dict:
@@ -551,6 +551,7 @@ _RECORD_TYPES = {
     "dist_to_s": ((float, int, _NULL), "a number or null"),
     "drift": ((bool,), "true or false"),
 }
+_RECORD_ALLOWED = tuple(allowed for allowed, _ in _RECORD_TYPES.values())
 # A trace's records are an array of record objects in the layout written
 # before the columns, and an object of columns since.
 _COLUMN_TYPES = dict.fromkeys(_RECORD_KEYS, ((list,), "an array"))
@@ -581,18 +582,7 @@ def _record_from_json(obj: dict):
             values = k, x, y, f, gn, lam, d, drift = _record_values(obj)
         except KeyError:
             return obj
-        # Every record the writer emitted passes the first test; a record
-        # with an integer number, or a faulty one, is checked by the table.
-        if (
-            type(k) is int
-            and type(drift) is bool
-            and type(x) is float
-            and type(y) is float
-            and type(f) is float
-            and type(gn) is float
-            and type(lam) is float
-            and (d is None or type(d) is float)
-        ) or all(map(_is_a, values, (allowed for allowed, _ in _RECORD_TYPES.values()))):
+        if all(map(_is_a, values, _RECORD_ALLOWED)):
             return IterationRecord(k, complex(x, y), f, gn, lam, d, drift)
     return obj
 

@@ -19,6 +19,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -367,8 +368,9 @@ def base_trace():
 
 @given(st.lists(records(), max_size=6))
 def test_json_writer_rows_match_json_dumps(rows):
+    # Chunks of two values, so the drawn records cross chunk edges.
     trace = replace(base_trace(), records=rows)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, patch("hypersub.solver._COLUMN_CHUNK", 2):
         assert reparsed(trace, Path(tmp)) == json.dumps(trace_to_dict(trace))
 
 
