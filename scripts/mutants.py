@@ -77,6 +77,10 @@ MUTANTS = [
     Mutant("column lengths", "src/hypersub/solver.py",
            "if len(column) != n:", "if False:",
            "test_load_trace_names_a_faulty_column_object"),
+    Mutant("column joint", "src/hypersub/solver.py",
+           "islice(enumerate(_RECORD_VALUES.items()), lo, hi)",
+           "enumerate(islice(_RECORD_VALUES.items(), lo, hi))",
+           "test_split_writes_the_serial_bytes"),
 ]
 
 # Tests that pin output bytes: they fail on every change, right or wrong.

@@ -382,10 +382,10 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-# The record count from which a writer formats the second half of its rows in
-# a forked child: below it, forking and reaping the process costs more than
-# the child saves. The break-even measured for both writers on 2 cores, in a
-# process of 140 MB, is about 4,000 records.
+# The record count from which a writer formats the second half of its rows
+# (CSV) or of its columns (JSON) in a forked child: below it, forking and
+# reaping costs more than the child saves. The break-even measured for both
+# writers on 2 cores, in a process of 130 MB, is about 4,000 records.
 _SPLIT_MIN_RECORDS = 4096
 # The size, in characters, of the pieces in which the child's rows are copied.
 _COPY_CHUNK = 1 << 14
@@ -450,18 +450,17 @@ def _forked(task: Callable[[IO], object], when: bool,
             os.sched_setaffinity(0, cpus)
 
 
-def _split_rows(rows: Callable[[int, int], Iterator[str]], n: int) -> Iterator[str]:
-    """The text of ``rows(0, n)``, where ``rows(lo, hi)`` formats records lo
-    to hi. From _SPLIT_MIN_RECORDS records, a child _forked off writes
-    ``rows(n // 2, n)`` while this process formats the first half, and then
-    its text is copied in small pieces, so the result is the same text. If
-    there is no child (below the threshold too), or it fails, this process
-    formats the second half itself, so a faulty record raises here."""
+def _split_rows(rows: Callable[[int, int], Iterator[str]], n: int, when: bool) -> Iterator[str]:
+    """The text of ``rows(0, n)``, where ``rows(lo, hi)`` formats the parts
+    (records, or columns) lo to hi. If ``when`` (the caller's size test), a
+    child _forked off writes ``rows(n // 2, n)`` while this process formats
+    the first half, and then its text is copied in small pieces, so the
+    result is the same text. If there is no child, or it fails, this process
+    formats the second half itself, so a faulty value raises here."""
     mid = n // 2
-    split = n >= _SPLIT_MIN_RECORDS
     # newline="" writes and reads the text untranslated; the encoding is the
     # default one, as in atomic_write.
-    with _forked(lambda part: part.writelines(rows(mid, n)), split, mode="w+", newline="") as join:
+    with _forked(lambda part: part.writelines(rows(mid, n)), when, mode="w+", newline="") as join:
         yield from rows(0, mid)
         part = join and join()
         yield from rows(mid, n) if part is None else iter(partial(part.read, _COPY_CHUNK), "")
@@ -473,30 +472,33 @@ _COLUMN_CHUNK = 1024
 _RECORDS_AT = '\n  "records": null'
 
 
-def _json_columns(records: list[IterationRecord]) -> Iterator[str]:
-    """The column object of ``records``, a line per key, each array encoded
-    by json _COLUMN_CHUNK values at a time, so json writes NaN, the
-    infinities, float subclasses, null and the booleans its own way."""
-    for i, (key, value) in enumerate(_RECORD_VALUES.items()):
+def _json_columns(records: list[IterationRecord], lo: int, hi: int) -> Iterator[str]:
+    """Columns lo to hi of the column object of ``records``, a line each,
+    opened as its index among all of them says, each array encoded by json
+    _COLUMN_CHUNK values at a time, so json writes NaN, the infinities,
+    float subclasses, null and the booleans its own way."""
+    for i, (key, value) in islice(enumerate(_RECORD_VALUES.items()), lo, hi):
         yield f'{"," if i else "{"}\n    "{key}": ['
-        for lo in range(0, len(records), _COLUMN_CHUNK):
-            text = json.dumps(list(map(value, records[lo : lo + _COLUMN_CHUNK])), separators=(",", ":"))
-            yield text[1:-1] if lo == 0 else "," + text[1:-1]
+        for at in range(0, len(records), _COLUMN_CHUNK):
+            text = json.dumps(list(map(value, records[at : at + _COLUMN_CHUNK])), separators=(",", ":"))
+            yield text[1:-1] if at == 0 else "," + text[1:-1]
         yield "]"
-    yield "\n  }"
 
 
 def write_trace_json(trace: RunTrace, path: str | Path) -> None:
     """Write the trace as JSON text that parses to ``trace_to_dict(trace)``,
-    and a newline. json.dumps(indent=2) lays out the trace with the records
-    left out, and their columns are streamed into it (see _json_columns)."""
+    and a newline: json.dumps(indent=2) lays out all but the records, whose
+    columns are streamed into it through _split_rows (see _json_columns)."""
     text = json.dumps({**trace_to_dict(replace(trace, records=[])), "records": None}, indent=2)
     # The marker occurs once: it starts with a newline, which json.dumps never
     # writes raw inside a string, and at its indent the only "records" is the
     # top-level member.
     head, tail = text.split(_RECORDS_AT)
     member = _RECORDS_AT[: -len("null")]
-    atomic_write(Path(path), chain([head, member], _json_columns(trace.records), [tail, "\n"]))
+    columns = _split_rows(partial(_json_columns, trace.records), len(_RECORD_KEYS),
+                          len(trace.records) >= _SPLIT_MIN_RECORDS)
+    with closing(columns):
+        atomic_write(Path(path), chain([head, member], columns, ["\n  }", tail, "\n"]))
 
 
 _CSV_ROW = "%d,%r,%r,%r,%r,%r,%s,%d\n"
@@ -528,7 +530,8 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
     float subclass as a plain float), an absent distance as an empty field,
     the drift flag as 0 or 1."""
     records = trace.records
-    rows = _split_rows(lambda lo, hi: _csv_rows(islice(records, lo, hi)), len(records))
+    rows = _split_rows(lambda lo, hi: _csv_rows(islice(records, lo, hi)), len(records),
+                       len(records) >= _SPLIT_MIN_RECORDS)
     with closing(rows):
         atomic_write(Path(path), chain([",".join(CSV_HEADER) + "\n"], rows))
 

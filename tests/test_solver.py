@@ -1060,10 +1060,11 @@ class TestStreamedWriters:
         assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("writer", [write_trace_csv], ids=["csv"])
+@pytest.mark.parametrize("writer", [write_trace_json, write_trace_csv], ids=["json", "csv"])
 class TestSplitWriters:
     """A trace of at least _SPLIT_MIN_RECORDS records is formatted half in a
-    forked child when the process may run on 2 CPUs and has one thread."""
+    forked child when the process may run on 2 CPUs and has one thread: the
+    second half of the CSV rows, or of the JSON columns."""
 
     def test_split_writes_the_serial_bytes(self, long_trace, tmp_path, writer, forks, monkeypatch):
         # NaN, an infinity and a numpy float sit in both halves.
@@ -1080,14 +1081,25 @@ class TestSplitWriters:
         monkeypatch.setattr(solver, "_SPLIT_MIN_RECORDS", len(records) + 1)
         writer(trace, tmp_path / "serial")
         assert len(forks) == forks_per_split()
-        assert (tmp_path / "split").read_bytes() == (tmp_path / "serial").read_bytes()
+        split = (tmp_path / "split").read_bytes()
+        assert split == (tmp_path / "serial").read_bytes()
+        if writer is write_trace_json:
+            # The halves join into one column object, in the key order.
+            assert list(json.loads(split)["records"]) == list(solver._RECORD_KEYS)
 
-    @pytest.mark.parametrize("bad", [5_000, 15_000], ids=["first-half", "second-half"])
+    @pytest.mark.parametrize("bad", [
+        (5_000, dict(k=object(), dist_to_s=object())),
+        (15_000, dict(k=object(), dist_to_s=object())),
+        # In the child's half of the rows and of the columns alone, so only
+        # the child fails, and this process raises when it formats that half.
+        (15_000, dict(drift=object())),
+    ], ids=["first-half", "second-half", "child-only"])
     def test_no_child_outlives_a_failed_write(self, long_trace, tmp_path, writer, forks, bad):
         path = tmp_path / "t.trace"
         path.write_text("earlier\n")
         records = list(long_trace.records)
-        records[bad] = records[bad]._replace(k=object(), dist_to_s=object())
+        at, fields = bad
+        records[at] = records[at]._replace(**fields)
         with pytest.raises(TypeError):
             writer(dataclasses.replace(long_trace, records=records), path)
         assert len(forks) == forks_per_split()
@@ -1121,8 +1133,8 @@ def test_a_consumer_that_stops_early_leaves_no_child(forks):
 
     n = 2 * solver._SPLIT_MIN_RECORDS
     affinity = os.sched_getaffinity(0)
-    assert "".join(solver._split_rows(rows, n)) == "".join(rows(0, n))
-    parts = solver._split_rows(rows, n)
+    assert "".join(solver._split_rows(rows, n, True)) == "".join(rows(0, n))
+    parts = solver._split_rows(rows, n, True)
     assert [next(parts) for _ in range(3)] == ["0\n", "1\n", "2\n"]
     parts.close()
     assert len(forks) == 2 * forks_per_split()
@@ -1130,9 +1142,10 @@ def test_a_consumer_that_stops_early_leaves_no_child(forks):
     assert os.sched_getaffinity(0) == affinity
 
 
-def test_the_json_writer_and_load_trace_fork_nothing(long_trace, tmp_path, forks):
+def test_load_trace_forks_nothing(long_trace, tmp_path, forks):
     path = tmp_path / "t.trace.json"
     write_trace_json(long_trace, path)
+    forks.clear()
     loaded = load_trace(path)
     assert forks == []
     assert loaded.records == long_trace.records
