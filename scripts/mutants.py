@@ -81,6 +81,12 @@ MUTANTS = [
            "islice(enumerate(_RECORD_VALUES.items()), lo, hi)",
            "enumerate(islice(_RECORD_VALUES.items(), lo, hi))",
            "test_split_writes_the_serial_bytes"),
+    Mutant("k order", "src/hypersub/solver.py",
+           "all(map(lt, chain([-1], k), k))", "all(map(int.__le__, chain([-1], k), k))",
+           "test_load_trace_needs_steps_from_0_that_increase"),
+    Mutant("row keys", "src/hypersub/solver.py",
+           "type(row) is not dict or row.keys() != keys", "False",
+           "test_load_trace_names_a_faulty_row_object"),
 ]
 
 # Tests that pin output bytes: they fail on every change, right or wrong.

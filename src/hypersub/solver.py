@@ -20,7 +20,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, getitem, index, itemgetter
+from operator import attrgetter, getitem, index, itemgetter, lt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
@@ -554,7 +554,6 @@ _RECORD_TYPES = {
     "dist_to_s": ((float, int, _NULL), "a number or null"),
     "drift": ((bool,), "true or false"),
 }
-_RECORD_ALLOWED = tuple(allowed for allowed, _ in _RECORD_TYPES.values())
 # A trace's records are an array of record objects in the layout written
 # before the columns, and an object of columns since.
 _COLUMN_TYPES = dict.fromkeys(_RECORD_KEYS, ((list,), "an array"))
@@ -574,20 +573,6 @@ _TERMINATION_TYPES = {
 # The config echo's keys that complexity_bound_report reads.
 _CONFIG_TYPES = {"manifold": ((dict,), "an object"), "schedule": ((str,), "a string")}
 _MANIFOLD_TYPES = {"kappa": (_NUMBER, "a number")}
-
-
-def _record_from_json(obj: dict):
-    """A json object_hook: an object with exactly the record keys, each value
-    of its JSON type (_RECORD_TYPES), becomes an IterationRecord as it is
-    parsed; any other object, a column object among them, stays a dict."""
-    if len(obj) == 8:
-        try:
-            values = k, x, y, f, gn, lam, d, drift = _record_values(obj)
-        except KeyError:
-            return obj
-        if all(map(_is_a, values, _RECORD_ALLOWED)):
-            return IterationRecord(k, complex(x, y), f, gn, lam, d, drift)
-    return obj
 
 
 def _key_fault(obj, types: dict, exact: bool = False) -> str | None:
@@ -640,11 +625,10 @@ def _column_fault(columns: dict) -> str | None:
 def load_trace(path: str | Path) -> RunTrace:
     """Rebuild a RunTrace from its JSON file.
 
-    The text is parsed by one ``json.loads``. Records as an object of
-    columns, as write_trace_json writes them, are checked a column at a
-    time and then zipped into IterationRecords; records as an array of
-    objects, as traces were written before, become IterationRecords while
-    the text is parsed.
+    The text is parsed by one ``json.loads``. Records as an array of
+    objects, as traces were written before, are turned into an object of
+    columns, as write_trace_json writes them; records of either layout are
+    then checked a column at a time and zipped into IterationRecords.
 
     A record's point is read back as ``complex(x, y)``, with no disk-bound
     check, so traces from the flat model reload cleanly. A key that is
@@ -655,7 +639,7 @@ def load_trace(path: str | Path) -> RunTrace:
     negative or not above the k before it, and an x_star that is no complex
     number raise ValueError naming the key and any record's index.
     """
-    raw = json.loads(Path(path).read_text(), object_hook=_record_from_json)
+    raw = json.loads(Path(path).read_text())
     # Each object is checked after the one that holds it.
     for where, keys, types in (
         ("trace", (), _TRACE_TYPES),
@@ -667,21 +651,22 @@ def load_trace(path: str | Path) -> RunTrace:
         if fault:
             raise ValueError(f"{path}: {where} {fault}")
     records = raw["records"]
-    if type(records) is dict:
-        fault = _column_fault(records)
-        if fault:
-            raise ValueError(f"{path}: {fault}")
-        k, x, y, f, gn, lam, d, drift = _record_values(records)
-        rows = zip(k, map(complex, x, y), f, gn, lam, d, drift)
-        # tuple.__new__ is _make's own, without a call of _make per record.
-        records = list(map(tuple.__new__, repeat(IterationRecord), rows))
-    k_min = 0
-    for i, r in enumerate(records):
-        if type(r) is not IterationRecord:
-            raise ValueError(f"{path}: record {i} {_key_fault(r, _RECORD_TYPES, exact=True)}")
-        if r.k < k_min:
-            raise ValueError(f'{path}: record {i} has "k" = {r.k}, not at least {k_min}')
-        k_min = r.k + 1
+    if type(records) is list:
+        keys = _RECORD_TYPES.keys()
+        for i, row in enumerate(records):
+            if type(row) is not dict or row.keys() != keys:
+                raise ValueError(f"{path}: record {i} {_key_fault(row, _RECORD_TYPES, exact=True)}")
+        records = {key: list(map(itemgetter(key), records)) for key in keys}
+    fault = _column_fault(records)
+    if fault:
+        raise ValueError(f"{path}: {fault}")
+    k, x, y, f, gn, lam, d, drift = _record_values(records)
+    if not all(map(lt, chain([-1], k), k)):
+        i, k_min = next((i, a + 1) for i, (a, b) in enumerate(zip(chain([-1], k), k)) if a >= b)
+        raise ValueError(f'{path}: record {i} has "k" = {k[i]}, not at least {k_min}')
+    rows = zip(k, map(complex, x, y), f, gn, lam, d, drift)
+    # tuple.__new__ is _make's own, without a call of _make per record.
+    records = list(map(tuple.__new__, repeat(IterationRecord), rows))
     x_star = raw["x_star"]
     if x_star is not None:
         try:

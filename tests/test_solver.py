@@ -854,16 +854,17 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit,fault",
         [
-            (lambda r: r.pop("lambda"), "misses key(s) lambda"),
-            (lambda r: r.update(extra=1.0), "has extra key(s) extra"),
+            (lambda rows: rows[3].pop("lambda"), "misses key(s) lambda"),
+            (lambda rows: rows[3].update(extra=1.0), "has extra key(s) extra"),
+            (lambda rows: rows.__setitem__(3, 5), "is not an object: 5"),
         ],
-        ids=["missing-key", "extra-key"],
+        ids=["missing-key", "extra-key", "number-row"],
     )
     def test_load_trace_names_a_faulty_row_object(self, tmp_path, edit, fault):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
         raw = written_raw(trace, path, "rows")
-        edit(raw["records"][3])
+        edit(raw["records"])
         path.write_text(json.dumps(raw, indent=2))
         with pytest.raises(ValueError, match=re.escape(f"record 3 {fault}")):
             load_trace(path)
@@ -880,9 +881,11 @@ class TestSerialization:
             (lambda c: c.update(x=0.5), '"records" has "x" = 0.5, not an array'),
             (lambda c: c.update(dist_to_s=None), '"records" has "dist_to_s" = None, not an array'),
             (dict.clear, '"records" misses key(s) k, x, y, f, grad_norm, lambda, dist_to_s, drift'),
+            # One record's keys with a value each, as a record object holds them.
+            (lambda c: c.update({k: v[0] for k, v in c.items()}), '"records" has "k" = 0, not an array'),
         ],
         ids=["short-f", "long-drift", "short-k", "missing-column", "extra-column", "number-column",
-             "null-column", "no-column"],
+             "null-column", "no-column", "scalar-columns"],
     )
     def test_load_trace_names_a_faulty_column_object(self, tmp_path, edit, fault):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
@@ -997,21 +1000,29 @@ class TestSerialization:
             load_trace(path)
 
     @pytest.mark.parametrize("key", list(solver._RECORD_TYPES))
-    def test_record_hook_takes_what_the_table_takes(self, key):
-        # The hook writes the table's rules out inline; one value of each
-        # JSON kind, as json.loads gives it, must be taken by both or neither.
+    def test_record_hook_takes_what_the_table_takes(self, tmp_path, key):
+        # Records of either layout are checked by the table alone; one value of
+        # each JSON kind, put in the last record (so a large k keeps the steps
+        # increasing), must load exactly when the table takes it.
         kinds = {
             "int": 3, "float": 0.5, "true": True, "null": None, "string": "a", "array": [1],
             "object": {"a": 1}, "largest-float-int": int(sys.float_info.max), "int-beyond-float": 10**400,
         }
-        record = {"k": 2, "x": 0.0, "y": 0.5, "f": 1.0, "grad_norm": 1.0, "lambda": 0.5, "dist_to_s": 0.1,
-                  "drift": False}
-        assert type(solver._record_from_json(record)) is IterationRecord
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 3))
+        assert [r.k for r in trace.records] == [0, 1, 2, 3]
         allowed = solver._RECORD_TYPES[key][0]
-        for kind, value in kinds.items():
-            takes = type(value) in allowed and not (kind == "int-beyond-float" and float in allowed)
-            made = solver._record_from_json({**record, key: value})
-            assert (type(made) is IterationRecord) == takes, kind
+        path = tmp_path / "t.trace.json"
+        for layout in LAYOUTS:
+            for kind, value in kinds.items():
+                takes = type(value) in allowed and not (kind == "int-beyond-float" and float in allowed)
+                raw = written_raw(trace, path, layout)
+                set_record_value(raw, 3, key, value)
+                path.write_text(json.dumps(raw))
+                if takes:
+                    assert len(load_trace(path).records) == 4, (layout, kind)
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f'record 3 has "{key}" = {value!r}, not ')):
+                        load_trace(path)
 
     def test_atomic_write_never_sets_the_umask(self, tmp_path, monkeypatch):
         # Setting it, even to read it, changes it for every thread meanwhile.
