@@ -87,6 +87,13 @@ MUTANTS = [
     Mutant("row keys", "src/hypersub/solver.py",
            "type(row) is not dict or row.keys() != keys", "False",
            "test_load_trace_names_a_faulty_row_object"),
+    Mutant("axis foot", "src/hypersub/geometry.py",
+           "math.sqrt(((1.0 - x) ** 2 + y * y) * ((1.0 + x) ** 2 + y * y))",
+           "math.sqrt((1.0 + abs2(p.z)) ** 2 - 4.0 * x * x)",
+           "test_projection_near_the_circle_on_the_diameter"),
+    Mutant("n guard", "src/hypersub/verify.py",
+           "except (MemoryError, ValueError) as exc:", "except MemoryError as exc:",
+           "test_n_too_large_to_allocate_exits_2"),
 ]
 
 # Tests that pin output bytes: they fail on every change, right or wrong.

@@ -174,10 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ancestor = next(a for a in report_path.parents if a.exists())
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
         raise ConfigError("--report", f"cannot be written: {ancestor} is not a writable directory")
-    try:
-        reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed)
-    except MemoryError as exc:  # fuzz allocates all n margins at once
-        raise ConfigError("--n", f"is too large: {exc}") from None
+    reports = verify_mod.run_suite(args.suite, n=args.n, seed=args.seed)
     for r in reports:
         print(
             f"{r.check}: n={r.n} violations={r.violations} "

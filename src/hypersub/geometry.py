@@ -345,10 +345,14 @@ class Manifold:
         if p.x == 0.0:
             return ORIGIN
         # The foot s solves x s^2 - (1+|p|^2) s + x = 0; its two roots have
-        # product 1, so take the reciprocal of the stable large root.
-        n = abs2(p.z)
-        s_big = ((1.0 + n) + math.sqrt((1.0 + n) ** 2 - 4.0 * p.x * p.x)) / (2.0 * p.x)
-        return DiskPoint(1.0 / s_big, 0.0)
+        # product 1, so take the reciprocal of the stable large root. The
+        # discriminant (1+|p|^2)^2 - 4x^2 is taken in factored form, which does
+        # not cancel to 0 near the circle on the diameter, and the foot is kept
+        # at |s| <= |x|, as it is exactly.
+        x, y = p.x, p.y
+        root = math.sqrt(((1.0 - x) ** 2 + y * y) * ((1.0 + x) ** 2 + y * y))
+        s_big = ((1.0 + abs2(p.z)) + root) / (2.0 * x)
+        return DiskPoint(math.copysign(min(1.0 / abs(s_big), abs(x)), x), 0.0)
 
 
 POINCARE_DISK = Manifold("poincare-disk", 1.0)

@@ -497,13 +497,18 @@ def fuzz(
     other thread, a forked child draws the second half of the chunks while
     this process draws the first. The report, any error and the peak memory
     are those of the serial path: if there is no child (below the threshold
-    too), or it fails, this process draws the second half itself.
+    too), or it fails, this process draws the second half itself. The n
+    margins are allocated at once, and an n beyond memory raises ConfigError
+    keyed by ``--n``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     t0 = time.perf_counter()
     total = (n + CHUNK - 1) // CHUNK
-    margins = np.empty(n)
+    try:
+        margins = np.empty(n)
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError from 2**60 floats on
+        raise ConfigError("--n", f"is too large: cannot allocate {n} margins: {exc}") from None
 
     def draw(lo: int, hi: int) -> int:
         # Chunks lo to hi - 1 into their slice of margins; returns the

@@ -85,6 +85,14 @@ def min_distance_to_x_axis(p: complex) -> float:
     return float(res.fun)
 
 
+def mp_axis_foot(p: complex, dps: int = 60) -> float:
+    """Nearest point of the diameter to p: the root of x s^2 - (1+|p|^2) s + x
+    inside the disk, in arbitrary precision."""
+    with mp.workdps(dps):
+        x, b = mp.mpf(p.real), 1 + mp.fabs(mp.mpc(p)) ** 2
+        return float(2 * x / (b + mp.sqrt(b * b - 4 * x * x)))
+
+
 def argmin_on_x_axis(p: complex) -> float:
     def dist_to(s: float) -> float:
         q = complex(s, 0.0)

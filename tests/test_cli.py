@@ -12,7 +12,14 @@ import pytest
 
 from hypersub.cli import main
 from hypersub.geometry import POINCARE_DISK
-from hypersub.solver import STOP_GRAD_TOL, Termination, load_trace, stop_threshold
+from hypersub.solver import (
+    STOP_GRAD_TOL,
+    Termination,
+    load_trace,
+    min_gap_series,
+    stop_threshold,
+    write_trace_json,
+)
 from hypersub.verify import SUITES
 
 REPO = Path(__file__).resolve().parents[1]
@@ -45,28 +52,45 @@ class TestSolve:
         assert summary["sum_lambda"] > 0.0
 
     def test_bundled_ball_hinge_terminates_finitely(self, tmp_path):
-        code = main(["solve", str(CONFIGS / "ball_hinge.cfg"), "--out-dir", str(tmp_path)])
-        assert code == 0
-        summary = json.loads((tmp_path / "ball_hinge.summary.json").read_text())
-        assert summary["termination"] == "subgradient-zero"
-        assert summary["termination_step"] == 8
-        assert summary["final_dist_to_s"] == 0.0
+        # The bundled config, and on the plane and both scaled disks: run()
+        # steps on the plane through exp_z and on a disk through exp_z's own
+        # kernel, and each model must stop where it always has.
+        text = (CONFIGS / "ball_hinge.cfg").read_text()
+        for manifold, step in [("poincare", 8), ("euclidean", 1), ("scaled:kappa=2", 2),
+                               ("scaled:kappa=0.5", 168)]:
+            cfg = write_cfg(tmp_path, text.replace("manifold = poincare", f"manifold = {manifold}"))
+            out = tmp_path / manifold.replace(":", "-")
+            assert main(["solve", cfg, "--out-dir", str(out)]) == 0
+            summary = json.loads((out / "ball_hinge.summary.json").read_text())
+            got = (summary["termination"], summary["termination_step"], summary["final_dist_to_s"])
+            assert got == ("subgradient-zero", step, 0.0), manifold
 
     def test_artifacts_respect_umask(self, tmp_path):
-        old = os.umask(0o022)
-        try:
-            code = main(["solve", str(CONFIGS / "ball_hinge.cfg"), "--out-dir", str(tmp_path)])
-        finally:
-            os.umask(old)
-        assert code == 0
-        mode = stat.S_IMODE((tmp_path / "ball_hinge.summary.json").stat().st_mode)
-        assert mode == 0o644
+        for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+            old = os.umask(umask)
+            try:
+                code = main(["solve", str(CONFIGS / "ball_hinge.cfg"), "--out-dir", str(tmp_path / oct(umask))])
+            finally:
+                os.umask(old)
+            assert code == 0
+            for suffix in ("trace.json", "trace.csv", "summary.json"):
+                path = tmp_path / oct(umask) / f"ball_hinge.{suffix}"
+                assert stat.S_IMODE(path.stat().st_mode) == mode, (umask, suffix)
 
     def test_trace_reloads(self, tmp_path):
         main(["solve", str(CONFIGS / "ball_hinge.cfg"), "--out-dir", str(tmp_path)])
-        trace = load_trace(tmp_path / "ball_hinge.trace.json")
+        path = tmp_path / "ball_hinge.trace.json"
+        trace = load_trace(path)
         assert trace.termination.kind == "subgradient-zero"
         assert trace.config["oracle"].startswith("ball-hinge")
+        # A summary that stores the min-gap series, as traces once did, is not
+        # read: the reloaded trace is written as the solve's own file.
+        solved = path.read_bytes()
+        raw = json.loads(solved)
+        raw["summary"]["min_gap_series"] = [[k, gap] for k, gap in min_gap_series(trace)]
+        path.write_text(json.dumps(raw, indent=2) + "\n")
+        write_trace_json(load_trace(path), tmp_path / "rewritten.trace.json")
+        assert (tmp_path / "rewritten.trace.json").read_bytes() == solved
 
     def test_negative_schedule_scale_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -192,6 +216,8 @@ class TestSolve:
         assert main(["solve", str(CONFIGS / "two_busemann.cfg"), "--out-dir", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "two_busemann.summary.json").read_text())
         trace = load_trace(tmp_path / "two_busemann.trace.json")
+        assert len(trace.records) == summary["n_records"] == len(min_gap_series(trace))
+        assert "min_gap_series" not in trace.summary
         assert summary["drift_count"] == 0
         assert summary["min_boundary_gap"] == min(1.0 - abs(r.point.z) for r in trace.records)
         assert summary["min_boundary_gap"] == 1.0 - 0.9  # the start is the iterate nearest the circle
@@ -209,16 +235,18 @@ class TestSolve:
 
     def test_tiny_curvature_busemann_is_no_false_minimizer(self, tmp_path):
         # The Busemann subgradient on scaled:kappa=1e-12 has norm 1e-12, which
-        # an absolute threshold of 1e-12 reported as a minimizer at k = 0.
-        text = (
-            "name = flatish\nmanifold = scaled:kappa=1e-12\noracle = busemann:eta=1.0+0.0i\n"
-            "schedule = harmonic:c=1\nx0 = 0.0+0.9i\nmax_iters = 50\n"
-        )
-        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
-        summary = json.loads((tmp_path / "flatish.summary.json").read_text())
-        trace = load_trace(tmp_path / "flatish.trace.json")
-        assert (summary["termination"], summary["termination_step"]) == ("max-iters", 50)
-        assert summary["stop_threshold"] == stop_threshold(trace.records[0].grad_norm) < 1e-23
+        # an absolute threshold of 1e-12 reported as a minimizer at k = 0; the
+        # two-Busemann run on scaled:kappa=1e-13 is the same case.
+        for kappa, oracle in [(1e-12, "busemann:eta=1.0+0.0i"), (1e-13, "two-busemann")]:
+            text = (
+                f"name = flatish\nmanifold = scaled:kappa={kappa}\noracle = {oracle}\n"
+                "schedule = harmonic:c=1\nx0 = 0.0+0.9i\nmax_iters = 50\n"
+            )
+            assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+            summary = json.loads((tmp_path / "flatish.summary.json").read_text())
+            trace = load_trace(tmp_path / "flatish.trace.json")
+            assert (summary["termination"], summary["termination_step"]) == ("max-iters", 50)
+            assert summary["stop_threshold"] == stop_threshold(trace.records[0].grad_norm) < 1e-23
 
     def test_subnormal_first_subgradient_takes_its_steps(self, tmp_path, capsys):
         # At 0.5 + 5e-324i the first subgradient norm is subnormal: -1/|g|
@@ -230,6 +258,7 @@ class TestSolve:
         summary = json.loads((tmp_path / "two_busemann.summary.json").read_text())
         assert summary["stop_threshold"] == 0.0
         assert summary["final_dist_to_s"] == pytest.approx(1e-4, rel=1e-6)
+        assert summary["best_gap"] >= 0.0
 
     def test_summary_counts_drift_at_the_boundary(self, tmp_path):
         # The Busemann run of tests/test_golden.py that reaches the radial clamp.
@@ -240,8 +269,18 @@ class TestSolve:
         assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "edge.summary.json").read_text())
         trace = load_trace(tmp_path / "edge.trace.json")
-        assert summary["drift_count"] == sum(r.drift for r in trace.records) > 0
+        assert (summary["termination"], summary["termination_step"]) == ("max-iters", 3000)
+        assert summary["drift_count"] == sum(r.drift for r in trace.records) == 3
         assert 0.0 < summary["min_boundary_gap"] < 1e-12
+
+    def test_start_near_the_circle_on_the_diameter_solves(self, tmp_path, capsys):
+        # The foot of x0 on the solution set, the diameter, rounded to the
+        # circle here, and the solve ended in a traceback before its loop.
+        text = (CONFIGS / "two_busemann.cfg").read_text().replace("x0 = 0.0+0.9i", "x0 = 0.999999999999+1e-9i")
+        text = text.replace("max_iters = 10000", "max_iters = 10")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "two_busemann: max-iters after 10 iterations\n"
+        assert 0.0 < load_trace(tmp_path / "two_busemann.trace.json").dist_x0_to_solution < math.inf
 
     def test_missing_file(self, capsys):
         assert main(["solve", "no/such/file.cfg"]) == 2
@@ -431,6 +470,13 @@ class TestVerify:
         assert "--n must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_key_theorem_reports_exactly_n_samples(self, tmp_path):
+        path = tmp_path / "r.json"
+        assert main(["verify", "key-theorem", "--n", "10", "--report", str(path)]) == 0
+        reports = json.loads(path.read_text())["reports"]
+        assert sum(r["n"] for r in reports) == 10
+        assert all(r["hypothesis_mode"] == "analytic" for r in reports)
+
     def test_key_theorem_needs_two_samples(self, tmp_path, capsys):
         code = main(["verify", "key-theorem", "--n", "1", "--report", str(tmp_path / "r.json")])
         assert code == 2
@@ -522,12 +568,21 @@ class TestVerify:
         assert out == ""
         assert f"--report cannot be written: {tmp_path} is a directory" in err
 
-    @pytest.mark.parametrize("suite", ["gradcheck", "all"])
-    def test_n_too_large_to_allocate_exits_2(self, tmp_path, capsys, suite):
-        # 10**18 float margins are beyond any address space, so the
+    @pytest.mark.parametrize(
+        "suite,n",
+        [
+            pytest.param("gradcheck", 10**18, id="gradcheck"),
+            pytest.param("all", 10**18, id="all"),
+            # numpy raises ValueError, not MemoryError, from 2**60 floats on
+            pytest.param("gradcheck", 2**61, id="gradcheck-2**61"),
+            pytest.param("gradcheck", 2**63, id="gradcheck-2**63"),
+        ],
+    )
+    def test_n_too_large_to_allocate_exits_2(self, tmp_path, capsys, suite, n):
+        # None of these n floats fits in any address space, so the
         # allocation fails at once without touching memory.
         report = tmp_path / "r.json"
-        assert main(["verify", suite, "--n", str(10**18), "--report", str(report)]) == 2
+        assert main(["verify", suite, "--n", str(n), "--report", str(report)]) == 2
         err = capsys.readouterr().err
         assert "--n is too large: " in err and "allocate" in err
         assert not report.exists()
@@ -575,8 +630,11 @@ class TestReproduce:
             ("0.0+0.9i", "300", 0, [0, 1, 10, 100, 300], "2.944439e+00"),
             # off the y-axis, dist_to_s at k = 0 is 1.203138e+00
             ("0.3+0.5i", "50", 5, [0, 1, 10, 50], "1.334279e+00"),
+            # on the diameter, a minimizer: its foot there had rounded onto
+            # the circle, and the run ended in a traceback
+            ("0.999999999999+0.0i", "5", 5, [0], "2.832419e+01"),
         ],
-        ids=["y-axis", "off-axis"],
+        ids=["y-axis", "off-axis", "near-circle"],
     )
     def test_report_tabulates_each_decade(self, tmp_path, capsys, x0, steps, code, ks, d0):
         assert main(["reproduce-example", "--steps", steps, "--x0", x0, "--out-dir", str(tmp_path)]) == code

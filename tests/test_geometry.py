@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from reference import (
     min_distance_to_x_axis,
     mobius,
     mobius_derivative,
+    mp_axis_foot,
     mp_distance,
 )
 
@@ -326,3 +328,15 @@ class TestAxisDistance:
     def test_projection_of_axis_point_is_itself(self):
         p = DiskPoint(0.37, 0.0)
         assert M.x_axis_projection(p) == p
+
+    # Where (1+|p|^2)^2 - 4x^2 cancelled to 0, so the foot rounded to the
+    # circle and DiskPoint raised: |x| from 1 - 1e-10 to the float below 1,
+    # on the diameter or within 1e-9 of it.
+    @pytest.mark.parametrize("x", [1 - 1e-10, 0.999999999999, 1 - 1e-15, 1 - 2**-53])
+    @pytest.mark.parametrize("y", [0.0, 5e-324, 1e-12, 1e-9])
+    def test_projection_near_the_circle_on_the_diameter(self, x, y):
+        for sx, sy in itertools.product((1, -1), repeat=2):
+            p = DiskPoint(sx * x, sy * y)
+            foot = M.x_axis_projection(p)
+            assert foot.y == 0.0 and abs(foot.x) <= abs(p.x)
+            assert foot.x == pytest.approx(mp_axis_foot(p.z), rel=2**-52)

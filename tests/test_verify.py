@@ -433,6 +433,15 @@ class TestFuzz:
         with pytest.raises(ValueError):
             fuzz(lambda rng, k: (np.zeros(k + 1), 0), 10, 0, 1e-9, "size")
 
+    def test_a_samplers_value_error_is_no_config_error(self):
+        # Only a failed allocation of the n margins is keyed by --n.
+        def sampler(rng, k):
+            raise ValueError("the sampler's own fault")
+
+        with pytest.raises(ValueError, match="the sampler's own fault") as exc:
+            fuzz(sampler, 10, 0, 1e-9, "own")
+        assert type(exc.value) is ValueError
+
     def test_rejected_draws_are_counted(self):
         # after its first draw the sampler rejects every other draw, so a
         # chunk of k margins rejects k - 1 draws
@@ -662,10 +671,13 @@ class TestSuites:
 
     def test_per_step_n_is_a_step_budget_the_run_stops_short_of(self):
         # The run stops subgradient-zero at k = 640, so every budget from 640
-        # gives the same reports, and one below it cuts the last pair.
-        at_stop, at_default = suite_per_step(640, 0), suite_per_step(2000, 0)
+        # gives the same reports, and one below it cuts the last pair. At the
+        # default budget each check certifies 589 steps and skips 51.
+        at_stop, at_default = suite_per_step(640, 0), suite_per_step(SUITES["per-step"].n, 0)
         assert list(map(untimed, at_stop)) == list(map(untimed, at_default))
-        assert [(r.n, r.rejected) for r in at_default] == [(589, 51)] * 3
+        checks = ["per-step-cdelta", "per-step-cdelta-divided", "per-step-consistency"]
+        got = [(r.check, r.n, r.rejected, r.violations) for r in at_default]
+        assert got == [(check, 589, 51, 0) for check in checks]
         assert [(r.n, r.rejected) for r in suite_per_step(639, 0)] == [(588, 51)] * 3
 
     def test_sublevel_rejects_nothing(self):
