@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-example", help="rerun the bundled disk experiment and check its bounds"
     )
     p_rep.add_argument("--steps", type=int, default=10_000)
-    p_rep.add_argument("--x0", default="0.0+0.9i")
+    p_rep.add_argument("--x0", default="0.0+0.9i", help="start point a+bi; one with a negative "
+                       "real part is passed as --x0=-0.5+0.0i, or argparse takes it for an option")
     p_rep.add_argument("--out-dir", default=".")
     p_rep.set_defaults(fn=cmd_reproduce)
     return parser

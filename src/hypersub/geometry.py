@@ -344,6 +344,8 @@ class Manifold:
             return DiskPoint.plane(p.x, 0.0)
         if p.x == 0.0:
             return ORIGIN
+        if p.y == 0.0:
+            return DiskPoint(p.x, 0.0)
         # The foot s solves x s^2 - (1+|p|^2) s + x = 0; its two roots have
         # product 1, so take the reciprocal of the stable large root. The
         # discriminant (1+|p|^2)^2 - 4x^2 is taken in factored form, which does

@@ -554,15 +554,13 @@ _RECORD_TYPES = {
     "dist_to_s": ((float, int, _NULL), "a number or null"),
     "drift": ((bool,), "true or false"),
 }
-# A trace's records are an array of record objects in the layout written
-# before the columns, and an object of columns since.
 _COLUMN_TYPES = dict.fromkeys(_RECORD_KEYS, ((list,), "an array"))
 _TRACE_TYPES = {
     "config": ((dict,), "an object"),
     "f_star": ((float, int, _NULL), "a number or null"),
     "x_star": ((str, _NULL), "a string or null"),
     "dist_x0_to_solution": ((float, int, _NULL), "a number or null"),
-    "records": ((list, dict), "an array or an object"),
+    "records": ((dict,), "an object"),
     "termination": ((dict,), "an object"),
 }
 _TERMINATION_TYPES = {
@@ -575,18 +573,24 @@ _CONFIG_TYPES = {"manifold": ((dict,), "an object"), "schedule": ((str,), "a str
 _MANIFOLD_TYPES = {"kappa": (_NUMBER, "a number")}
 
 
+def _shown(value) -> str:
+    """A parsed JSON value as a fault names it: an array or object by kind and length, else by repr."""
+    kind = {list: "an array of {} value(s)", dict: "an object of {} key(s)"}.get(type(value))
+    return kind.format(len(value)) if kind else repr(value)
+
+
 def _key_fault(obj, types: dict, exact: bool = False) -> str | None:
     """What keeps the parsed JSON value ``obj`` from being an object with
     every key of ``types``, each holding a value of its JSON type, and, if
     ``exact``, no other key; None if nothing does."""
     if type(obj) is not dict:
-        return f"is not an object: {obj!r}"
+        return f"is not an object: {_shown(obj)}"
     missing = [key for key in types if key not in obj]
     if missing:
         return f"misses key(s) {', '.join(missing)}"
     key = next((key for key, (allowed, _) in types.items() if not _is_a(obj[key], allowed)), None)
     if key is not None:
-        return f'has "{key}" = {obj[key]!r}, not {types[key][1]}'
+        return f'has "{key}" = {_shown(obj[key])}, not {types[key][1]}'
     extra = [key for key in obj if key not in types] if exact else []
     return f"has extra key(s) {', '.join(extra)}" if extra else None
 
@@ -618,17 +622,16 @@ def _column_fault(columns: dict) -> str | None:
             continue
         i = next((i for i, v in enumerate(column) if not _is_a(v, allowed)), None)
         if i is not None:
-            return f'record {i} has "{key}" = {column[i]!r}, not {what}'
+            return f'record {i} has "{key}" = {_shown(column[i])}, not {what}'
     return None
 
 
 def load_trace(path: str | Path) -> RunTrace:
     """Rebuild a RunTrace from its JSON file.
 
-    The text is parsed by one ``json.loads``. Records as an array of
-    objects, as traces were written before, are turned into an object of
-    columns, as write_trace_json writes them; records of either layout are
-    then checked a column at a time and zipped into IterationRecords.
+    The text is parsed by one ``json.loads``. Its records, an object of
+    columns as write_trace_json writes them, are checked a column at a time
+    and zipped into IterationRecords.
 
     A record's point is read back as ``complex(x, y)``, with no disk-bound
     check, so traces from the flat model reload cleanly. A key that is
@@ -650,17 +653,10 @@ def load_trace(path: str | Path) -> RunTrace:
         fault = _key_fault(reduce(getitem, keys, raw), types)
         if fault:
             raise ValueError(f"{path}: {where} {fault}")
-    records = raw["records"]
-    if type(records) is list:
-        keys = _RECORD_TYPES.keys()
-        for i, row in enumerate(records):
-            if type(row) is not dict or row.keys() != keys:
-                raise ValueError(f"{path}: record {i} {_key_fault(row, _RECORD_TYPES, exact=True)}")
-        records = {key: list(map(itemgetter(key), records)) for key in keys}
-    fault = _column_fault(records)
+    fault = _column_fault(raw["records"])
     if fault:
         raise ValueError(f"{path}: {fault}")
-    k, x, y, f, gn, lam, d, drift = _record_values(records)
+    k, x, y, f, gn, lam, d, drift = _record_values(raw["records"])
     if not all(map(lt, chain([-1], k), k)):
         i, k_min = next((i, a + 1) for i, (a, b) in enumerate(zip(chain([-1], k), k)) if a >= b)
         raise ValueError(f'{path}: record {i} has "k" = {k[i]}, not at least {k_min}')

@@ -83,11 +83,13 @@ class TestSolve:
         trace = load_trace(path)
         assert trace.termination.kind == "subgradient-zero"
         assert trace.config["oracle"].startswith("ball-hinge")
-        # A summary that stores the min-gap series, as traces once did, is not
+        # The summary is rebuilt from the records, so one that stores the
+        # min-gap series, as traces once did, or an edited best value is not
         # read: the reloaded trace is written as the solve's own file.
         solved = path.read_bytes()
         raw = json.loads(solved)
         raw["summary"]["min_gap_series"] = [[k, gap] for k, gap in min_gap_series(trace)]
+        raw["summary"]["best_value"] = -1.0
         path.write_text(json.dumps(raw, indent=2) + "\n")
         write_trace_json(load_trace(path), tmp_path / "rewritten.trace.json")
         assert (tmp_path / "rewritten.trace.json").read_bytes() == solved
@@ -281,6 +283,15 @@ class TestSolve:
         assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out == "two_busemann: max-iters after 10 iterations\n"
         assert 0.0 < load_trace(tmp_path / "two_busemann.trace.json").dist_x0_to_solution < math.inf
+
+    def test_start_on_the_diameter_is_its_own_solution_point(self, tmp_path, capsys):
+        # x0 lies on the solution set, so its projection there is x0 itself,
+        # not the 0.8999999999999999 that the foot's quadratic rounded to.
+        text = (CONFIGS / "two_busemann.cfg").read_text().replace("x0 = 0.0+0.9i", "x0 = 0.9+0.0i")
+        assert main(["solve", write_cfg(tmp_path, text), "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "two_busemann: subgradient-zero after 0 iterations\n"
+        raw = json.loads((tmp_path / "two_busemann.trace.json").read_text())
+        assert (raw["x_star"], raw["dist_x0_to_solution"]) == ("0.9+0.0i", 0.0)
 
     def test_missing_file(self, capsys):
         assert main(["solve", "no/such/file.cfg"]) == 2
@@ -672,6 +683,12 @@ class TestReproduce:
         assert code == 5
         report = (tmp_path / "disk_example.report.txt").read_text()
         assert "FAILED" in report
+
+    def test_negative_real_part_is_passed_with_an_equals_sign(self, tmp_path, capsys):
+        # argparse reads a separate "-0.0+0.9i" as an option, not as the value.
+        code = main(["reproduce-example", "--x0=-0.0+0.9i", "--steps", "50", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "x0 = -0.0+0.9i, " in capsys.readouterr().out
 
     def test_bad_x0_is_config_error(self, capsys):
         assert main(["reproduce-example", "--x0", "2.0+0.0i"]) == 2

@@ -325,9 +325,12 @@ class TestAxisDistance:
             # the projection is no farther than the numerical minimum
             assert M.distance(p, foot) <= min_distance_to_x_axis(p.z) + 1e-10
 
-    def test_projection_of_axis_point_is_itself(self):
-        p = DiskPoint(0.37, 0.0)
-        assert M.x_axis_projection(p) == p
+    @pytest.mark.parametrize("m", [M, scaled_disk(2.0)], ids=["poincare", "scaled2"])
+    def test_projection_of_axis_point_is_itself(self, m):
+        # The foot from the quadratic rounded 0.9 to 0.8999999999999999.
+        edge = 1 - 2**-53
+        xs = [*np.random.default_rng(35).uniform(-1.0, 1.0, 10_000).tolist(), 0.9, -0.9, edge, -edge]
+        assert [x for x in xs if m.x_axis_projection(DiskPoint(x, 0.0)) != DiskPoint(x, 0.0)] == []
 
     # Where (1+|p|^2)^2 - 4x^2 cancelled to 0, so the foot rounded to the
     # circle and DiskPoint raised: |x| from 1 - 1e-10 to the float below 1,

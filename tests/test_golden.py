@@ -1,8 +1,7 @@
 """Byte-level pins of whole solver runs.
 
-Each case serializes ``run(cfg)`` in the row layout of the trace JSON
-written before the columns (``row_dict``), and through the two trace writers,
-and tabulates its ``complexity_bound_report``; the sha256 of each result is
+Each case serializes ``run(cfg)`` through the two trace writers and
+tabulates its ``complexity_bound_report``; the sha256 of each result is
 compared with a digest recorded from an earlier implementation.
 The cases cover every branch the step dispatches on: the Poincaré disk, the
 scaled disk at kappa above and below 1 and at a kappa that is not a power of
@@ -102,24 +101,7 @@ CASES = {
     ),
 }
 
-DIGESTS = {
-    "ball_hinge_cfg": "92677edcb561ce37405c32c18abd460cd0279868ffaff019c3e7f91b186829db",
-    "disk_example_1e4": "12ad72b70a897c4d351c6acd6a47cae33e35fee01ff4caefd65b578ce1b0312a",
-    "fermat_weber_2e4": "87c2d9c267ea06dc2e93843b89f3e223010ed1d5217894093f9278a7d0b57e8b",
-    "flat_distance": "dfdf2a1db7b37b62274035feff5ca05445072403bae19f578fa494695132b96d",
-    "flat_weighted_sum": "f962db8035b8d972966a7366d2c531ae80ebb27f2d69092229670ffc256b2455",
-    "scaled05_busemann": "de5e3e0bba093eecef96bc755adcd723b0242120df5bb6825ce896274350d4dc",
-    "scaled3_distance": "8a9b99ea8e470f56e3568fcd7c95a435fa8c395855d8cf7a06406841f8fd332d",
-    # dist_x0_to_solution is the d(x0, S) of records[0], 2.2067317722138067.
-    "scaled2_ball_hinge": "fcbcd4ac41388fc4939acb877765682be237c498e9e12c4621a5f38ea2ab8b54",
-    # The bundled config is the disk example under another name. Its pins
-    # were taken again when f became log1p(q^2), which changed every f.
-    "two_busemann_cfg": "12ad72b70a897c4d351c6acd6a47cae33e35fee01ff4caefd65b578ce1b0312a",
-}
-
-
-# The trace JSON as write_trace_json writes it, its records as columns. Each
-# file parses to trace_to_dict of its trace, whose rows DIGESTS pins.
+# The trace JSON as write_trace_json writes it, its records as columns.
 COLUMN_DIGESTS = {
     "ball_hinge_cfg": "1a86532fde043fe584b24e50d36a189a7cec5f8985bc868505466dfb4a95075b",
     "disk_example_1e4": "d5fc0cfbe449f8ff127dde25a7b687a7d29bdbcfb649e3168134c3fda527d6f7",
@@ -176,31 +158,14 @@ def written(write, trace, tmp_path) -> bytes:
     return path.read_bytes()
 
 
-def row_dict(trace):
-    """``trace_to_dict(trace)`` in the row layout that write_trace_json wrote
-    before the columns: the records as an array of objects, one per record,
-    with the keys of the columns in their order."""
-    raw = trace_to_dict(trace)
-    columns = raw["records"]
-    return {**raw, "records": [dict(zip(columns, row)) for row in zip(*columns.values())]}
-
-
 def with_stored_series(trace):
-    """The trace in the earlier layout the digests were recorded in, which
-    stored the min-gap series as the summary's last key: [k, gap] pairs, or
-    None without an f* or a record."""
+    """The trace with its min-gap series stored as the summary's last key, as
+    traces once stored it: [k, gap] pairs, or None without an f* or a
+    record."""
     series = None
     if trace.f_star is not None and trace.records:
         series = [[k, gap] for k, gap in min_gap_series(trace)]
     return replace(trace, summary={**trace.summary, "min_gap_series": series})
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_run_is_byte_identical(name):
-    trace = traced(name)
-    assert "min_gap_series" not in trace.summary
-    text = json.dumps(row_dict(with_stored_series(trace)), indent=2)
-    assert sha256(text.encode()) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -213,16 +178,14 @@ def record_types(trace):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_both_layouts_load_to_the_trace(name, tmp_path):
+def test_trace_loads_to_itself(name, tmp_path):
     trace = traced(name)
+    assert "min_gap_series" not in trace.summary
     path = tmp_path / "t.trace.json"
     write_trace_json(trace, path)
-    columns = load_trace(path)
-    path.write_text(json.dumps(row_dict(trace), indent=2) + "\n")
-    rows = load_trace(path)
-    for loaded in (columns, rows):
-        assert repr(loaded) == repr(trace)
-        assert record_types(loaded) == record_types(trace)
+    loaded = load_trace(path)
+    assert repr(loaded) == repr(trace)
+    assert record_types(loaded) == record_types(trace)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -316,17 +279,20 @@ def test_json_writer_matches_json_dumps(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_TRACES))
-def test_edge_traces_load_alike_in_both_layouts(name, tmp_path):
+def test_edge_traces_load_as_plain_values(name, tmp_path):
+    # The loaded trace holds plain values only, so it is written and loaded
+    # again unchanged.
     trace = EDGE_TRACES[name]()
     path = tmp_path / "t.trace.json"
     write_trace_json(trace, path)
-    columns = load_trace(path)
-    path.write_text(json.dumps(row_dict(trace), indent=2) + "\n")
-    rows = load_trace(path)
-    assert repr(columns) == repr(rows)
-    assert record_types(columns) == record_types(rows)
+    loaded = load_trace(path)
+    assert {t for types in record_types(loaded) for t in types} <= {int, complex, float, type(None), bool}
+    write_trace_json(loaded, path)
+    reloaded = load_trace(path)
+    assert repr(reloaded) == repr(loaded)
+    assert record_types(reloaded) == record_types(loaded)
     # A float subclass is read back as a plain float, which json spells alike.
-    assert json.dumps(trace_to_dict(columns)["records"]) == json.dumps(trace_to_dict(trace)["records"])
+    assert json.dumps(trace_to_dict(loaded)["records"]) == json.dumps(trace_to_dict(trace)["records"])
 
 
 # Finite floats over the whole range: signed zeros, subnormals, the extremes
@@ -372,22 +338,3 @@ def test_json_writer_rows_match_json_dumps(rows):
     trace = replace(base_trace(), records=rows)
     with tempfile.TemporaryDirectory() as tmp, patch("hypersub.solver._COLUMN_CHUNK", 2):
         assert reparsed(trace, Path(tmp)) == json.dumps(trace_to_dict(trace))
-
-
-def test_trace_in_the_earlier_layout_loads(tmp_path):
-    # The file as it was written while the records were rows and the summary
-    # stored the min-gap series.
-    trace = traced("disk_example_1e4")
-    path = tmp_path / "old.trace.json"
-    path.write_text(json.dumps(row_dict(with_stored_series(trace)), indent=2) + "\n")
-    assert sha256(path.read_bytes()[:-1]) == DIGESTS["disk_example_1e4"]
-    raw = json.loads(path.read_text())
-    loaded = load_trace(path)
-    assert loaded.records == trace.records
-    assert [list(pair) for pair in min_gap_series(loaded)] == raw["summary"]["min_gap_series"]
-    assert "min_gap_series" not in loaded.summary
-    assert written(write_trace_json, loaded, tmp_path) == written(write_trace_json, trace, tmp_path)
-    # The summary is rebuilt from the records, so an edited one is not read.
-    raw["summary"]["best_value"] = -1.0
-    path.write_text(json.dumps(raw))
-    assert load_trace(path).summary["best_value"] == min(r.f_value for r in trace.records)

@@ -710,7 +710,7 @@ RECORD_FAULTS = [
     ("f", "1.0", "has \"f\" = '1.0', not a number"),
     ("f", None, 'has "f" = None, not a number'),
     ("grad_norm", False, 'has "grad_norm" = False, not a number'),
-    ("lambda", [1], 'has "lambda" = [1], not a number'),
+    ("lambda", [1], 'has "lambda" = an array of 1 value(s), not a number'),
     ("dist_to_s", "0", "has \"dist_to_s\" = '0', not a number or null"),
     ("drift", "no", "has \"drift\" = 'no', not true or false"),
     ("drift", 0, 'has "drift" = 0, not true or false'),
@@ -719,28 +719,12 @@ RECORD_FAULT_IDS = [
     "string-x", "null-y", "bool-x", "float-k", "bool-k", "string-f", "null-f", "bool-grad-norm",
     "list-lambda", "string-dist", "string-drift", "int-drift",
 ]
-LAYOUTS = ["columns", "rows"]
 
 
-def written_raw(trace, path, layout):
-    """The parsed text write_trace_json writes for ``trace`` at ``path``, its
-    records as the writer's columns or, for "rows", as the array of record
-    objects that traces were written as before."""
+def written_raw(trace, path):
+    """The parsed text write_trace_json writes for ``trace`` at ``path``."""
     write_trace_json(trace, path)
-    raw = json.loads(path.read_text())
-    if layout == "rows":
-        columns = raw["records"]
-        raw["records"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    return raw
-
-
-def set_record_value(raw, i, key, value):
-    """Put ``value`` in ``key`` of record i of a parsed trace of either layout."""
-    records = raw["records"]
-    if type(records) is dict:
-        records[key][i] = value
-    else:
-        records[i][key] = value
+    return json.loads(path.read_text())
 
 
 class TestSerialization:
@@ -840,31 +824,12 @@ class TestSerialization:
         write_trace_json(trace, path)
         assert load_trace(path) == trace
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("key,value,fault", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
-    def test_load_trace_names_a_faulty_record(self, tmp_path, key, value, fault, layout):
+    def test_load_trace_names_a_faulty_record(self, tmp_path, key, value, fault):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
-        raw = written_raw(trace, path, layout)
-        set_record_value(raw, 3, key, value)
-        path.write_text(json.dumps(raw, indent=2))
-        with pytest.raises(ValueError, match=re.escape(f"record 3 {fault}")):
-            load_trace(path)
-
-    @pytest.mark.parametrize(
-        "edit,fault",
-        [
-            (lambda rows: rows[3].pop("lambda"), "misses key(s) lambda"),
-            (lambda rows: rows[3].update(extra=1.0), "has extra key(s) extra"),
-            (lambda rows: rows.__setitem__(3, 5), "is not an object: 5"),
-        ],
-        ids=["missing-key", "extra-key", "number-row"],
-    )
-    def test_load_trace_names_a_faulty_row_object(self, tmp_path, edit, fault):
-        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
-        path = tmp_path / "t.trace.json"
-        raw = written_raw(trace, path, "rows")
-        edit(raw["records"])
+        raw = written_raw(trace, path)
+        raw["records"][key][3] = value
         path.write_text(json.dumps(raw, indent=2))
         with pytest.raises(ValueError, match=re.escape(f"record 3 {fault}")):
             load_trace(path)
@@ -890,7 +855,7 @@ class TestSerialization:
     def test_load_trace_names_a_faulty_column_object(self, tmp_path, edit, fault):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
-        raw = written_raw(trace, path, "columns")
+        raw = written_raw(trace, path)
         edit(raw["records"])
         path.write_text(json.dumps(raw, indent=2))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {fault}")):
@@ -905,7 +870,7 @@ class TestSerialization:
             (lambda t: t.update(config=None), 'trace has "config" = None, not an object'),
             (lambda t: t.update(x_star="north"), "trace has \"x_star\" = 'north', not a point"),
             (lambda t: t.update(dist_x0_to_solution=True), 'trace has "dist_x0_to_solution" = True, not a number'),
-            (lambda t: t.update(records=5), 'trace has "records" = 5, not an array or an object'),
+            (lambda t: t.update(records=5), 'trace has "records" = 5, not an object'),
             (lambda t: t.pop("config"), "trace misses key(s) config"),
             (lambda t: t["termination"].update(kind=1), '"termination" has "kind" = 1, not a string'),
             (lambda t: t["termination"].update(step=1.0), '"termination" has "step" = 1.0, not an integer'),
@@ -932,41 +897,52 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(fault)):
             load_trace(path)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(
         "index,k,k_min",
         [(0, -5, 0), (3, 2, 3), (3, 1, 3), (-1, 5, 640)],
         ids=["negative", "repeated", "decreasing", "last-below-earlier"],
     )
-    def test_load_trace_needs_steps_from_0_that_increase(self, tmp_path, index, k, k_min, layout):
+    def test_load_trace_needs_steps_from_0_that_increase(self, tmp_path, index, k, k_min):
         # complexity_bound_report indexes its prefix sums by each record's k.
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 10_000))
         assert trace.records[-1].k == 640
         path = tmp_path / "t.trace.json"
-        raw = written_raw(trace, path, layout)
-        set_record_value(raw, index, "k", k)
+        raw = written_raw(trace, path)
+        raw["records"]["k"][index] = k
         path.write_text(json.dumps(raw, indent=2))
         i = index % len(trace.records)
         with pytest.raises(ValueError, match=re.escape(f'record {i} has "k" = {k}, not at least {k_min}')):
             load_trace(path)
 
+    def test_records_as_an_array_get_a_short_fault(self, tmp_path, long_trace):
+        # An array of record objects, the layout written before the columns, is
+        # a wrong type like any other, named without its 20,001 values.
+        path = tmp_path / "t.trace.json"
+        raw = written_raw(long_trace, path)
+        columns = raw["records"]
+        raw["records"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        fault = 'trace has "records" = an array of 20001 value(s), not an object'
+        assert str(err.value) == f"{path}: {fault}" and len(fault) < 200
+
     def test_load_trace_needs_an_object(self, tmp_path):
         path = tmp_path / "t.trace.json"
         path.write_text("[]")
-        with pytest.raises(ValueError, match=re.escape("trace is not an object: []")):
+        with pytest.raises(ValueError, match=re.escape("trace is not an object: an array of 0 value(s)")):
             load_trace(path)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_load_trace_takes_every_json_number(self, tmp_path, layout):
+    def test_load_trace_takes_every_json_number(self, tmp_path):
         # The writer emits NaN and the infinities, and a hand-written trace may
         # hold an integral value as an int; a null distance stands for unknown S.
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
-        raw = written_raw(trace, path, layout)
+        raw = written_raw(trace, path)
         for i, values in ((1, {"f": math.nan, "grad_norm": math.inf, "dist_to_s": None}),
                           (2, {"x": 0, "f": -math.inf, "lambda": 1, "dist_to_s": 2})):
             for key, value in values.items():
-                set_record_value(raw, i, key, value)
+                raw["records"][key][i] = value
         path.write_text(json.dumps(raw, indent=2))
         records = load_trace(path).records
         assert all(type(r) is IterationRecord for r in records)
@@ -976,7 +952,6 @@ class TestSerialization:
         assert (records[2].f_value, records[2].lambda_k, records[2].dist_to_s) == (-math.inf, 1, 2)
         assert type(records[2].lambda_k) is int and type(records[2].dist_to_s) is int
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize(
         "keys,where",
         [
@@ -987,12 +962,12 @@ class TestSerialization:
             pytest.param(("config", "manifold", "kappa"), '"config"."manifold" has "kappa"', id="kappa"),
         ],
     )
-    def test_load_trace_names_an_integer_beyond_the_float_range(self, tmp_path, keys, where, layout):
+    def test_load_trace_names_an_integer_beyond_the_float_range(self, tmp_path, keys, where):
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
         path = tmp_path / "t.trace.json"
-        raw = written_raw(trace, path, layout)
+        raw = written_raw(trace, path)
         if keys[0] == "records":
-            set_record_value(raw, 3, keys[1], 10**400)
+            raw["records"][keys[1]][3] = 10**400
         else:
             reduce(getitem, keys[:-1], raw)[keys[-1]] = 10**400
         path.write_text(json.dumps(raw, indent=2))
@@ -1001,28 +976,30 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key", list(solver._RECORD_TYPES))
     def test_record_hook_takes_what_the_table_takes(self, tmp_path, key):
-        # Records of either layout are checked by the table alone; one value of
-        # each JSON kind, put in the last record (so a large k keeps the steps
-        # increasing), must load exactly when the table takes it.
+        # Records are checked by the table alone; one value of each JSON kind,
+        # put in the last record (so a large k keeps the steps increasing),
+        # must load exactly when the table takes it. An array or an object is
+        # named by its kind and length.
         kinds = {
             "int": 3, "float": 0.5, "true": True, "null": None, "string": "a", "array": [1],
             "object": {"a": 1}, "largest-float-int": int(sys.float_info.max), "int-beyond-float": 10**400,
         }
+        shown = {"array": "an array of 1 value(s)", "object": "an object of 1 key(s)"}
         trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 3))
         assert [r.k for r in trace.records] == [0, 1, 2, 3]
         allowed = solver._RECORD_TYPES[key][0]
         path = tmp_path / "t.trace.json"
-        for layout in LAYOUTS:
-            for kind, value in kinds.items():
-                takes = type(value) in allowed and not (kind == "int-beyond-float" and float in allowed)
-                raw = written_raw(trace, path, layout)
-                set_record_value(raw, 3, key, value)
-                path.write_text(json.dumps(raw))
-                if takes:
-                    assert len(load_trace(path).records) == 4, (layout, kind)
-                else:
-                    with pytest.raises(ValueError, match=re.escape(f'record 3 has "{key}" = {value!r}, not ')):
-                        load_trace(path)
+        for kind, value in kinds.items():
+            takes = type(value) in allowed and not (kind == "int-beyond-float" and float in allowed)
+            raw = written_raw(trace, path)
+            raw["records"][key][3] = value
+            path.write_text(json.dumps(raw))
+            if takes:
+                assert len(load_trace(path).records) == 4, kind
+            else:
+                fault = f'record 3 has "{key}" = {shown.get(kind, repr(value))}, not '
+                with pytest.raises(ValueError, match=re.escape(fault)):
+                    load_trace(path)
 
     def test_atomic_write_never_sets_the_umask(self, tmp_path, monkeypatch):
         # Setting it, even to read it, changes it for every thread meanwhile.
