@@ -295,6 +295,22 @@ def test_edge_traces_load_as_plain_values(name, tmp_path):
     assert json.dumps(trace_to_dict(loaded)["records"]) == json.dumps(trace_to_dict(trace)["records"])
 
 
+@pytest.mark.parametrize("name", [*sorted(CASES), *sorted(EDGE_TRACES)])
+def test_trace_with_records_as_rows_is_refused(name, tmp_path):
+    # The rows load_trace once read, an array of record objects, are a wrong
+    # type like any other, an empty array included.
+    trace = traced(name) if name in CASES else EDGE_TRACES[name]()
+    raw = json.loads(written(write_trace_json, trace, tmp_path))
+    columns = raw["records"]
+    raw["records"] = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    path = tmp_path / "t.trace.json"
+    path.write_text(json.dumps(raw, indent=2))
+    fault = f'trace has "records" = an array of {len(trace.records)} value(s), not an object'
+    with pytest.raises(ValueError) as err:
+        load_trace(path)
+    assert str(err.value) == f"{path}: {fault}"
+
+
 # Finite floats over the whole range: signed zeros, subnormals, the extremes
 # and integral values, which repr writes with a trailing ".0".
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,

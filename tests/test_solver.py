@@ -721,6 +721,31 @@ RECORD_FAULT_IDS = [
 ]
 
 
+# Each object load_trace checks against a table: the keys that reach it, the
+# name its faults start with, and the table.
+CHECKED_OBJECTS = [
+    ((), "trace", solver._TRACE_TYPES),
+    (("termination",), '"termination"', solver._TERMINATION_TYPES),
+    (("config",), '"config"', solver._CONFIG_TYPES),
+    (("config", "manifold"), '"config"."manifold"', solver._MANIFOLD_TYPES),
+    (("records",), '"records"', solver._COLUMN_TYPES),
+]
+# A long array and a long object, each with how a fault names it.
+LONG_CONTAINERS = [
+    ("array", [0.0] * 10_000, "an array of 10000 value(s)"),
+    ("object", {str(i): 0.0 for i in range(10_000)}, "an object of 10000 key(s)"),
+]
+# Every key of those tables with each long container its table does not take.
+CONTAINER_FAULTS = [
+    pytest.param(keys, key, value, f'{where} has "{key}" = {shown}, not {what}',
+                 id=f"{kind}-{'.'.join((*keys, key))}")
+    for keys, where, types in CHECKED_OBJECTS
+    for key, (allowed, what) in types.items()
+    for kind, value, shown in LONG_CONTAINERS
+    if type(value) not in allowed
+]
+
+
 def written_raw(trace, path):
     """The parsed text write_trace_json writes for ``trace`` at ``path``."""
     write_trace_json(trace, path)
@@ -925,6 +950,19 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             load_trace(path)
         fault = 'trace has "records" = an array of 20001 value(s), not an object'
+        assert str(err.value) == f"{path}: {fault}" and len(fault) < 200
+
+    @pytest.mark.parametrize("keys,key,value,fault", CONTAINER_FAULTS)
+    def test_a_container_value_gets_a_short_fault(self, tmp_path, keys, key, value, fault):
+        # Each table's fault names a wrong array or object by its kind and
+        # length, not by the repr of its 10,000 values.
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        raw = written_raw(trace, path)
+        reduce(getitem, keys, raw)[key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
         assert str(err.value) == f"{path}: {fault}" and len(fault) < 200
 
     def test_load_trace_needs_an_object(self, tmp_path):
