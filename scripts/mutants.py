@@ -94,6 +94,9 @@ MUTANTS = [
     Mutant("n guard", "src/hypersub/verify.py",
            "except (MemoryError, ValueError) as exc:", "except MemoryError as exc:",
            "test_n_too_large_to_allocate_exits_2"),
+    Mutant("collector restore", "src/hypersub/solver.py",
+           "gc.enable()", "pass",
+           "test_load_trace_leaves_the_collector_as_it_found_it"),
 ]
 
 # Tests that pin output bytes: they fail on every change, right or wrong.

@@ -9,6 +9,7 @@ a numerical failure; the full iterate history is captured in a RunTrace.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, getitem, index, itemgetter, lt
+from operator import attrgetter, getitem, index, itemgetter, lt, sub
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
@@ -137,7 +138,7 @@ def build_summary(records: list[IterationRecord], f_star: float | None) -> dict:
     recorded iterates: the trace's summary, which ``run`` builds and
     ``load_trace`` rebuilds from the records it reads. The min-gap series is
     not stored; see ``min_gap_series``."""
-    best = min((r.f_value for r in records), default=None)
+    best = min(map(attrgetter("f_value"), records), default=None)
     return {
         "best_value": best,
         "best_gap": None if f_star is None or best is None else best - f_star,
@@ -181,7 +182,8 @@ def run(cfg: SolveConfig) -> RunTrace:
     # finite, a non-finite endpoint), goes to exp_z itself, for its wording.
     fn, lam_at, step, exp_z = oracle.fn, cfg.schedule.fn, cfg.schedule.step, m.exp_z
     flat, kappa, disk_step = m.flat, m.kappa, m._disk_step
-    record, distance_to = IterationRecord._make, sset.distance_to
+    # tuple.__new__ is _make's own, without a call of _make per record.
+    new, distance_to = tuple.__new__, sset.distance_to
     max_iters, record_every = cfg.max_iters, cfg.record_every
     hypot, isfinite = math.hypot, math.isfinite
     z = cfg.x0.z
@@ -228,7 +230,7 @@ def run(cfg: SolveConfig) -> RunTrace:
             except (ValueError, ArithmeticError) as exc:
                 termination = Termination(NUMERICAL_FAILURE, k, f"step failed: {exc}")
         if termination is not None or k % record_every == 0:
-            records.append(record((k, z, f, gn, lam, distance_to(m, z), drift_in)))
+            records.append(new(IterationRecord, (k, z, f, gn, lam, distance_to(m, z), drift_in)))
         if termination is not None:
             break
         z, drift_in = z_next, drift_next
@@ -245,15 +247,19 @@ def run(cfg: SolveConfig) -> RunTrace:
     )
 
 
-def min_gap_series(trace: RunTrace) -> list[tuple[int, float]]:
-    """Running minimum of f(x^k) - f* over the recorded iterates, as (k, gap)
-    pairs, computed from the records on each call; empty when there are none."""
+def _running_gaps(trace: RunTrace) -> Iterator[float]:
+    """The running minimum of f(x^k) - f* over the recorded iterates, one
+    gap per record, taken in C with no Python call per record."""
     f_star = trace.f_star
     if f_star is None:
         raise MissingFStar("the oracle did not declare its minimum value")
-    records = trace.records
-    running = accumulate((r.f_value - f_star for r in records), min)
-    return [(r.k, gap) for r, gap in zip(records, running)]
+    return accumulate(map(sub, map(attrgetter("f_value"), trace.records), repeat(f_star)), min)
+
+
+def min_gap_series(trace: RunTrace) -> list[tuple[int, float]]:
+    """Running minimum of f(x^k) - f* over the recorded iterates, as (k, gap)
+    pairs, computed from the records on each call; empty when there are none."""
+    return list(zip(map(attrgetter("k"), trace.records), _running_gaps(trace)))
 
 
 @dataclass(frozen=True)
@@ -291,8 +297,7 @@ def complexity_bound_report(
 
     if not (a > 0.0 and b > 0.0):
         raise ValueError("constants must be positive")
-    if trace.f_star is None:
-        raise MissingFStar("the oracle did not declare its minimum value")
+    gaps = list(_running_gaps(trace))
     if trace.dist_x0_to_solution is None:
         raise MissingSolutionPoint("the oracle did not declare a solution point")
     schedule = parse_schedule(trace.config["schedule"])
@@ -301,13 +306,15 @@ def complexity_bound_report(
 
     # Step sums up to each recorded k; np.cumsum adds left to right, as a running
     # sum does. Squaring in place keeps at most two arrays of n steps alive.
-    ks = [r.k for r in trace.records]
+    ks = list(map(attrgetter("k"), trace.records))
     n = ks[-1] + 1 if ks else 0
-    lams = np.fromiter(map(schedule.step, range(n)), float, n)
+    lams = np.fromiter(map(schedule.fn, range(n)), float, n)
+    positive = lams > 0.0
+    if not positive.all():
+        schedule.step(int(positive.argmin()))  # raises the schedule's own rejection
     sl = np.cumsum(lams)[ks]
     lams *= lams
     sq = np.cumsum(lams)[ks]
-    gaps = [g for _, g in min_gap_series(trace)]
     gaps_arr = np.array(gaps)
 
     def rhs(ca: float, cb: float) -> np.ndarray:
@@ -423,8 +430,6 @@ def _forked(task: Callable[[IO], object], when: bool,
             try:
                 # A collection would write to the header of every tracked
                 # object, and so copy every page the two processes share.
-                import gc
-
                 gc.disable()
                 os.sched_setaffinity(0, there)
                 task(part)
@@ -573,9 +578,16 @@ _CONFIG_TYPES = {"manifold": ((dict,), "an object"), "schedule": ((str,), "a str
 _MANIFOLD_TYPES = {"kappa": (_NUMBER, "a number")}
 
 
+# The longest string a fault quotes; a longer one it names by its length.
+_SHOWN_CHARS = 64
+
+
 def _shown(value) -> str:
-    """A parsed JSON value as a fault names it: an array or object by kind and length, else by repr."""
+    """A parsed JSON value as a fault names it: an array, an object or a
+    string of more than _SHOWN_CHARS characters by kind and length, else by repr."""
     kind = {list: "an array of {} value(s)", dict: "an object of {} key(s)"}.get(type(value))
+    if type(value) is str and len(value) > _SHOWN_CHARS:
+        kind = "a string of {} character(s)"
     return kind.format(len(value)) if kind else repr(value)
 
 
@@ -661,14 +673,23 @@ def load_trace(path: str | Path) -> RunTrace:
         i, k_min = next((i, a + 1) for i, (a, b) in enumerate(zip(chain([-1], k), k)) if a >= b)
         raise ValueError(f'{path}: record {i} has "k" = {k[i]}, not at least {k_min}')
     rows = zip(k, map(complex, x, y), f, gn, lam, d, drift)
-    # tuple.__new__ is _make's own, without a call of _make per record.
-    records = list(map(tuple.__new__, repeat(IterationRecord), rows))
+    # tuple.__new__ is _make's own, without a call of _make per record. The
+    # collector walks every record alive, a tuple subclass it never untracks,
+    # at each collection; this line runs no Python code and makes nothing
+    # cyclic, so a collection here could free nothing, and none is run.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records = list(map(tuple.__new__, repeat(IterationRecord), rows))
+    finally:
+        if enabled:
+            gc.enable()
     x_star = raw["x_star"]
     if x_star is not None:
         try:
             x_star = parse_point(x_star)
         except ValueError:
-            raise ValueError(f'{path}: trace has "x_star" = {x_star!r}, not a point') from None
+            raise ValueError(f'{path}: trace has "x_star" = {_shown(x_star)}, not a point') from None
     term = raw["termination"]
     return RunTrace(
         config=raw["config"],

@@ -208,6 +208,39 @@ def test_complexity_report_is_unchanged(name):
     assert got == REPORT_DIGESTS[name]
 
 
+def assert_one_running_minimum(trace):
+    """The report's (N, gap) columns are min_gap_series(trace), gap by repr."""
+    rows = complexity_bound_report(trace).rows
+    assert [(k, repr(gap)) for k, gap, *_ in rows] == [(k, repr(gap)) for k, gap in min_gap_series(trace)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_report_takes_its_gaps_from_the_min_gap_series(name):
+    trace = traced(name)
+    assert all(type(r) is IterationRecord for r in trace.records)
+    if trace.f_star is None:
+        for analysis in (min_gap_series, complexity_bound_report):
+            with pytest.raises(MissingFStar):
+                analysis(trace)
+    else:
+        assert_one_running_minimum(trace)
+
+
+@pytest.mark.parametrize("index", [0, 3], ids=["first", "fourth"])
+def test_a_nan_f_takes_the_same_running_minimum(index, tmp_path):
+    # min keeps its first argument unless the second is smaller, so a NaN
+    # first gap stays the minimum and a later one is passed over.
+    path = tmp_path / "t.trace.json"
+    write_trace_json(traced("disk_example_1e4"), path)
+    raw = json.loads(path.read_text())
+    raw["records"]["f"][index] = math.nan
+    path.write_text(json.dumps(raw))
+    trace = load_trace(path)
+    gaps = [gap for _, gap in min_gap_series(trace)]
+    assert math.isnan(gaps[0]) is (index == 0) and math.isnan(gaps[-1]) is (index == 0)
+    assert_one_running_minimum(trace)
+
+
 # -- write_trace_json on traces the cases above do not reach ---------------------
 
 

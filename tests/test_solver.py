@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -671,6 +672,14 @@ class TestComplexityReport:
         with pytest.raises(MissingSolutionPoint):
             complexity_bound_report(run(cfg))
 
+    def test_a_step_that_underflows_gets_the_schedules_own_rejection(self):
+        # Rebuilt from the echo, harmonic:c=5e-324 gives 5e-324 at k = 0 and
+        # 0.0 from k = 1 on; the report names the first of those steps.
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        trace = dataclasses.replace(trace, config={**trace.config, "schedule": "harmonic:c=5e-324"})
+        with pytest.raises(ValueError, match=re.escape("schedule produced nonpositive step 0.0 at k=1")):
+            complexity_bound_report(trace)
+
     def test_two_busemann_fit_is_finite(self):
         cfg = SolveConfig(
             M, two_busemann_oracle(), sqrt_harmonic(0.5), DiskPoint(0.0, 0.9), 10_000
@@ -964,6 +973,45 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             load_trace(path)
         assert str(err.value) == f"{path}: {fault}" and len(fault) < 200
+
+    @pytest.mark.parametrize("key,what", [("x_star", "a point"), ("f_star", "a number or null")])
+    def test_a_long_string_gets_a_short_fault(self, tmp_path, key, what):
+        # A string is quoted by its repr only up to solver._SHOWN_CHARS
+        # characters; this one, of 10^6 digits, is named by its length.
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        raw = written_raw(trace, path)
+        raw[key] = "9" * 10**6
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as err:
+            load_trace(path)
+        fault = f'trace has "{key}" = a string of 1000000 character(s), not {what}'
+        assert str(err.value) == f"{path}: {fault}" and len(fault) < 200
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("load", ["good", "short-column", "failed-build"])
+    def test_load_trace_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, enabled, load):
+        # load_trace pauses the cyclic collector while it builds the records,
+        # and must hand it back as it was, also when the load fails.
+        trace = run(SolveConfig(M, two_busemann_oracle(), harmonic(1.0), DiskPoint(0.0, 0.9), 5))
+        path = tmp_path / "t.trace.json"
+        raw = written_raw(trace, path)
+        if load == "short-column":
+            raw["records"]["f"].pop()
+        elif load == "failed-build":  # tuple.__new__ refuses a class that is no tuple
+            monkeypatch.setattr(solver, "IterationRecord", dict)
+        path.write_text(json.dumps(raw))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if load == "good":
+                assert load_trace(path) == trace
+            else:
+                with pytest.raises((ValueError, TypeError)):
+                    load_trace(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_load_trace_needs_an_object(self, tmp_path):
         path = tmp_path / "t.trace.json"
