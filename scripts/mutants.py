@@ -97,6 +97,9 @@ MUTANTS = [
     Mutant("collector restore", "src/hypersub/solver.py",
            "gc.enable()", "pass",
            "test_load_trace_leaves_the_collector_as_it_found_it"),
+    Mutant("check fallback", "src/hypersub/verify.py",
+           "reports += [check() for check in checks[mid:]]", "pass",
+           "test_a_faulty_check_raises_the_serial_error"),
 ]
 
 # Tests that pin output bytes: they fail on every change, right or wrong.

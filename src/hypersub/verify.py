@@ -13,10 +13,11 @@ key-theorem ball hypothesis is certified by a closed-form sup of f.
 from __future__ import annotations
 
 import math
+import pickle
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -469,15 +470,6 @@ def report_margins(
     )
 
 
-# The chunk count from which fuzz draws the second half of its chunks in a
-# forked child: below it, forking and reaping the process costs more than the
-# child saves. Measured on 2 cores, the split wins from 16-24 chunks for the
-# law-of-cosines and key-theorem samplers and from 32-49 for the gradcheck
-# finite-difference one; for the cheapest, the unit gradient norm, it is
-# about even from 40 to 64 chunks.
-_SPLIT_MIN_CHUNKS = 32
-
-
 def fuzz(
     sample_chunk: Callable[[np.random.Generator, int], tuple[Sequence[float] | np.ndarray, int]],
     n: int,
@@ -491,57 +483,65 @@ def fuzz(
 
     Chunk c holds k = min(CHUNK, n - c * CHUNK) samples, drawn by one call
     ``sample_chunk(default_rng((seed, c)), k)``, which returns k margins and
-    the number of draws it rejected on the way to them. ``sample_chunk`` must
-    depend on ``(rng, k)`` alone, since chunk c may be drawn in another
-    process: from _SPLIT_MIN_CHUNKS chunks, with os.fork, a second CPU and no
-    other thread, a forked child draws the second half of the chunks while
-    this process draws the first. The report, any error and the peak memory
-    are those of the serial path: if there is no child (below the threshold
-    too), or it fails, this process draws the second half itself. The n
-    margins are allocated at once, and an n beyond memory raises ConfigError
-    keyed by ``--n``.
+    the number of draws it rejected on the way to them. The chunks are drawn
+    in order, in this process. The n margins are allocated at once, and an n
+    beyond memory raises ConfigError keyed by ``--n``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     t0 = time.perf_counter()
-    total = (n + CHUNK - 1) // CHUNK
     try:
         margins = np.empty(n)
     except (MemoryError, ValueError) as exc:  # numpy's ValueError from 2**60 floats on
         raise ConfigError("--n", f"is too large: cannot allocate {n} margins: {exc}") from None
-
-    def draw(lo: int, hi: int) -> int:
-        # Chunks lo to hi - 1 into their slice of margins; returns the
-        # number of draws rejected.
-        rejected = 0
-        for c in range(lo, hi):
-            k = min(CHUNK, n - c * CHUNK)
-            chunk, dropped = sample_chunk(np.random.default_rng((seed, c)), k)
-            chunk = np.asarray(chunk, dtype=float)
-            if chunk.shape != (k,):
-                raise ValueError(f"chunk {c} gave margins of shape {chunk.shape}, not ({k},)")
-            margins[c * CHUNK : c * CHUNK + k] = chunk
-            rejected += dropped
-        return rejected
-
-    mid = total // 2
-    tail = margins[mid * CHUNK :]
-
-    def child(part: IO[bytes]) -> None:
-        part.write(np.int64(draw(mid, total)).tobytes())
-        part.write(tail)
-
-    with _forked(child, total >= _SPLIT_MIN_CHUNKS) as join:
-        rejected = draw(0, mid)
-        part = join and join()
-        if part is None:
-            rejected += draw(mid, total)
-        else:
-            rejected += int(np.frombuffer(part.read(8), np.int64)[0])
-            # The child's margins go straight into their slice: no copy.
-            part.readinto(tail)
+    rejected = 0
+    for c in range((n + CHUNK - 1) // CHUNK):
+        k = min(CHUNK, n - c * CHUNK)
+        chunk, dropped = sample_chunk(np.random.default_rng((seed, c)), k)
+        chunk = np.asarray(chunk, dtype=float)
+        if chunk.shape != (k,):
+            raise ValueError(f"chunk {c} gave margins of shape {chunk.shape}, not ({k},)")
+        margins[c * CHUNK : c * CHUNK + k] = chunk
+        rejected += dropped
     report = report_margins(margins, tolerance, check, seed, two_sided, hypothesis_mode, rejected)
     return replace(report, wall_s=time.perf_counter() - t0)
+
+
+# The chunk count, summed over a suite's checks, from which _fuzz_checks runs
+# the second half of the checks in a forked child: below it, forking and
+# reaping the process costs more than the child saves. Measured in process on
+# 2 cores (two sets of 20 alternating rounds, split against serial, each suite
+# at 8 to 64 chunks in all), the split lost at 8 chunks for every suite, won
+# from 16-32 chunks for law-of-cosines and from 24 for key-theorem (20 of 20
+# at 32 in both sets), and for gradcheck, the cheapest, was about even from 24
+# to 48 chunks and won at 64.
+_SPLIT_MIN_CHUNKS = 32
+
+
+def _fuzz_checks(*checks: partial) -> list[InequalityReport]:
+    """The reports of ``checks``, in order: each is a partial of fuzz over
+    its sampler and n at least, so ``check.args[1]`` is its sample count.
+
+    From _SPLIT_MIN_CHUNKS chunks summed over two checks or more, a child
+    _forked off runs the second half of the checks whole and sends back
+    their reports, pickled, while this process runs the first half. Each
+    process then holds the margins of one check at a time, as the serial
+    path does. If there is no child, or it fails, this process runs the
+    second half itself, so a faulty check raises its serial error here.
+    """
+    mid = len(checks) // 2
+    chunks = sum((check.args[1] + CHUNK - 1) // CHUNK for check in checks)
+    with _forked(
+        lambda part: pickle.dump([check() for check in checks[mid:]], part),
+        mid > 0 and chunks >= _SPLIT_MIN_CHUNKS,
+    ) as join:
+        reports = [check() for check in checks[:mid]]
+        part = join and join()
+        if part is None:
+            reports += [check() for check in checks[mid:]]
+        else:
+            reports += pickle.load(part)
+    return reports
 
 
 # -- bundled suites --------------------------------------------------------------------
@@ -550,22 +550,12 @@ def fuzz(
 def suite_law_of_cosines(n: int, seed: int) -> list[InequalityReport]:
     """Equality at the true curvature (kappa = 1) and the lower-bound
     direction at kappa = 2 on the same triangle distribution."""
-    eq = fuzz(
-        partial(_law_of_cosines_margins, 1.0),
-        n,
-        seed,
-        1e-9,
-        "law-of-cosines-equality-k1",
-        two_sided=True,
+    return _fuzz_checks(
+        partial(fuzz, partial(_law_of_cosines_margins, 1.0), n, seed, 1e-9,
+                "law-of-cosines-equality-k1", two_sided=True),
+        partial(fuzz, partial(_law_of_cosines_margins, 2.0), n, seed + 1, 1e-12,
+                "law-of-cosines-lower-bound-k2"),
     )
-    lb = fuzz(
-        partial(_law_of_cosines_margins, 2.0),
-        n,
-        seed + 1,
-        1e-12,
-        "law-of-cosines-lower-bound-k2",
-    )
-    return [eq, lb]
 
 
 def _distance_key_margins(rng: np.random.Generator, k: int) -> tuple[np.ndarray, int]:
@@ -617,24 +607,12 @@ def suite_key_theorem(n: int, seed: int) -> list[InequalityReport]:
     n - n // 2 two-Busemann configurations, each verified by a closed-form sup."""
     half = n // 2
     rest = n - half
-    return [
-        fuzz(
-            _distance_key_margins,
-            half,
-            seed,
-            1e-10,
-            "key-theorem-distance",
-            hypothesis_mode="analytic",
-        ),
-        fuzz(
-            _two_busemann_key_margins,
-            rest,
-            seed + 1,
-            1e-10,
-            "key-theorem-two-busemann",
-            hypothesis_mode="analytic",
-        ),
-    ]
+    return _fuzz_checks(
+        partial(fuzz, _distance_key_margins, half, seed, 1e-10, "key-theorem-distance",
+                hypothesis_mode="analytic"),
+        partial(fuzz, _two_busemann_key_margins, rest, seed + 1, 1e-10, "key-theorem-two-busemann",
+                hypothesis_mode="analytic"),
+    )
 
 
 def suite_per_step(steps: int, seed: int) -> list[InequalityReport]:
@@ -706,24 +684,12 @@ def _gradcheck_fd_margins(rng: np.random.Generator, k: int) -> tuple[np.ndarray,
 def suite_gradcheck(n: int, seed: int) -> list[InequalityReport]:
     """Unit gradient norm and geodesic finite-difference agreement for
     Busemann functions."""
-    return [
-        fuzz(
-            _gradcheck_norm_margins,
-            n,
-            seed,
-            1e-10,
-            "busemann-unit-gradient-norm",
-            two_sided=True,
-        ),
-        fuzz(
-            _gradcheck_fd_margins,
-            n,
-            seed + 1,
-            1e-4,
-            "busemann-finite-difference",
-            two_sided=True,
-        ),
-    ]
+    return _fuzz_checks(
+        partial(fuzz, _gradcheck_norm_margins, n, seed, 1e-10, "busemann-unit-gradient-norm",
+                two_sided=True),
+        partial(fuzz, _gradcheck_fd_margins, n, seed + 1, 1e-4, "busemann-finite-difference",
+                two_sided=True),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import cmath
+import hashlib
 import inspect
 import json
 import math
 import os
 import threading
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -25,13 +27,13 @@ from hypersub.oracles import (
     two_busemann_oracle,
 )
 from hypersub import verify
+from hypersub.cli import main
 from hypersub.verify import (
     CHUNK,
     DegenerateTriangle,
     TriangleSample,
     _accepted,
     _distance_key_margins,
-    _gradcheck_fd_margins,
     _gradcheck_norm_margins,
     _law_of_cosines_margins,
     _triangles,
@@ -519,99 +521,107 @@ def chunk_index(rng):
     return rng.bit_generator.seed_seq.entropy[1]
 
 
-BUNDLED_SAMPLERS = {
-    "law-of-cosines-k1": partial(_law_of_cosines_margins, 1.0),
-    "law-of-cosines-k2": partial(_law_of_cosines_margins, 2.0),
-    "key-theorem-distance": _distance_key_margins,
-    "key-theorem-two-busemann": _two_busemann_key_margins,
-    "gradcheck-norm": _gradcheck_norm_margins,
-    "gradcheck-fd": _gradcheck_fd_margins,
-}
+class TestSplitChecks:
+    """From _SPLIT_MIN_CHUNKS chunks summed over a suite's checks, a forked
+    child runs the second half of the checks whole when the process may run
+    on 2 CPUs and has one thread; fuzz draws all its chunks in one process."""
 
-
-class TestSplitFuzz:
-    """From _SPLIT_MIN_CHUNKS chunks, fuzz draws the second half of them in
-    a forked child when the process may run on 2 CPUs and has one thread."""
-
-    # The least chunk count that splits, with a ragged last chunk.
-    N = verify._SPLIT_MIN_CHUNKS * CHUNK - 700
-    CHUNKS = verify._SPLIT_MIN_CHUNKS
+    # Chunks per check, so that two checks reach the least chunk count that
+    # splits; the last chunk of each is ragged.
+    CHUNKS = (verify._SPLIT_MIN_CHUNKS + 1) // 2
+    N = CHUNKS * CHUNK - 700
+    SUITE_N = {"law-of-cosines": N, "key-theorem": 2 * N, "gradcheck": N}
 
     def serial(self, monkeypatch):
-        monkeypatch.setattr(verify, "_SPLIT_MIN_CHUNKS", self.CHUNKS + 1)
+        monkeypatch.setattr(verify, "_SPLIT_MIN_CHUNKS", 2 * self.CHUNKS + 1)
 
-    @pytest.mark.parametrize("sampler", BUNDLED_SAMPLERS.values(), ids=BUNDLED_SAMPLERS)
-    def test_split_draws_the_serial_margins(self, sampler, forks, monkeypatch):
-        drawn = []
+    def checks(self, *samplers, two_sided=False):
+        return [partial(fuzz, sampler, self.N, i, 1.0, f"check-{i}", two_sided)
+                for i, sampler in enumerate(samplers)]
 
+    @pytest.mark.parametrize("name", SUITE_N)
+    def test_split_gives_the_serial_margins_and_reports(self, name, forks, monkeypatch):
         def report(margins, *args):
-            drawn.append(margins.tobytes())
-            return report_margins(margins, *args)
+            # The digest of the margins rides back in the check's name, from
+            # the child too.
+            digest = hashlib.sha256(margins.tobytes()).hexdigest()
+            r = report_margins(margins, *args)
+            return replace(r, check=f"{r.check} {digest}")
 
         monkeypatch.setattr(verify, "report_margins", report)
         affinity = os.sched_getaffinity(0)
-        split = fuzz(sampler, self.N, 5, 1e-9, "split", two_sided=True)
+        split = run_suite(name, self.SUITE_N[name], 5)
         assert len(forks) == forks_per_split()
         assert_no_child_left()
         assert os.sched_getaffinity(0) == affinity
         self.serial(monkeypatch)
-        serial = fuzz(sampler, self.N, 5, 1e-9, "split", two_sided=True)
+        serial = run_suite(name, self.SUITE_N[name], 5)
         assert len(forks) == forks_per_split()
-        assert drawn[0] == drawn[1]
-        assert untimed(split) == untimed(serial)
-        assert split.n == self.N
+        assert list(map(untimed, split)) == list(map(untimed, serial))
+        assert [r.n for r in split] == [self.N, self.N]
 
-    def test_rejections_of_both_halves_are_counted(self, forks):
-        # Chunk c rejects c + 1 draws.
-        report = fuzz(lambda rng, k: (rng.random(k), chunk_index(rng) + 1), self.N, 0, 1.0, "rejects")
+    def test_each_check_keeps_its_own_rejected(self, forks):
+        # Chunk c of check i rejects (i + 1) * (c + 1) draws; the child runs
+        # checks 1 and 2.
+        def rejecting(i):
+            return lambda rng, k: (rng.random(k), (i + 1) * (chunk_index(rng) + 1))
+
+        reports = verify._fuzz_checks(*self.checks(*map(rejecting, range(3))))
         assert len(forks) == forks_per_split()
-        assert report.rejected == self.CHUNKS * (self.CHUNKS + 1) // 2
+        per_check = self.CHUNKS * (self.CHUNKS + 1) // 2
+        assert [r.rejected for r in reports] == [per_check, 2 * per_check, 3 * per_check]
+        assert [r.check for r in reports] == ["check-0", "check-1", "check-2"]
 
     @pytest.mark.parametrize(
-        "bad,fault",
-        [(1, "raise"), (CHUNKS - 2, "raise"), (CHUNKS - 1, "shape")],
-        ids=["first-half", "second-half", "second-half-shape"],
+        "bad,chunk,fault",
+        [(0, 1, "raise"), (0, CHUNKS - 1, "shape"), (1, 1, "raise"), (1, CHUNKS - 1, "shape")],
+        ids=["first-check-raise", "first-check-shape", "second-check-raise", "second-check-shape"],
     )
-    def test_a_faulty_chunk_raises_the_serial_error(self, forks, monkeypatch, bad, fault):
-        def sampler(rng, k):
-            if chunk_index(rng) != bad:
-                return rng.random(k), 0
-            if fault == "shape":
-                return rng.random(k + 1), 0
-            raise RuntimeError(f"chunk {bad} is faulty")
+    def test_a_faulty_check_raises_the_serial_error(self, forks, monkeypatch, bad, chunk, fault):
+        def sampler(i):
+            def draw(rng, k):
+                if (i, chunk_index(rng)) != (bad, chunk):
+                    return rng.random(k), 0
+                if fault == "shape":
+                    return rng.random(k + 1), 0
+                raise RuntimeError(f"chunk {chunk} of check {i} is faulty")
 
+            return draw
+
+        checks = self.checks(sampler(0), sampler(1))
         affinity = os.sched_getaffinity(0)
         with pytest.raises(Exception) as split:
-            fuzz(sampler, self.N, 2, 1.0, "fault")
+            verify._fuzz_checks(*checks)
         assert len(forks) == forks_per_split()
         assert_no_child_left()
         assert os.sched_getaffinity(0) == affinity
         self.serial(monkeypatch)
         with pytest.raises(Exception) as serial:
-            fuzz(sampler, self.N, 2, 1.0, "fault")
+            verify._fuzz_checks(*checks)
         assert (split.type, str(split.value)) == (serial.type, str(serial.value))
         assert split.type is (ValueError if fault == "shape" else RuntimeError)
 
     @pytest.mark.parametrize("two_sided", [False, True], ids=["one-sided", "two-sided"])
-    def test_a_nan_in_each_half_is_the_serial_report(self, forks, monkeypatch, two_sided):
+    def test_a_nan_in_the_childs_check_is_the_serial_report(self, forks, monkeypatch, two_sided):
         def sampler(rng, k):
             margins = rng.random(k)
             if chunk_index(rng) in (0, self.CHUNKS - 1):
                 margins[k // 2] = math.nan
             return margins, 0
 
-        split = fuzz(sampler, self.N, 4, 1.0, "nan", two_sided=two_sided)
+        checks = self.checks(lambda rng, k: (rng.random(k), 0), sampler, two_sided=two_sided)
+        split = verify._fuzz_checks(*checks)
         assert len(forks) == forks_per_split()
         self.serial(monkeypatch)
-        serial = fuzz(sampler, self.N, 4, 1.0, "nan", two_sided=two_sided)
-        assert untimed(split) == untimed(serial)
-        assert math.isnan(split.worst_margin)
-        assert split.violations == 2
-        assert sum(split.histogram["counts"]) == self.N - 2
+        serial = verify._fuzz_checks(*checks)
+        assert list(map(untimed, split)) == list(map(untimed, serial))
+        assert split[0].violations == 0
+        assert math.isnan(split[1].worst_margin)
+        assert split[1].violations == 2
+        assert sum(split[1].histogram["counts"]) == self.N - 2
 
     @pytest.mark.parametrize("why", ["one-cpu", "second-thread"])
     def test_no_fork_on_one_cpu_or_with_a_second_thread(self, forks, monkeypatch, why):
-        sampler = BUNDLED_SAMPLERS["gradcheck-norm"]
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         with monkeypatch.context() as patch:
@@ -620,7 +630,7 @@ class TestSplitFuzz:
             if why == "second-thread":
                 thread.start()
             try:
-                report = fuzz(sampler, self.N, 6, 1e-10, "nofork")
+                reports = suite_gradcheck(self.N, 6)
             finally:
                 stop.set()
                 if thread.is_alive():
@@ -628,7 +638,21 @@ class TestSplitFuzz:
         assert not thread.is_alive()
         assert forks == []
         self.serial(monkeypatch)
-        assert untimed(report) == untimed(fuzz(sampler, self.N, 6, 1e-10, "nofork"))
+        assert list(map(untimed, reports)) == list(map(untimed, suite_gradcheck(self.N, 6)))
+
+    def test_one_check_is_not_split(self, forks):
+        check = partial(fuzz, _gradcheck_norm_margins, 4 * self.N, 2, 1e-10, "one")
+        assert list(map(untimed, verify._fuzz_checks(check))) == [untimed(check())]
+        assert forks == []
+
+    def test_verify_law_of_cosines_forks_once_and_fuzz_alone_never(self, forks, tmp_path, capsys):
+        assert main(["verify", "law-of-cosines", "--report", str(tmp_path / "loc.json")]) == 0
+        assert len(forks) == forks_per_split()
+        forks.clear()
+        n = SUITES["law-of-cosines"].n
+        assert (n + CHUNK - 1) // CHUNK >= verify._SPLIT_MIN_CHUNKS
+        fuzz(partial(_law_of_cosines_margins, 1.0), n, 0, 1e-9, "alone", two_sided=True)
+        assert forks == []
 
 
 class TestSuites:
